@@ -16,7 +16,7 @@
 use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
 use smartmem_bench::{parse_bench_args, render_pass_timings, render_table};
-use smartmem_core::{eliminate_with_options, CompileSession, Framework, SmartMemPipeline};
+use smartmem_core::{eliminate, CompileSession, Framework, SmartMemPipeline};
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_models::all_models;
 use smartmem_sim::DeviceConfig;
@@ -49,20 +49,19 @@ fn main() {
     let mut records: Vec<BenchRecord> = Vec::new();
 
     // 1b (run first). The LTE compile-time hot spot: composition +
-    // strength reduction, before/after the composition memo (results
-    // identical). The memo is process-wide now, so this A/B must run
+    // strength reduction of Swin-T's index maps, paid once per process.
+    // The composition memo is process-wide, so the cold row must run
     // before anything else compiles — a single earlier optimize_timed
-    // would pre-warm every key and the "memoized" row would measure
-    // pure lookups instead of memo-building with intra-model hits.
+    // would pre-warm every key and it would measure pure lookups.
     let swin = smartmem_models::swin_tiny(1);
     let mut rows = Vec::new();
-    for (label, memoize) in [("unmemoized", false), ("memoized", true)] {
+    for label in ["cold (empty memo)", "warm (memo lookups)"] {
         let start = Instant::now();
-        let r = eliminate_with_options(&swin, true, true, memoize);
+        let r = eliminate(&swin, true, true);
         let us = start.elapsed().as_secs_f64() * 1e6;
-        if !memoize {
-            // The true cold strength-reduction cost (memo disabled) —
-            // the regression gate for the index-interning layer.
+        if rows.is_empty() {
+            // The first-in-process strength-reduction cost — the
+            // regression gate for the index-interning layer.
             records.push(BenchRecord::new(
                 "pass_timing",
                 device.slug(),
@@ -84,10 +83,10 @@ fn main() {
     // 1. Per-pass timing of every framework on Swin-Tiny. The LTE memo
     // is process-wide, so the A/B above has already warmed Swin-T's
     // keys: the `lte` rows below are memo-warm lookups (the true cold
-    // composition cost is the "unmemoized" row above). Say so, or the
-    // table silently changes meaning versus the per-call-memo era.
+    // composition cost is the "cold" row above). Say so, or the table
+    // reads as if every compile paid it.
     println!(
-        "\n(LTE memo is warm from here on — `lte` rows below are lookup times; cold vs memoized cost is the table above)"
+        "\n(LTE memo is warm from here on — `lte` rows below are lookup times; cold vs warm cost is the table above)"
     );
     let mut swin_smartmem_stats = None;
     for fw in &frameworks {
@@ -240,7 +239,7 @@ fn main() {
     );
     if let Some(dir) = session.cache_dir() {
         println!(
-            "persistent cache: {} artifacts in {} ({} compositions in the LTE memo)",
+            "persistent cache: {} artifacts in {}; {} compositions in the in-process LTE memo",
             session.disk_len(),
             dir.display(),
             smartmem_core::lte_memo_len(),

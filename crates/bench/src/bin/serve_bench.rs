@@ -12,10 +12,9 @@
 //! Flags: `--smoke`, `--requests N`, `--rate RPS`, `--seed S`,
 //! `--scale F` (wall-clock throttle of simulated device time),
 //! `--cancel-rate P` (probability a request is cancelled ~one arrival
-//! after submission, racing the batch cut), `--cut-policy pull|deadline`
-//! (A/B the pull-mode batcher against the fixed-window baseline),
-//! `--cold` (skip the warmup pass, so the replay measures cold-compile
-//! stalls instead of steady state), `--cache-dir DIR` (persistent
+//! after submission, racing the batch cut), `--cold` (skip the warmup
+//! pass, so the replay measures cold-compile stalls instead of steady
+//! state), `--cache-dir DIR` (persistent
 //! artifact cache: cold compiles write through, rerunning against the
 //! same directory warm-starts from disk), `--expect-warm` (assert
 //! the run performed *zero* cold compiles — pair it with a second run
@@ -53,173 +52,33 @@
 //! CI cold step measures real cold compiles instead of inheriting a
 //! previous job's artifacts.
 //!
-//! The pool serves six devices — four mobile GPUs (including the
-//! AFBC-compressed Mali-G710), Apple silicon, and a server-class NPU —
-//! so placement has genuinely heterogeneous latency classes to choose
-//! between.
+//! Under `--smoke` the run additionally gates on zero `Interactive`
+//! SLO violations.
 //!
-//! The trace is open-loop: arrivals follow exponential inter-arrival
-//! times at the configured rate and are submitted on schedule, whether
-//! or not the server has caught up — the standard way to expose
-//! queueing behaviour. Model popularity is Zipf-distributed, so hot
-//! models exercise batching while the tail exercises cache breadth;
-//! priorities are drawn 60 % `Interactive` / 25 % `Batch` / 15 %
-//! `BestEffort`. Under `--smoke` the run additionally gates on zero
-//! `Interactive` SLO violations.
+//! Everything the three modes share — command line, the served zoo and
+//! six-device pool, the seeded open-loop trace, the `ServeConfig`
+//! builder, the warm-up, percentiles and record emission — lives (and
+//! is documented) in `smartmem_bench::serve_harness`; this file holds
+//! one entry point per mode and a `main` that dispatches.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use smartmem_bench::json::BenchRecord;
 use smartmem_bench::render_table;
+use smartmem_bench::serve_harness::{
+    devices, parse_args, percentile, serve_config, sorted, warm_up, write_records, zoo, BenchOpts,
+    TraceGen,
+};
 use smartmem_serve::{
-    histogram_mean, ClassDeadlines, CutPolicy, DecodeSession, InferenceRequest, InferenceResponse,
-    ModelSpec, Priority, Router, ServeConfig, ServeStats, Server, TelemetryConfig,
+    histogram_mean, DecodeSession, InferenceRequest, InferenceResponse, ModelSpec, Priority,
+    Router, ServeStats, Server, TelemetryConfig,
 };
 use smartmem_sim::{DeviceConfig, FaultKind, FaultPlan, FaultRates};
 use smartmem_telemetry::{render_chrome, Telemetry};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-struct BenchOpts {
-    smoke: bool,
-    cold: bool,
-    requests: usize,
-    rate_rps: f64,
-    seed: u64,
-    exec_time_scale: f64,
-    cancel_rate: f64,
-    cut_policy: CutPolicy,
-    cache_dir: Option<PathBuf>,
-    expect_warm: bool,
-    json: Option<PathBuf>,
-    trace_out: Option<PathBuf>,
-    sample_every: u64,
-    replicas: usize,
-    fault_rate: f64,
-    decode: bool,
-    fresh_cache: bool,
-}
-
-fn parse_args() -> BenchOpts {
-    let mut opts = BenchOpts {
-        smoke: false,
-        cold: false,
-        requests: 600,
-        rate_rps: 2000.0,
-        seed: 42,
-        exec_time_scale: 0.15,
-        cancel_rate: 0.0,
-        cut_policy: CutPolicy::Pull,
-        cache_dir: None,
-        expect_warm: false,
-        json: None,
-        trace_out: None,
-        sample_every: 1,
-        replicas: 1,
-        fault_rate: 0.0,
-        decode: false,
-        fresh_cache: false,
-    };
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| -> &String {
-            args.next().unwrap_or_else(|| panic!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--cold" => opts.cold = true,
-            "--requests" => opts.requests = value("--requests").parse().expect("integer"),
-            "--rate" => opts.rate_rps = value("--rate").parse().expect("number"),
-            "--seed" => opts.seed = value("--seed").parse().expect("integer"),
-            "--scale" => opts.exec_time_scale = value("--scale").parse().expect("number"),
-            "--cancel-rate" => opts.cancel_rate = value("--cancel-rate").parse().expect("number"),
-            "--cut-policy" => {
-                opts.cut_policy = match value("--cut-policy").as_str() {
-                    "pull" => CutPolicy::Pull,
-                    "deadline" => CutPolicy::Deadline,
-                    other => panic!("--cut-policy must be pull or deadline, got {other}"),
-                }
-            }
-            "--cache-dir" => opts.cache_dir = Some(PathBuf::from(value("--cache-dir"))),
-            "--expect-warm" => opts.expect_warm = true,
-            "--json" => opts.json = Some(PathBuf::from(value("--json"))),
-            "--trace-out" => opts.trace_out = Some(PathBuf::from(value("--trace-out"))),
-            "--sample-every" => {
-                opts.sample_every = value("--sample-every").parse().expect("integer")
-            }
-            "--replicas" => opts.replicas = value("--replicas").parse().expect("integer"),
-            "--fault-rate" => opts.fault_rate = value("--fault-rate").parse().expect("number"),
-            "--decode" => opts.decode = true,
-            "--fresh-cache" => opts.fresh_cache = true,
-            other => panic!("unknown flag {other}"),
-        }
-    }
-    assert!(
-        !opts.expect_warm || opts.cache_dir.is_some(),
-        "--expect-warm requires --cache-dir (a warm start needs persisted artifacts)"
-    );
-    assert!((0.0..=1.0).contains(&opts.cancel_rate), "--cancel-rate must be in [0, 1]");
-    assert!(opts.sample_every >= 1, "--sample-every must be at least 1");
-    assert!(opts.replicas >= 1, "--replicas must be at least 1");
-    assert!((0.0..=1.0).contains(&opts.fault_rate), "--fault-rate must be in [0, 1]");
-    if opts.smoke {
-        opts.requests = opts.requests.min(60);
-        opts.rate_rps = 3000.0;
-        opts.exec_time_scale = 0.02;
-    }
-    opts
-}
-
-/// The served subset of the zoo: transformer-heavy and conv models of
-/// Table 7 that compile in milliseconds (the SD/Pythia giants are left
-/// to the figure binaries; a serving tier would shard them anyway).
-fn zoo(smoke: bool) -> Vec<ModelSpec> {
-    let names: &[&str] = if smoke {
-        &["ConvNext", "RegNet"]
-    } else {
-        &[
-            "AutoFormer",
-            "CrossFormer",
-            "EfficientVit",
-            "Swin",
-            "ViT",
-            "SD-TextEncoder",
-            "ConvNext",
-            "RegNet",
-            "ResNext",
-            "Yolo-V8",
-        ]
-    };
-    names
-        .iter()
-        .map(|n| {
-            let entry = smartmem_models::by_name(n).unwrap_or_else(|| panic!("no model {n}"));
-            ModelSpec::new(entry.name, entry.graph())
-        })
-        .collect()
-}
-
-fn devices() -> Vec<DeviceConfig> {
-    vec![
-        DeviceConfig::snapdragon_8gen2(),
-        DeviceConfig::snapdragon_835(),
-        DeviceConfig::dimensity_700(),
-        DeviceConfig::mali_g710(),
-        DeviceConfig::apple_m1(),
-        DeviceConfig::server_npu(),
-    ]
-}
-
-/// Percentile over a sorted slice (nearest-rank).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil().max(1.0) as usize - 1;
-    sorted[rank.min(sorted.len() - 1)]
-}
+use std::time::Instant;
 
 /// Everything one warmup-plus-replay run produces.
 struct RunOutcome {
@@ -230,9 +89,6 @@ struct RunOutcome {
     wall_s: f64,
     cancels_attempted: u64,
     cancels_won: u64,
-    device_names: Vec<String>,
-    device_slugs: Vec<String>,
-    deadlines: ClassDeadlines,
     telemetry: Telemetry,
 }
 
@@ -243,117 +99,50 @@ impl RunOutcome {
     }
 }
 
-/// One full benchmark run: start a server, warm the caches, replay the
-/// deterministic open-loop schedule, shut down. The RNGs are re-seeded
-/// per call, so two runs (e.g. the telemetry-overhead A/B pair) replay
-/// the *identical* request schedule.
-fn run_replay(opts: &BenchOpts, telemetry_on: bool, quiet: bool) -> RunOutcome {
+/// One full replay: start a server, warm the caches, replay the
+/// deterministic open-loop schedule, shut down. The trace generator is
+/// re-seeded per call, so two runs (e.g. the telemetry-overhead A/B
+/// pair) replay the *identical* request schedule.
+fn replay_once(opts: &BenchOpts, telemetry_on: bool) -> RunOutcome {
     let models = zoo(opts.smoke);
     let model_count = models.len();
-    // The per-class budgets the trace is gated against. Smoke keeps a
-    // CI-safe Interactive budget (shared runners hiccup); the full
-    // trace uses the tighter production default.
-    let mut config = ServeConfig {
-        // Big enough that the open loop never blocks on submit:
-        // arrivals stay on schedule whether or not the server has
-        // caught up.
-        queue_capacity: opts.requests + 64,
-        max_batch: 8,
-        max_delay: Duration::from_millis(3),
-        exec_time_scale: opts.exec_time_scale,
-        cut_policy: opts.cut_policy,
-        cache_dir: opts.cache_dir.clone(),
-        telemetry: TelemetryConfig {
-            enabled: telemetry_on,
-            sample_every: opts.sample_every,
-            ..TelemetryConfig::default()
-        },
-        ..ServeConfig::default()
+    let mut config = serve_config(opts, opts.requests + 64);
+    config.telemetry = TelemetryConfig {
+        enabled: telemetry_on,
+        sample_every: opts.sample_every,
+        ..TelemetryConfig::default()
     };
-    if opts.smoke {
-        config.deadlines.interactive = Duration::from_millis(100);
-    }
-    let deadlines = config.deadlines;
     let server = Server::start(models, devices(), config);
     let telemetry = server.telemetry();
-
-    // Zipf popularity: model i drawn with weight 1/(i+1).
-    let weights: Vec<f64> = (0..model_count).map(|i| 1.0 / (i + 1) as f64).collect();
-    let total_weight: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut pick_model = move || {
-        let mut x = (rng.next_u64() as f64 / u64::MAX as f64) * total_weight;
-        for (i, w) in weights.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        model_count - 1
-    };
-    // 60 % Interactive / 25 % Batch / 15 % BestEffort.
-    let mut class_rng = StdRng::seed_from_u64(opts.seed ^ 0x5bf0_3635);
-    let mut pick_class = move || match class_rng.next_u64() % 100 {
-        0..=59 => Priority::Interactive,
-        60..=84 => Priority::Batch,
-        _ => Priority::BestEffort,
-    };
-    let mut arrival_rng = StdRng::seed_from_u64(opts.seed ^ 0x9e3779b97f4a7c15);
-    let mut next_gap_s = move || {
-        let u = (arrival_rng.next_u64().max(1)) as f64 / u64::MAX as f64;
-        -u.ln() / rate_nonzero(opts.rate_rps)
-    };
+    let mut trace = TraceGen::new(opts.seed, model_count, opts.rate_rps);
     let mut cancel_rng = StdRng::seed_from_u64(opts.seed ^ 0xc0ff_ee00);
 
-    // --- Warmup -------------------------------------------------------
-    // Compile-on-first-use happens here (one pinned request per
-    // (model, device) pair) so the replay below measures steady-state
-    // serving, not cold-compile stalls. `--cold` skips it.
+    // Compile-on-first-use happens in the warmup; `--cold` skips it.
     let mut warmup_requests = 0u64;
     if !opts.cold {
         let warm_start = Instant::now();
-        let tickets: Vec<_> = (0..model_count)
-            .flat_map(|m| {
-                (0..server.pool().len()).map(move |d| InferenceRequest::new(m).on_device(d))
-            })
-            .map(|req| server.submit(req).expect("warmup submit"))
-            .collect();
-        warmup_requests = tickets.len() as u64;
-        for t in tickets {
-            let r = t.wait();
-            assert!(r.error.is_none(), "warmup compile failed: {:?}", r.error);
-        }
-        if !quiet {
-            println!(
-                "warmup: compiled {} (model, device) artifacts in {:.2}s",
-                warmup_requests,
-                warm_start.elapsed().as_secs_f64()
-            );
-        }
+        warmup_requests = warm_up(&server, model_count, |req, _, _| req);
+        println!(
+            "warmup: compiled {} (model, device) artifacts in {:.2}s",
+            warmup_requests,
+            warm_start.elapsed().as_secs_f64()
+        );
     }
     let warm_stats = server.stats();
 
-    // --- Replay -------------------------------------------------------
     // Cancellations are issued ~one arrival after submission, so they
     // genuinely race the batcher's cut instead of always winning.
-    let replay_start = Instant::now();
-    let mut arrival = replay_start;
+    let replay_start = trace.start();
     let mut tickets = Vec::with_capacity(opts.requests);
     let mut pending_cancels: VecDeque<smartmem_serve::CancelHandle> = VecDeque::new();
     let mut cancels_attempted = 0u64;
     let mut cancels_won = 0u64;
     for _ in 0..opts.requests {
-        arrival += Duration::from_secs_f64(next_gap_s());
-        if let Some(wait) = arrival.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
+        let req = trace.next_request();
         if let Some(handle) = pending_cancels.pop_front() {
             cancels_attempted += 1;
-            if handle.cancel() {
-                cancels_won += 1;
-            }
+            cancels_won += u64::from(handle.cancel());
         }
-        let req = InferenceRequest::new(pick_model()).with_priority(pick_class());
         let ticket = server.submit(req).expect("submit");
         if opts.cancel_rate > 0.0
             && (cancel_rng.next_u64() as f64 / u64::MAX as f64) < opts.cancel_rate
@@ -364,16 +153,10 @@ fn run_replay(opts: &BenchOpts, telemetry_on: bool, quiet: bool) -> RunOutcome {
     }
     for handle in pending_cancels {
         cancels_attempted += 1;
-        if handle.cancel() {
-            cancels_won += 1;
-        }
+        cancels_won += u64::from(handle.cancel());
     }
     let responses: Vec<InferenceResponse> = tickets.into_iter().map(|t| t.wait()).collect();
     let wall_s = replay_start.elapsed().as_secs_f64();
-    let device_names: Vec<String> =
-        (0..server.pool().len()).map(|d| server.pool().device(d).name.clone()).collect();
-    let device_slugs: Vec<String> =
-        (0..server.pool().len()).map(|d| server.pool().device(d).slug()).collect();
     let stats = server.shutdown();
     RunOutcome {
         responses,
@@ -383,9 +166,6 @@ fn run_replay(opts: &BenchOpts, telemetry_on: bool, quiet: bool) -> RunOutcome {
         wall_s,
         cancels_attempted,
         cancels_won,
-        device_names,
-        device_slugs,
-        deadlines,
         telemetry,
     }
 }
@@ -404,19 +184,8 @@ fn run_fleet(opts: &BenchOpts) {
     let device_count = devices().len();
     let plan = (opts.fault_rate > 0.0)
         .then(|| Arc::new(FaultPlan::new(opts.seed, FaultRates::transient(opts.fault_rate))));
-    let mut config = ServeConfig {
-        queue_capacity: opts.requests + 64,
-        max_batch: 8,
-        max_delay: Duration::from_millis(3),
-        exec_time_scale: opts.exec_time_scale,
-        cut_policy: opts.cut_policy,
-        cache_dir: opts.cache_dir.clone(),
-        fault_plan: plan.clone(),
-        ..ServeConfig::default()
-    };
-    if opts.smoke {
-        config.deadlines.interactive = Duration::from_millis(100);
-    }
+    let mut config = serve_config(opts, opts.requests + 64);
+    config.fault_plan = plan.clone();
     let router = Router::start(opts.replicas, models, devices(), config);
     println!(
         "serve_bench (fleet): {} requests over {} replicas x {} devices \
@@ -429,11 +198,9 @@ fn run_fleet(opts: &BenchOpts) {
         opts.fault_rate * 100.0,
     );
 
-    // --- Warmup -------------------------------------------------------
-    // One pinned request per (replica, model, device), so the replay
-    // measures steady-state serving on every replica. Tags stay
-    // globally unique — the fault oracle is tag-keyed, so the cursed
-    // set is a pure function of the seed, not the schedule.
+    // Warmup covers every (replica, model, device). Tags stay globally
+    // unique — the fault oracle is tag-keyed, so the cursed set is a
+    // pure function of the seed, not the schedule.
     let warmup_tag =
         |r: usize, m: usize, d: usize| 1u64 << 40 | (r as u64) << 20 | (m as u64) << 10 | d as u64;
     let restart_tag = |m: usize, d: usize| 2u64 << 40 | (m as u64) << 10 | d as u64;
@@ -442,19 +209,8 @@ fn run_fleet(opts: &BenchOpts) {
         let warm_start = Instant::now();
         for r in 0..router.len() {
             let server = router.server(r).expect("replica alive at startup");
-            let tickets: Vec<_> = (0..model_count)
-                .flat_map(|m| {
-                    (0..device_count).map(move |d| {
-                        InferenceRequest::new(m).on_device(d).with_tag(warmup_tag(r, m, d))
-                    })
-                })
-                .map(|req| server.submit(req).expect("warmup submit"))
-                .collect();
-            warmup_requests += tickets.len() as u64;
-            for t in tickets {
-                let resp = t.wait();
-                assert!(resp.error.is_none(), "warmup compile failed: {:?}", resp.error);
-            }
+            warmup_requests +=
+                warm_up(&server, model_count, |req, m, d| req.with_tag(warmup_tag(r, m, d)));
         }
         println!(
             "warmup: compiled {} (replica, model, device) artifacts in {:.2}s",
@@ -467,39 +223,14 @@ fn run_fleet(opts: &BenchOpts) {
     };
     let warm_viol = interactive_viol(&router.stats().per_replica);
 
-    // --- Replay with mid-trace chaos ----------------------------------
     // Same deterministic open-loop schedule as the plain path; with
     // more than one replica, slot 1 is killed a third of the way in
     // (its queued requests re-route to the survivors) and restarted at
     // two thirds (warm from the shared --cache-dir, when given).
-    let weights: Vec<f64> = (0..model_count).map(|i| 1.0 / (i + 1) as f64).collect();
-    let total_weight: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    let mut pick_model = move || {
-        let mut x = (rng.next_u64() as f64 / u64::MAX as f64) * total_weight;
-        for (i, w) in weights.iter().enumerate() {
-            x -= w;
-            if x <= 0.0 {
-                return i;
-            }
-        }
-        model_count - 1
-    };
-    let mut class_rng = StdRng::seed_from_u64(opts.seed ^ 0x5bf0_3635);
-    let mut pick_class = move || match class_rng.next_u64() % 100 {
-        0..=59 => Priority::Interactive,
-        60..=84 => Priority::Batch,
-        _ => Priority::BestEffort,
-    };
-    let mut arrival_rng = StdRng::seed_from_u64(opts.seed ^ 0x9e3779b97f4a7c15);
-    let mut next_gap_s = move || {
-        let u = (arrival_rng.next_u64().max(1)) as f64 / u64::MAX as f64;
-        -u.ln() / rate_nonzero(opts.rate_rps)
-    };
+    let mut trace = TraceGen::new(opts.seed, model_count, opts.rate_rps);
     let chaos = opts.replicas > 1;
     let victim = 1 % opts.replicas;
-    let replay_start = Instant::now();
-    let mut arrival = replay_start;
+    let replay_start = trace.start();
     let mut tickets = Vec::with_capacity(opts.requests);
     for i in 0..opts.requests {
         if chaos && i == opts.requests / 3 {
@@ -518,30 +249,12 @@ fn run_fleet(opts: &BenchOpts) {
             // SLO counter.
             if !opts.cold {
                 let server = router.server(victim).expect("replica just restarted");
-                let warm: Vec<_> = (0..model_count)
-                    .flat_map(|m| {
-                        (0..device_count).map(move |d| {
-                            InferenceRequest::new(m)
-                                .on_device(d)
-                                .with_priority(Priority::BestEffort)
-                                .with_tag(restart_tag(m, d))
-                        })
-                    })
-                    .map(|req| server.submit(req).expect("restart warmup submit"))
-                    .collect();
-                warmup_requests += warm.len() as u64;
-                for t in warm {
-                    let resp = t.wait();
-                    assert!(resp.error.is_none(), "restart warmup failed: {:?}", resp.error);
-                }
+                warmup_requests += warm_up(&server, model_count, |req, m, d| {
+                    req.with_priority(Priority::BestEffort).with_tag(restart_tag(m, d))
+                });
             }
         }
-        arrival += Duration::from_secs_f64(next_gap_s());
-        if let Some(wait) = arrival.checked_duration_since(Instant::now()) {
-            std::thread::sleep(wait);
-        }
-        let req =
-            InferenceRequest::new(pick_model()).with_priority(pick_class()).with_tag(i as u64);
+        let req = trace.next_request().with_tag(i as u64);
         tickets.push(router.submit(req).expect("submit"));
     }
     let responses: Vec<InferenceResponse> = tickets.into_iter().map(|t| t.wait()).collect();
@@ -560,51 +273,30 @@ fn run_fleet(opts: &BenchOpts) {
     }
     let stats = router.shutdown();
 
-    // --- Report -------------------------------------------------------
-    let faults_by_kind: Vec<u64> = FaultKind::ALL
-        .iter()
-        .map(|k| stats.per_replica.iter().map(|s| s.faults[k.index()]).sum())
-        .collect();
-    let faults_total: u64 = faults_by_kind.iter().sum();
-    let summary = vec![
-        vec!["replicas".into(), format!("{}", opts.replicas)],
-        vec!["completed".into(), format!("{}", stats.completed)],
-        vec!["recovered (completed after retry)".into(), format!("{}", stats.recovered)],
-        vec!["retried".into(), format!("{}", stats.retried)],
-        vec!["shed".into(), format!("{}", stats.shed)],
-        vec!["killed by replica kill".into(), format!("{}", stats.killed)],
-        vec!["rerouted".into(), format!("{}", stats.rerouted)],
-        vec!["kills / restarts".into(), format!("{} / {}", stats.kills, stats.restarts)],
-        vec!["faults injected".into(), format!("{faults_total}")],
-        vec!["throughput (req/s)".into(), format!("{:.0}", responses.len() as f64 / wall_s)],
+    // Every figure once: the summary table prints what the records
+    // carry. (Distinct bench name: the chaos run rides in CI next to
+    // the plain smoke without key collisions.)
+    let rec = |metric: &str, value: f64| BenchRecord::new("serve_chaos", "fleet", metric, value);
+    let mut records = vec![
+        rec("recovered_requests", stats.recovered as f64),
+        rec("shed_requests", stats.shed as f64),
+        rec("completed", stats.completed as f64),
+        rec("retried", stats.retried as f64),
+        rec("killed_requests", stats.killed as f64),
+        rec("rerouted", stats.rerouted as f64),
+        rec("kills", stats.kills as f64),
+        rec("restarts", stats.restarts as f64),
+        rec("throughput_rps", responses.len() as f64 / wall_s),
     ];
-    print!("{}", render_table("serve_chaos fleet summary", &["metric", "value"], &summary));
-
-    // Machine-readable records (distinct bench name: the chaos run
-    // rides in CI next to the plain smoke without key collisions).
+    for kind in FaultKind::ALL {
+        let count: u64 = stats.per_replica.iter().map(|s| s.faults[kind.index()]).sum();
+        records.push(rec(&format!("faults.{}", kind.name()), count as f64));
+    }
+    print!("{}", record_table("serve_chaos fleet summary", &records));
     if let Some(path) = &opts.json {
-        use smartmem_bench::json::{write_json, BenchRecord};
-        let rec =
-            |metric: &str, value: f64| BenchRecord::new("serve_chaos", "fleet", metric, value);
-        let mut records = vec![
-            rec("recovered_requests", stats.recovered as f64),
-            rec("shed_requests", stats.shed as f64),
-            rec("completed", stats.completed as f64),
-            rec("retried", stats.retried as f64),
-            rec("killed_requests", stats.killed as f64),
-            rec("rerouted", stats.rerouted as f64),
-            rec("kills", stats.kills as f64),
-            rec("restarts", stats.restarts as f64),
-            rec("throughput_rps", responses.len() as f64 / wall_s),
-        ];
-        for (kind, &count) in FaultKind::ALL.iter().zip(&faults_by_kind) {
-            records.push(rec(&format!("faults.{}", kind.name()), count as f64));
-        }
-        write_json(path, &records).expect("write --json output");
-        println!("\nwrote {} records to {}", records.len(), path.display());
+        write_records(path, records);
     }
 
-    // --- Gates --------------------------------------------------------
     // Fleet conservation: each generation's books balance, and every
     // client request (and warmup) completed exactly once somewhere.
     for (i, s) in stats.per_replica.iter().enumerate() {
@@ -632,29 +324,19 @@ fn run_fleet(opts: &BenchOpts) {
             plan.would_fault(FaultKind::ExecError, tag)
                 || plan.would_fault(FaultKind::CompileFault, tag)
         };
-        let mut expected = (0..opts.requests as u64).filter(|&t| cursed(t)).count() as u64;
+        let pairs = || (0..model_count).flat_map(|m| (0..device_count).map(move |d| (m, d)));
+        let mut tags: Vec<u64> = (0..opts.requests as u64).collect();
         if !opts.cold {
             for r in 0..opts.replicas {
-                for m in 0..model_count {
-                    for d in 0..device_count {
-                        if cursed(warmup_tag(r, m, d)) {
-                            expected += 1;
-                        }
-                    }
-                }
+                tags.extend(pairs().map(|(m, d)| warmup_tag(r, m, d)));
             }
             if chaos {
-                for m in 0..model_count {
-                    for d in 0..device_count {
-                        if cursed(restart_tag(m, d)) {
-                            expected += 1;
-                        }
-                    }
-                }
+                tags.extend(pairs().map(|(m, d)| restart_tag(m, d)));
             }
         }
         assert_eq!(
-            stats.recovered, expected,
+            stats.recovered,
+            tags.into_iter().filter(|&t| cursed(t)).count() as u64,
             "recovered must equal the deterministic cursed-tag census"
         );
     }
@@ -688,6 +370,7 @@ struct DecodeArm {
     /// batch (each response contributes `exec_ms / batch_size`, so
     /// each batch is counted exactly once).
     device_ms: f64,
+    /// Per-step and per-prefill wall times, sorted ascending.
     step_wall_ms: Vec<f64>,
     prefill_wall_ms: Vec<f64>,
 }
@@ -715,34 +398,20 @@ fn run_decode_arm(
     // in how the scheduler spread it across a pool.
     let devices = vec![DeviceConfig::snapdragon_8gen2()];
     let total_tokens: usize = gens.iter().sum();
-    let config = ServeConfig {
-        queue_capacity: total_tokens + prefill + 64,
-        max_batch: 8,
-        max_delay: Duration::from_millis(3),
-        // The hostage effect only manifests when the device is
-        // genuinely occupied while prefill arrives, so decode keeps a
-        // realistic device-time scale even at smoke load.
-        exec_time_scale: opts.exec_time_scale.max(0.15),
-        cut_policy: opts.cut_policy,
-        cache_dir: opts.cache_dir.clone(),
-        ..ServeConfig::default()
-    };
+    let mut config = serve_config(opts, total_tokens + prefill + 64);
+    // The hostage effect only manifests when the device is genuinely
+    // occupied while prefill arrives, so decode keeps a realistic
+    // device-time scale even at smoke load.
+    config.exec_time_scale = config.exec_time_scale.max(0.15);
     let server = Server::start(models, devices, config);
 
-    // Warmup: one pinned request per (bucket model, device), so the
-    // A/B measures steady-state decode serving, not cold compiles. The
-    // tentpole makes this cheap: after the first bucket, each further
-    // bucket's compile replays the shared group decisions.
-    let tickets: Vec<_> = (0..bucket_models.len())
-        .flat_map(|m| (0..server.pool().len()).map(move |d| InferenceRequest::new(m).on_device(d)))
-        .map(|req| server.submit(req).expect("decode warmup submit"))
-        .collect();
-    for t in tickets {
-        let r = t.wait();
-        assert!(r.error.is_none(), "decode warmup compile failed: {:?}", r.error);
-    }
+    // Cheap: after the first bucket, each further bucket's compile
+    // replays the shared group decisions.
+    warm_up(&server, bucket_models.len(), |req, _, _| req);
 
-    let mut prefill_rng = StdRng::seed_from_u64(opts.seed ^ 0x9e3779b97f4a7c15);
+    // Prefill arrivals (gap, then a uniform bucket) share the trace
+    // generator's arrival stream.
+    let mut trace = TraceGen::new(opts.seed, buckets.len(), prefill_rate);
 
     let replay_start = Instant::now();
     let mut step_wall_ms = Vec::new();
@@ -785,17 +454,13 @@ fn run_decode_arm(
         // "mixed" in mixed prefill + decode. In the whole-request arm
         // any prefill cut into a decode batch is held hostage for all
         // `gen` iterations; continuous batching caps the hold at one.
-        let mut arrival = Instant::now();
+        trace.start();
         let mut tickets = Vec::with_capacity(prefill);
         for _ in 0..prefill {
-            let u = (prefill_rng.next_u64().max(1)) as f64 / u64::MAX as f64;
-            arrival += Duration::from_secs_f64(-u.ln() / prefill_rate);
-            if let Some(wait) = arrival.checked_duration_since(Instant::now()) {
-                std::thread::sleep(wait);
-            }
+            trace.pace();
             // Uniform over the buckets, so prefill traffic genuinely
             // shares batch keys with the decode sessions.
-            let model = (prefill_rng.next_u64() as usize) % buckets.len();
+            let model = trace.uniform(buckets.len());
             tickets.push(server.submit(InferenceRequest::new(model)).expect("prefill submit"));
         }
         for t in tickets {
@@ -816,7 +481,13 @@ fn run_decode_arm(
         stats.decode_tokens, total_tokens as u64,
         "every session's every step produced a token"
     );
-    DecodeArm { tokens: stats.decode_tokens, wall_s, device_ms, step_wall_ms, prefill_wall_ms }
+    DecodeArm {
+        tokens: stats.decode_tokens,
+        wall_s,
+        device_ms,
+        step_wall_ms: sorted(step_wall_ms),
+        prefill_wall_ms: sorted(prefill_wall_ms),
+    }
 }
 
 /// The decode A/B: continuous batching vs whole-request batching over
@@ -855,44 +526,19 @@ fn run_decode(opts: &BenchOpts) {
 
     let tps = |arm: &DecodeArm| arm.tokens as f64 / (arm.device_ms / 1e3);
     let wall_tps = |arm: &DecodeArm| arm.tokens as f64 / arm.wall_s;
-    let sorted = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v
+    let (cont_tps, whole_tps) = (tps(&cont), tps(&whole));
+    // One row per metric: the same figure of each arm, side by side.
+    let row = |name: &str, figure: &dyn Fn(&DecodeArm) -> String| {
+        vec![name.to_string(), figure(&cont), figure(&whole)]
     };
-    let cont_steps = sorted(cont.step_wall_ms.clone());
-    let whole_steps = sorted(whole.step_wall_ms.clone());
-    let cont_prefill = sorted(cont.prefill_wall_ms.clone());
-    let whole_prefill = sorted(whole.prefill_wall_ms.clone());
-    let cont_tps = tps(&cont);
-    let whole_tps = tps(&whole);
     let rows = vec![
-        vec!["tokens/s (device time)".into(), format!("{cont_tps:.0}"), format!("{whole_tps:.0}")],
-        vec![
-            "tokens/s (wall)".into(),
-            format!("{:.0}", wall_tps(&cont)),
-            format!("{:.0}", wall_tps(&whole)),
-        ],
-        vec![
-            "p50 step (ms)".into(),
-            format!("{:.2}", percentile(&cont_steps, 50.0)),
-            format!("{:.2}", percentile(&whole_steps, 50.0)),
-        ],
-        vec![
-            "p99 step (ms)".into(),
-            format!("{:.2}", percentile(&cont_steps, 99.0)),
-            format!("{:.2}", percentile(&whole_steps, 99.0)),
-        ],
-        vec![
-            "p99 prefill (ms)".into(),
-            format!("{:.2}", percentile(&cont_prefill, 99.0)),
-            format!("{:.2}", percentile(&whole_prefill, 99.0)),
-        ],
-        vec![
-            "device ms / token".into(),
-            format!("{:.3}", cont.device_ms / cont.tokens as f64),
-            format!("{:.3}", whole.device_ms / whole.tokens as f64),
-        ],
-        vec!["tokens".into(), format!("{}", cont.tokens), format!("{}", whole.tokens)],
+        row("tokens/s (device time)", &|a| format!("{:.0}", tps(a))),
+        row("tokens/s (wall)", &|a| format!("{:.0}", wall_tps(a))),
+        row("p50 step (ms)", &|a| format!("{:.2}", percentile(&a.step_wall_ms, 50.0))),
+        row("p99 step (ms)", &|a| format!("{:.2}", percentile(&a.step_wall_ms, 99.0))),
+        row("p99 prefill (ms)", &|a| format!("{:.2}", percentile(&a.prefill_wall_ms, 99.0))),
+        row("device ms / token", &|a| format!("{:.3}", a.device_ms / a.tokens as f64)),
+        row("tokens", &|a| format!("{}", a.tokens)),
     ];
     print!(
         "{}",
@@ -904,21 +550,18 @@ fn run_decode(opts: &BenchOpts) {
     );
 
     if let Some(path) = &opts.json {
-        use smartmem_bench::json::{write_json, BenchRecord};
         let rec =
             |metric: &str, value: f64| BenchRecord::new("serve_decode", "pool", metric, value);
-        let mut records = vec![
+        let records = vec![
             rec("decode.tokens_per_s", cont_tps),
-            rec("decode.p99_step_ms", percentile(&cont_steps, 99.0)),
+            rec("decode.p99_step_ms", percentile(&cont.step_wall_ms, 99.0)),
             rec("decode.wall_tokens_per_s", wall_tps(&cont)),
             rec("decode.whole_tokens_per_s", whole_tps),
             rec("decode.speedup_vs_whole", cont_tps / whole_tps),
             rec("decode.tokens", cont.tokens as f64),
-            rec("decode.p99_prefill_ms", percentile(&cont_prefill, 99.0)),
+            rec("decode.p99_prefill_ms", percentile(&cont.prefill_wall_ms, 99.0)),
         ];
-        records.retain(|r| r.value.is_finite());
-        write_json(path, &records).expect("write --json output");
-        println!("\nwrote {} records to {}", records.len(), path.display());
+        write_records(path, records);
     }
 
     // The A/B gate: at equal offered load, continuous batching must
@@ -938,123 +581,126 @@ fn run_decode(opts: &BenchOpts) {
     );
 }
 
-fn main() {
-    let opts = parse_args();
-    if opts.fresh_cache {
-        let dir = opts.cache_dir.clone().unwrap_or_else(|| PathBuf::from("/tmp/smartmem-cache"));
-        if dir.exists() {
-            std::fs::remove_dir_all(&dir).expect("clear --fresh-cache dir");
-            println!("fresh cache: cleared {}", dir.display());
-        }
+/// A two-column table of `records`: metric key, value.
+fn record_table(title: &str, records: &[BenchRecord]) -> String {
+    let rows: Vec<Vec<String>> =
+        records.iter().map(|r| vec![r.metric.clone(), format!("{:.2}", r.value)]).collect();
+    render_table(title, &["metric", "value"], &rows)
+}
+
+/// Hit rate over the traced (post-warmup) requests only.
+fn steady_hit_rate(warm: &ServeStats, fin: &ServeStats) -> f64 {
+    let hits = fin.cache.hits - warm.cache.hits;
+    let misses = fin.cache.misses - warm.cache.misses;
+    if hits + misses == 0 {
+        0.0
+    } else {
+        hits as f64 / (hits + misses) as f64
     }
-    if opts.decode {
-        run_decode(&opts);
-        return;
-    }
-    if opts.replicas > 1 || opts.fault_rate > 0.0 {
-        run_fleet(&opts);
-        return;
-    }
+}
+
+/// The plain mode: one replay against a single server, the full
+/// report, optional Chrome trace and bench JSON (with the
+/// telemetry-overhead second replay), then the sanity gates.
+fn run_replay(opts: &BenchOpts) {
     // The span recorder is on when a trace was asked for; metrics are
     // always on (single atomic ops).
     let trace_run = opts.trace_out.is_some();
     println!(
         "serve_bench: {} requests over {} devices \
-         (open loop, {:.0} rps, seed {}, {:?} cuts, cancel rate {:.0}%, tracing {})",
+         (open loop, {:.0} rps, seed {}, cancel rate {:.0}%, tracing {})",
         opts.requests,
         devices().len(),
         opts.rate_rps,
         opts.seed,
-        opts.cut_policy,
         opts.cancel_rate * 100.0,
         if trace_run { "on" } else { "off" },
     );
-    let run = run_replay(&opts, trace_run, false);
-    let RunOutcome {
-        responses,
-        stats,
-        warm_stats,
-        warmup_requests,
-        wall_s,
-        cancels_attempted,
-        cancels_won,
-        device_names,
-        device_slugs,
-        deadlines,
-        telemetry,
-        ..
-    } = &run;
-    let wall_s = *wall_s;
+    let run = replay_once(opts, trace_run);
+    let RunOutcome { responses, stats, warm_stats, telemetry, .. } = &run;
+    let (wall_s, cancels_won) = (run.wall_s, run.cancels_won);
+    let deadlines = serve_config(opts, 0).deadlines;
 
-    // --- Report -------------------------------------------------------
     let served: Vec<&InferenceResponse> = responses.iter().filter(|r| !r.cancelled).collect();
     let cancelled_responses = responses.len() - served.len();
-    let mut e2e: Vec<f64> = served.iter().map(|r| r.e2e_ms()).collect();
-    e2e.sort_by(f64::total_cmp);
-    let mut queue: Vec<f64> = served.iter().map(|r| r.queue_ms).collect();
-    queue.sort_by(f64::total_cmp);
+    let e2e = sorted(served.iter().map(|r| r.e2e_ms()));
+    let queue = sorted(served.iter().map(|r| r.queue_ms));
     let failed = served.iter().filter(|r| r.error.is_some()).count();
+    let throughput = served.len() as f64 / wall_s;
+    let steady = steady_hit_rate(warm_stats, stats);
 
     // Trace-only batching statistics (warmup batches subtracted).
-    let trace_batches = stats.batches - warm_stats.batches;
-    let hist: Vec<u64> =
-        stats.batch_histogram.iter().zip(&warm_stats.batch_histogram).map(|(a, b)| a - b).collect();
-    let mean_batch = histogram_mean(&hist);
-
-    let summary = vec![
-        vec!["served".into(), format!("{}", served.len())],
-        vec!["cancelled".into(), format!("{cancelled_responses}")],
-        vec!["failed".into(), format!("{failed}")],
-        vec!["throughput (req/s)".into(), format!("{:.0}", served.len() as f64 / wall_s)],
-        vec!["p50 e2e (sim ms)".into(), format!("{:.2}", percentile(&e2e, 50.0))],
-        vec!["p99 e2e (sim ms)".into(), format!("{:.2}", percentile(&e2e, 99.0))],
-        vec!["p50 queue (ms)".into(), format!("{:.2}", percentile(&queue, 50.0))],
-        vec!["p99 queue (ms)".into(), format!("{:.2}", percentile(&queue, 99.0))],
-        vec!["batches".into(), format!("{trace_batches}")],
-        vec!["mean batch size".into(), format!("{mean_batch:.2}")],
-        vec!["compiled artifacts".into(), format!("{}", stats.compiled)],
-        vec![
-            "cache hits / misses".into(),
-            format!("{} / {}", stats.cache.hits, stats.cache.misses),
-        ],
-        vec!["disk hits".into(), format!("{}", stats.cache.disk_hits)],
-        vec!["cache hit rate".into(), format!("{:.1}%", stats.cache_hit_rate() * 100.0)],
-        vec![
-            "steady-state hit rate".into(),
-            format!("{:.1}%", steady_hit_rate(warm_stats, stats) * 100.0),
-        ],
-    ];
-    print!("{}", render_table("serve_bench summary", &["metric", "value"], &summary));
-
-    // Per-class latency, queue-wait, and SLO report over the traced
-    // requests. Queue wait is submit → batch claim — the time the
-    // scheduler, not the device, is responsible for.
-    let class_queue = |class: Priority| -> Vec<f64> {
-        let mut waits: Vec<f64> =
-            served.iter().filter(|r| r.priority == class).map(|r| r.queue_ms).collect();
-        waits.sort_by(f64::total_cmp);
-        waits
+    let minus_warm = |all: &[u64], warm: &[u64]| -> Vec<u64> {
+        all.iter().zip(warm).map(|(a, b)| a - b).collect()
     };
-    let class_rows: Vec<Vec<String>> = Priority::ALL
+    let trace_batches = stats.batches - warm_stats.batches;
+    let mean_batch =
+        histogram_mean(&minus_warm(&stats.batch_histogram, &warm_stats.batch_histogram));
+
+    // Every pool-level figure once: the summary table prints what the
+    // records carry, plus the session's raw cache counters.
+    let rec = |metric: &str, value: f64| BenchRecord::new("serve_bench", "pool", metric, value);
+    let mut records = vec![
+        rec("served", served.len() as f64),
+        rec("cancelled", cancelled_responses as f64),
+        rec("failed", failed as f64),
+        rec("throughput_rps", throughput),
+        rec("p50_e2e_ms", percentile(&e2e, 50.0)),
+        rec("p99_e2e_ms", percentile(&e2e, 99.0)),
+        rec("p50_queue_ms", percentile(&queue, 50.0)),
+        rec("p99_queue_ms", percentile(&queue, 99.0)),
+        rec("batches", trace_batches as f64),
+        rec("mean_batch", mean_batch),
+        rec("cache_hit_rate", stats.cache_hit_rate()),
+        rec("steady_hit_rate", steady),
+    ];
+    print!("{}", record_table("serve_bench summary", &records));
+    println!(
+        "compiled artifacts {}, cache hits / misses {} / {}, disk hits {}",
+        stats.compiled, stats.cache.hits, stats.cache.misses, stats.cache.disk_hits
+    );
+
+    // Per-class latency, queue-wait, and SLO figures over the traced
+    // requests (warmup subtracted). Queue wait is submit → batch claim
+    // — the time the scheduler, not the device, is responsible for.
+    struct ClassReport {
+        class: Priority,
+        served: usize,
+        cancelled: u64,
+        violations: u64,
+        /// p50 / p99 e2e, then p50 / p99 queue wait.
+        pcts: [f64; 4],
+    }
+    let classes: Vec<ClassReport> = Priority::ALL
         .iter()
         .map(|&class| {
-            let mut class_e2e: Vec<f64> =
-                served.iter().filter(|r| r.priority == class).map(|r| r.e2e_ms()).collect();
-            class_e2e.sort_by(f64::total_cmp);
-            let waits = class_queue(class);
-            let cs = stats.class(class);
-            let warm_cs = warm_stats.class(class);
-            vec![
-                class.name().into(),
-                format!("{}", class_e2e.len()),
-                format!("{}", cs.cancelled - warm_cs.cancelled),
-                format!("{:.0}", deadlines.budget(class).as_secs_f64() * 1e3),
-                format!("{:.2}", percentile(&class_e2e, 50.0)),
-                format!("{:.2}", percentile(&class_e2e, 99.0)),
-                format!("{:.2}", percentile(&waits, 50.0)),
-                format!("{:.2}", percentile(&waits, 99.0)),
-                format!("{}", cs.slo_violations - warm_cs.slo_violations),
-            ]
+            let of_class = || served.iter().filter(move |r| r.priority == class);
+            let e2e = sorted(of_class().map(|r| r.e2e_ms()));
+            let waits = sorted(of_class().map(|r| r.queue_ms));
+            let (cs, warm_cs) = (stats.class(class), warm_stats.class(class));
+            ClassReport {
+                class,
+                served: e2e.len(),
+                cancelled: cs.cancelled - warm_cs.cancelled,
+                violations: cs.slo_violations - warm_cs.slo_violations,
+                pcts: [
+                    percentile(&e2e, 50.0),
+                    percentile(&e2e, 99.0),
+                    percentile(&waits, 50.0),
+                    percentile(&waits, 99.0),
+                ],
+            }
+        })
+        .collect();
+    let class_rows: Vec<Vec<String>> = classes
+        .iter()
+        .map(|c| {
+            let budget_ms = deadlines.budget(c.class).as_secs_f64() * 1e3;
+            let mut row: Vec<String> = vec![c.class.name().into()];
+            row.extend([c.served as f64, c.cancelled as f64, budget_ms].map(|v| format!("{v:.0}")));
+            row.extend(c.pcts.map(|p| format!("{p:.2}")));
+            row.push(format!("{}", c.violations));
+            row
         })
         .collect();
     print!(
@@ -1078,15 +724,16 @@ fn main() {
 
     // Per-device batch histograms: pull-based growth shows up as big
     // batches on backlogged devices while idle ones keep cutting small.
-    let device_rows: Vec<Vec<String>> = stats
+    let device_hists: Vec<Vec<u64>> = stats
         .per_device_batch_histogram
         .iter()
         .zip(&warm_stats.per_device_batch_histogram)
-        .enumerate()
-        .map(|(d, (all, warm))| {
-            let hist: Vec<u64> = all.iter().zip(warm).map(|(a, b)| a - b).collect();
-            let batches: u64 = hist.iter().sum();
-            let mean = histogram_mean(&hist);
+        .map(|(all, warm)| minus_warm(all, warm))
+        .collect();
+    let device_rows: Vec<Vec<String>> = device_hists
+        .iter()
+        .zip(devices())
+        .map(|(hist, device)| {
             let spark: Vec<String> = hist
                 .iter()
                 .enumerate()
@@ -1094,9 +741,9 @@ fn main() {
                 .map(|(i, &c)| format!("{}:{c}", i + 1))
                 .collect();
             vec![
-                device_names[d].clone(),
-                format!("{batches}"),
-                format!("{mean:.2}"),
+                device.name,
+                format!("{}", hist.iter().sum::<u64>()),
+                format!("{:.2}", histogram_mean(hist)),
                 spark.join(" "),
             ]
         })
@@ -1110,7 +757,6 @@ fn main() {
         )
     );
 
-    // --- Chrome-trace export ------------------------------------------
     if let Some(path) = &opts.trace_out {
         let trace = telemetry.tracer.drain();
         let requests =
@@ -1127,17 +773,18 @@ fn main() {
         assert!(requests > 0, "a traced run must export at least one complete request span");
     }
 
-    // --- Telemetry overhead -------------------------------------------
-    // With --json the schedule replays once more with the opposite
-    // telemetry setting; comparing throughputs prices the span
-    // recorder. Clamped at zero: open-loop throughput is
-    // schedule-bound, so negative noise just means "unmeasurable".
-    let overhead_pct = opts.json.as_ref().map(|_| {
+    // Machine-readable records (written before the gates below, so CI
+    // keeps the artifact even when a gate trips).
+    if let Some(path) = &opts.json {
+        // The schedule replays once more with the opposite telemetry
+        // setting; comparing throughputs prices the span recorder.
+        // Clamped at zero: open-loop throughput is schedule-bound, so
+        // negative noise just means "unmeasurable".
         println!(
             "\nmeasuring telemetry overhead (second replay, tracing {})...",
             if trace_run { "off" } else { "on" }
         );
-        let other = run_replay(&opts, !trace_run, true);
+        let other = replay_once(opts, !trace_run);
         let (on_rps, off_rps) = if trace_run {
             (run.throughput_rps(), other.throughput_rps())
         } else {
@@ -1148,70 +795,22 @@ fn main() {
             "telemetry overhead: {on_rps:.0} rps traced vs {off_rps:.0} rps untraced \
              ({overhead:.2}% overhead)"
         );
-        overhead
-    });
 
-    // Machine-readable records (written before the gates below, so CI
-    // keeps the artifact even when a gate trips).
-    if let Some(path) = &opts.json {
-        use smartmem_bench::json::{write_json, BenchRecord};
-        let rec = |metric: &str, value: f64| BenchRecord::new("serve_bench", "pool", metric, value);
-        let mut records = vec![
-            rec("served", served.len() as f64),
-            rec("cancelled", cancelled_responses as f64),
-            rec("failed", failed as f64),
-            rec("throughput_rps", served.len() as f64 / wall_s),
-            rec("p50_e2e_ms", percentile(&e2e, 50.0)),
-            rec("p99_e2e_ms", percentile(&e2e, 99.0)),
-            rec("p50_queue_ms", percentile(&queue, 50.0)),
-            rec("p99_queue_ms", percentile(&queue, 99.0)),
-            rec("batches", trace_batches as f64),
-            rec("mean_batch", mean_batch),
-            rec("cache_hit_rate", stats.cache_hit_rate()),
-            rec("steady_hit_rate", steady_hit_rate(warm_stats, stats)),
-        ];
-        if let Some(overhead) = overhead_pct {
-            records.push(rec("telemetry_overhead_pct", overhead));
+        records.push(rec("telemetry_overhead_pct", overhead));
+        for c in &classes {
+            let prefix = c.class.name().to_ascii_lowercase();
+            for (key, p) in
+                ["p50_e2e_ms", "p99_e2e_ms", "p50_queue_ms", "p99_queue_ms"].iter().zip(c.pcts)
+            {
+                records.push(rec(&format!("{prefix}.{key}"), p));
+            }
+            records.push(rec(&format!("{prefix}.slo_violations"), c.violations as f64));
         }
-        for &class in Priority::ALL.iter() {
-            let mut class_e2e: Vec<f64> =
-                served.iter().filter(|r| r.priority == class).map(|r| r.e2e_ms()).collect();
-            class_e2e.sort_by(f64::total_cmp);
-            let waits = class_queue(class);
-            let cs = stats.class(class);
-            let warm_cs = warm_stats.class(class);
-            let prefix = class.name().to_ascii_lowercase();
-            records.push(rec(&format!("{prefix}.p50_e2e_ms"), percentile(&class_e2e, 50.0)));
-            records.push(rec(&format!("{prefix}.p99_e2e_ms"), percentile(&class_e2e, 99.0)));
-            records.push(rec(&format!("{prefix}.p50_queue_ms"), percentile(&waits, 50.0)));
-            records.push(rec(&format!("{prefix}.p99_queue_ms"), percentile(&waits, 99.0)));
-            records.push(rec(
-                &format!("{prefix}.slo_violations"),
-                (cs.slo_violations - warm_cs.slo_violations) as f64,
-            ));
-        }
-        for (d, (all, warm)) in stats
-            .per_device_batch_histogram
-            .iter()
-            .zip(&warm_stats.per_device_batch_histogram)
-            .enumerate()
-        {
-            let hist: Vec<u64> = all.iter().zip(warm).map(|(a, b)| a - b).collect();
-            let slug = device_slugs[d].clone();
-            records.push(BenchRecord::new(
-                "serve_bench",
-                &slug,
-                "batches",
-                hist.iter().sum::<u64>() as f64,
-            ));
-            records.push(BenchRecord::new("serve_bench", &slug, "mean_batch", {
-                let m = histogram_mean(&hist);
-                if m.is_finite() {
-                    m
-                } else {
-                    0.0
-                }
-            }));
+        for (hist, device) in device_hists.iter().zip(devices()) {
+            let on =
+                |metric: &str, v: f64| BenchRecord::new("serve_bench", device.slug(), metric, v);
+            records.push(on("batches", hist.iter().sum::<u64>() as f64));
+            records.push(on("mean_batch", histogram_mean(hist)));
         }
         // The server's telemetry registry rides along flattened
         // (histograms expand to .count/.mean/.p50/.p99), so any metric
@@ -1220,27 +819,22 @@ fn main() {
         for (name, value) in smartmem_telemetry::flatten(&telemetry.registry.snapshot()) {
             records.push(rec(&name, value));
         }
-        // A class with zero served requests has NaN percentiles; JSON
-        // has no NaN, so drop the unavailable metrics rather than
-        // poison the artifact for the bench_diff parser.
-        records.retain(|r| r.value.is_finite());
-        write_json(path, &records).expect("write --json output");
-        println!("\nwrote {} records to {}", records.len(), path.display());
+        write_records(path, records);
     }
 
     // Sanity gates so CI fails loudly if the serving path regresses.
     assert_eq!(
         stats.completed + stats.cancelled,
-        opts.requests as u64 + warmup_requests,
+        opts.requests as u64 + run.warmup_requests,
         "every request must be answered (served or cancelled)"
     );
     assert_eq!(failed, 0, "no compilation failures expected on the served zoo");
     assert_eq!(
-        stats.cancelled, *cancels_won,
+        stats.cancelled, cancels_won,
         "server-side cancelled count must match the cancel() wins"
     );
     assert_eq!(
-        cancelled_responses as u64, *cancels_won,
+        cancelled_responses as u64, cancels_won,
         "every cancel win resolves its ticket as cancelled — and nothing else does"
     );
     assert!(
@@ -1249,15 +843,15 @@ fn main() {
     );
     if opts.cancel_rate > 0.0 {
         println!(
-            "\ncancellation: {cancels_won}/{cancels_attempted} cancel() calls won the race \
-             (the rest were already cut or served)"
+            "\ncancellation: {cancels_won}/{} cancel() calls won the race \
+             (the rest were already cut or served)",
+            run.cancels_attempted
         );
     }
     // Under --cold the trace deliberately pays every cold compile, so
     // the steady-state gate only applies to warmed runs.
     if !opts.cold {
         let steady_floor = if opts.smoke { 0.8 } else { 0.9 };
-        let steady = steady_hit_rate(warm_stats, stats);
         assert!(
             steady >= steady_floor,
             "steady-state cache hit rate {steady:.3} below {steady_floor}"
@@ -1268,15 +862,11 @@ fn main() {
     // ~3000 rps over two warm models. (Warmup requests are excluded —
     // they deliberately pay the cold compiles.)
     if opts.smoke {
-        let viol = stats.class(Priority::Interactive).slo_violations
-            - warm_stats.class(Priority::Interactive).slo_violations;
+        let viol = classes[Priority::Interactive.index()].violations;
         assert_eq!(viol, 0, "Interactive SLO violations at smoke load: {viol}");
-        let mut interactive: Vec<f64> = served
-            .iter()
-            .filter(|r| r.priority == Priority::Interactive)
-            .map(|r| r.wall_ms)
-            .collect();
-        interactive.sort_by(f64::total_cmp);
+        let interactive = sorted(
+            served.iter().filter(|r| r.priority == Priority::Interactive).map(|r| r.wall_ms),
+        );
         let p99 = percentile(&interactive, 99.0);
         let budget_ms = deadlines.budget(Priority::Interactive).as_secs_f64() * 1e3;
         assert!(
@@ -1307,18 +897,20 @@ fn main() {
     println!("\nserve_bench OK ({wall_s:.2}s wall)");
 }
 
-/// Hit rate over the traced (post-warmup) requests only.
-fn steady_hit_rate(warm: &ServeStats, fin: &ServeStats) -> f64 {
-    let hits = fin.cache.hits - warm.cache.hits;
-    let misses = fin.cache.misses - warm.cache.misses;
-    if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
+fn main() {
+    let opts = parse_args();
+    if opts.fresh_cache {
+        let dir = opts.cache_dir.clone().unwrap_or_else(|| PathBuf::from("/tmp/smartmem-cache"));
+        if dir.exists() {
+            std::fs::remove_dir_all(&dir).expect("clear --fresh-cache dir");
+            println!("fresh cache: cleared {}", dir.display());
+        }
     }
-}
-
-fn rate_nonzero(rps: f64) -> f64 {
-    assert!(rps > 0.0, "--rate must be positive");
-    rps
+    if opts.decode {
+        run_decode(&opts);
+    } else if opts.replicas > 1 || opts.fault_rate > 0.0 {
+        run_fleet(&opts);
+    } else {
+        run_replay(&opts);
+    }
 }

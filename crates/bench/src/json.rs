@@ -7,8 +7,8 @@
 //! against the checked-in `bench/baseline.json` with a relative
 //! tolerance, failing the job on regression.
 //!
-//! The container is offline (no serde), so the writer and the parser
-//! here are hand-rolled for exactly this schema:
+//! This module maps exactly this schema over `smartmem-json`'s parser
+//! and writer helpers:
 //!
 //! ```json
 //! [
@@ -16,6 +16,7 @@
 //! ]
 //! ```
 
+use smartmem_json::{escape, fmt_value, Json};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
@@ -63,55 +64,29 @@ impl BenchRecord {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders records as a stable, diff-friendly JSON array (one record
 /// per line, input order preserved).
 pub fn render_json(records: &[BenchRecord]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in records.iter().enumerate() {
+        // Values always carry a decimal point, so an integral
+        // measurement still reads as a float in the checked-in baseline.
+        let mut value = fmt_value(r.value);
+        if r.value.is_finite() && !value.contains('.') {
+            value.push_str(".0");
+        }
         let _ = write!(
             out,
             "  {{\"bench\": \"{}\", \"device\": \"{}\", \"metric\": \"{}\", \"value\": {}}}",
             escape(&r.bench),
             escape(&r.device),
             escape(&r.metric),
-            fmt_value(r.value),
+            value,
         );
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
     out.push_str("]\n");
     out
-}
-
-/// Formats a finite value so it round-trips through the parser exactly.
-fn fmt_value(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        // JSON has no Inf/NaN; emit null and let the parser reject it
-        // loudly rather than produce invalid JSON silently — callers
-        // should filter non-finite measurements before rendering.
-        "null".to_string()
-    }
 }
 
 /// Writes records to `path`, creating parent directories as needed.
@@ -128,168 +103,35 @@ pub fn write_json(path: &Path, records: &[BenchRecord]) -> io::Result<()> {
     std::fs::write(path, render_json(records))
 }
 
-/// Minimal JSON parser for the bench-record schema: an array of flat
-/// objects whose values are strings or numbers. Unknown keys are
-/// ignored; anything structurally different is an error.
+/// Parses the bench-record schema: an array of flat objects with
+/// string `bench`/`device`/`metric` fields and a numeric `value`.
+/// Unknown keys are ignored; anything structurally different is an
+/// error.
 pub fn parse_json(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    p.expect(b'[')?;
-    let mut records = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b']') {
-        p.expect(b']')?;
-    } else {
-        loop {
-            records.push(p.object()?);
-            p.skip_ws();
-            match p.next()? {
-                b',' => p.skip_ws(),
-                b']' => break,
-                c => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, got '{}'",
-                        p.pos, c as char
-                    ))
-                }
-            }
+    let Json::Arr(items) = smartmem_json::parse(text).map_err(|e| e.to_string())? else {
+        return Err("bench records are a JSON array".into());
+    };
+    let record = |(i, item): (usize, &Json)| -> Result<BenchRecord, String> {
+        if !matches!(item, Json::Obj(_)) {
+            return Err(format!("record {i} is not an object"));
         }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after the array at byte {}", p.pos));
-    }
-    Ok(records)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next()? {
-            b if b == want => Ok(()),
-            b => Err(format!(
-                "expected '{}' at byte {}, got '{}'",
-                want as char, self.pos, b as char
-            )),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next()? as char;
-                            code = code * 16
-                                + d.to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u escape digit '{d}'"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    c => return Err(format!("unsupported escape '\\{}'", c as char)),
-                },
-                b if b < 0x80 => out.push(b as char),
-                b => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>().map_err(|e| format!("bad number '{text}': {e}"))
-    }
-
-    fn object(&mut self) -> Result<BenchRecord, String> {
-        self.skip_ws();
-        self.expect(b'{')?;
-        let (mut bench, mut device, mut metric, mut value) = (None, None, None, None);
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            match (key.as_str(), self.peek()) {
-                ("value", Some(b'n')) => {
-                    return Err("null value (non-finite measurement?) in record".into());
-                }
-                ("value", _) => value = Some(self.number()?),
-                ("bench", _) => bench = Some(self.string()?),
-                ("device", _) => device = Some(self.string()?),
-                ("metric", _) => metric = Some(self.string()?),
-                (_, Some(b'"')) => {
-                    self.string()?;
-                }
-                _ => {
-                    self.number()?;
-                }
-            }
-            self.skip_ws();
-            match self.next()? {
-                b',' => continue,
-                b'}' => break,
-                c => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got '{}'",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
+        let field =
+            |key: &str| item.get(key).ok_or_else(|| format!("record {i} missing \"{key}\""));
+        let text = |key: &str| -> Result<String, String> {
+            let s = field(key)?.str();
+            Ok(s.ok_or_else(|| format!("record {i}: \"{key}\" is not a string"))?.to_string())
+        };
         Ok(BenchRecord {
-            bench: bench.ok_or("record missing \"bench\"")?,
-            device: device.ok_or("record missing \"device\"")?,
-            metric: metric.ok_or("record missing \"metric\"")?,
-            value: value.ok_or("record missing \"value\"")?,
+            bench: text("bench")?,
+            device: text("device")?,
+            metric: text("metric")?,
+            // The writer renders a non-finite measurement as null.
+            value: field("value")?
+                .num()
+                .ok_or_else(|| format!("record {i}: \"value\" is not a finite number"))?,
         })
-    }
+    };
+    items.iter().enumerate().map(record).collect()
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod serve_harness;
 
 use smartmem_core::{CompileOutput, Framework, ModelReport, OptStats, Unsupported};
 use smartmem_ir::Graph;

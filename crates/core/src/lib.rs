@@ -84,10 +84,7 @@ pub use groupcache::{group_content_hash, GroupCache, GroupCacheStats, GroupDecis
 pub use layout_select::{
     kv_cache_layout, required_dims, select_layouts, RedundancyStats, SelectionLevel,
 };
-pub use lte::{
-    eliminate, eliminate_with_options, is_eliminable, lte_memo_len, op_pullback, EdgeSource,
-    LteResult,
-};
+pub use lte::{eliminate, is_eliminable, lte_memo_len, op_pullback, EdgeSource, LteResult};
 pub use pass::{
     AssembleGroupsPass, CompileCtx, CompileOutput, Diagnostic, FusionPass, GroupRefine,
     LayoutSelectPass, LtePass, Pass, PassManager, PassTiming, TunePass,

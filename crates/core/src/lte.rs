@@ -132,81 +132,45 @@ fn compose_fingerprint(
 /// The process-wide composition/simplification memo.
 ///
 /// Keys are content fingerprints ([`compose_fingerprint`]), so entries
-/// are valid across models, sessions and — via the persistent
-/// compilation cache, which saves and restores this map — across
-/// processes. Sharing one memo process-wide is what lets a warm restart
-/// skip the first-occurrence simplification cost entirely (the last
-/// "LTE compile time" item of the ROADMAP).
-struct Memo {
-    map: HashMap<u64, IndexMap>,
-    /// Bumped on every mutation. Persistence compares generations — a
-    /// true change counter — where it previously compared lengths,
-    /// which is only a proxy (and a wrong one the moment any operation
-    /// other than fresh insertion exists).
-    generation: u64,
-}
-
-fn global_memo() -> &'static Mutex<Memo> {
-    static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
-    MEMO.get_or_init(|| Mutex::new(Memo { map: HashMap::new(), generation: 0 }))
+/// are valid across models and sessions: the first compile of a process
+/// builds it (with intra-model hits on repeated blocks) and every later
+/// one mostly looks up.
+fn global_memo() -> &'static Mutex<HashMap<u64, IndexMap>> {
+    static MEMO: OnceLock<Mutex<HashMap<u64, IndexMap>>> = OnceLock::new();
+    MEMO.get_or_init(Mutex::default)
 }
 
 /// Number of memoized compositions currently held.
 pub fn lte_memo_len() -> usize {
-    global_memo().lock().expect("lte memo lock").map.len()
-}
-
-/// Monotone change counter of the memo: unequal values mean the memo
-/// changed in between (the persistence layer's dirty marker).
-pub(crate) fn lte_memo_generation() -> u64 {
-    global_memo().lock().expect("lte memo lock").generation
-}
-
-/// Snapshot of the memo for persistence.
-pub(crate) fn lte_memo_export() -> Vec<(u64, IndexMap)> {
-    global_memo().lock().expect("lte memo lock").map.iter().map(|(k, v)| (*k, v.clone())).collect()
-}
-
-/// Merges persisted entries into the memo (existing keys win — they
-/// were computed in this process and are definitionally correct).
-pub(crate) fn lte_memo_import(entries: Vec<(u64, IndexMap)>) {
-    let mut memo = global_memo().lock().expect("lte memo lock");
-    for (k, v) in entries {
-        if let std::collections::hash_map::Entry::Vacant(slot) = memo.map.entry(k) {
-            slot.insert(v);
-            memo.generation += 1;
-        }
-    }
+    global_memo().lock().expect("lte memo lock").len()
 }
 
 /// Runs elimination over `graph`.
-///
-/// Composition + simplification of the per-edge index maps is memoized
-/// across structurally identical chains (the compile-time hot spot on
-/// repeated transformer blocks); use
-/// [`eliminate_with_options`] to disable the memo for A/B timing.
-pub fn eliminate(graph: &Graph, enabled: bool, simplify_maps: bool) -> LteResult {
-    eliminate_with_options(graph, enabled, simplify_maps, true)
-}
-
-/// Runs elimination over `graph` with explicit switches.
 ///
 /// * `enabled = false` keeps every operator (the DNNFusion baseline).
 /// * `simplify_maps` applies index comprehension (strength reduction) to
 ///   the composed maps; disabling it isolates the contribution of index
 ///   simplification (Fig. 8's analysis).
-/// * `memoize` caches composition + simplification by (upstream map,
-///   operator, shapes) in the process-wide memo; results are identical
-///   either way — the `pass_timing` binary reports the before/after
-///   wall-clock.
 ///
-/// Operators whose outputs are graph outputs are kept (their result must
-/// be materialized).
-pub fn eliminate_with_options(
+/// Composition + simplification of the per-edge index maps is memoized
+/// across structurally identical chains (the compile-time hot spot on
+/// repeated transformer blocks). Operators whose outputs are graph
+/// outputs are kept (their result must be materialized).
+pub fn eliminate(graph: &Graph, enabled: bool, simplify_maps: bool) -> LteResult {
+    eliminate_with(graph, enabled, simplify_maps, compose_memoized)
+}
+
+/// Composes one operator's pull-back onto an upstream map:
+/// `(upstream, op, in_shape, out_shape, output_idx, simplify_maps)`.
+type Compose = fn(Option<&IndexMap>, &Op, &[usize], &[usize], usize, bool) -> IndexMap;
+
+/// [`eliminate`] over an explicit composition function — the memoized
+/// one in production, the plain one as the tests' reference.
+fn eliminate_with(
     graph: &Graph,
     enabled: bool,
     simplify_maps: bool,
-    memoize: bool,
+    compose_one: Compose,
 ) -> LteResult {
     let mut source_of: HashMap<TensorId, EdgeSource> = HashMap::new();
     let mut kept = Vec::new();
@@ -253,7 +217,6 @@ pub fn eliminate_with_options(
                 &out_shape,
                 output_idx,
                 simplify_maps,
-                memoize,
             );
             let canon = if sym {
                 let canon_out = graph.padded_dims(out);
@@ -264,7 +227,6 @@ pub fn eliminate_with_options(
                     &canon_out,
                     output_idx,
                     simplify_maps,
-                    memoize,
                 );
                 let mut h = DefaultHasher::new();
                 composed_c.hash(&mut h);
@@ -283,47 +245,45 @@ pub fn eliminate_with_options(
 }
 
 /// Composes (and optionally simplifies) one pull-back onto an upstream
-/// map, through the process-wide memo when `memoize` is set. Probe and
-/// insert run under short locks: the composition itself runs unlocked
-/// so parallel zoo compiles don't serialize behind one slow strength
-/// reduction.
-#[allow(clippy::too_many_arguments)]
-fn compose_one(
+/// map.
+fn compose(
     upstream: Option<&IndexMap>,
     op: &Op,
     in_shape: &[usize],
     out_shape: &[usize],
     output_idx: usize,
     simplify_maps: bool,
-    memoize: bool,
 ) -> IndexMap {
-    let compose = || {
-        let own = op_pullback(op, in_shape, out_shape, output_idx);
-        let composed = match upstream {
-            None => own,
-            Some(m) => m.then(&own),
-        };
-        if simplify_maps && !composed.is_identity() {
-            composed.simplify()
-        } else {
-            composed
-        }
+    let own = op_pullback(op, in_shape, out_shape, output_idx);
+    let composed = match upstream {
+        None => own,
+        Some(m) => m.then(&own),
     };
-    if !memoize {
-        return compose();
+    if simplify_maps && !composed.is_identity() {
+        composed.simplify()
+    } else {
+        composed
     }
+}
+
+/// [`compose`] through the process-wide memo. Probe and insert run
+/// under short locks: the composition itself runs unlocked so parallel
+/// zoo compiles don't serialize behind one slow strength reduction.
+fn compose_memoized(
+    upstream: Option<&IndexMap>,
+    op: &Op,
+    in_shape: &[usize],
+    out_shape: &[usize],
+    output_idx: usize,
+    simplify_maps: bool,
+) -> IndexMap {
     let key = compose_fingerprint(upstream, op, in_shape, out_shape, output_idx, simplify_maps);
-    let cached = global_memo().lock().expect("lte memo lock").map.get(&key).cloned();
-    match cached {
-        Some(m) => m,
-        None => {
-            let m = compose();
-            let mut memo = global_memo().lock().expect("lte memo lock");
-            memo.map.insert(key, m.clone());
-            memo.generation += 1;
-            m
-        }
-    }
+    let cached = global_memo().lock().expect("lte memo lock").get(&key).cloned();
+    cached.unwrap_or_else(|| {
+        let m = compose(upstream, op, in_shape, out_shape, output_idx, simplify_maps);
+        global_memo().lock().expect("lte memo lock").insert(key, m.clone());
+        m
+    })
 }
 
 #[cfg(test)]
@@ -430,8 +390,8 @@ mod tests {
         b.output(cur);
         let g = b.finish();
         for simplify in [true, false] {
-            let memo = eliminate_with_options(&g, true, simplify, true);
-            let plain = eliminate_with_options(&g, true, simplify, false);
+            let memo = eliminate(&g, true, simplify);
+            let plain = eliminate_with(&g, true, simplify, compose);
             assert_eq!(memo.kept, plain.kept);
             assert_eq!(memo.eliminated, plain.eliminated);
             assert_eq!(memo.source_of.len(), plain.source_of.len());

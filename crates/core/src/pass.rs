@@ -177,8 +177,8 @@ pub trait Pass: Send + Sync {
     /// returns `Some(self)` so [`PassManager::run_incremental`] can
     /// replay cached decisions for unchanged groups and re-run the pass
     /// only on the groups a model edit actually touched. Graph-rewriting
-    /// passes keep the default `None`, which makes the manager fall back
-    /// to a full [`PassManager::run_on`].
+    /// passes keep the default `None`, which makes the manager run the
+    /// whole sequence in full, as [`PassManager::run_on`] does.
     fn as_group_refine(&self) -> Option<&dyn GroupRefine> {
         None
     }
@@ -376,29 +376,7 @@ impl PassManager {
         graph: &Graph,
         device: &DeviceConfig,
     ) -> Result<CompileOutput, Unsupported> {
-        let mut ctx = CompileCtx::new(self.framework.clone(), graph, device);
-        ctx.mem_model = self.mem_model;
-        let mut timings = Vec::with_capacity(self.passes.len());
-        for pass in &self.passes {
-            let start = Instant::now();
-            pass.run(&mut ctx)?;
-            timings.push(PassTiming {
-                pass: pass.name().to_string(),
-                duration: start.elapsed(),
-                stats: ctx.stats(),
-            });
-        }
-        let stats = ctx.stats();
-        Ok(CompileOutput {
-            optimized: OptimizedGraph {
-                graph: ctx.graph,
-                groups: ctx.groups,
-                stats,
-                mem_model: ctx.mem_model,
-            },
-            timings,
-            diagnostics: ctx.diagnostics,
-        })
+        self.drive(graph, device, None)
     }
 
     /// Runs the sequence with kernel-group-granular reuse of refinement
@@ -416,9 +394,9 @@ impl PassManager {
     /// a model therefore re-optimizes only the touched groups.
     ///
     /// Sequences whose refinable passes do not form a suffix (every
-    /// baseline ends with uniform-layout / utilization passes) fall
-    /// back to a plain [`PassManager::run_on`]; the result is identical
-    /// either way — see the `GroupRefine` contract.
+    /// baseline ends with uniform-layout / utilization passes) run
+    /// every pass in full, exactly as [`PassManager::run_on`] does; the
+    /// result is identical either way — see the `GroupRefine` contract.
     ///
     /// # Errors
     ///
@@ -429,80 +407,97 @@ impl PassManager {
         device: &DeviceConfig,
         cache: &GroupCache,
     ) -> Result<CompileOutput, Unsupported> {
-        let Some(first) = self.passes.iter().position(|p| p.as_group_refine().is_some()) else {
-            return self.run_on(graph, device);
-        };
-        if self.passes[first..].iter().any(|p| p.as_group_refine().is_none()) {
-            return self.run_on(graph, device);
-        }
+        self.drive(graph, device, Some(cache))
+    }
+
+    /// The one pass driver behind [`PassManager::run_on`] and
+    /// [`PassManager::run_incremental`].
+    fn drive(
+        &self,
+        graph: &Graph,
+        device: &DeviceConfig,
+        cache: Option<&GroupCache>,
+    ) -> Result<CompileOutput, Unsupported> {
+        // Passes from `first` on are refined per group through `cache`.
+        // Without a cache, or when the refinable passes do not form a
+        // suffix, that range is empty and every pass runs in full.
+        let first = cache
+            .and_then(|_| self.passes.iter().position(|p| p.as_group_refine().is_some()))
+            .filter(|&f| self.passes[f..].iter().all(|p| p.as_group_refine().is_some()))
+            .unwrap_or(self.passes.len());
         let mut ctx = CompileCtx::new(self.framework.clone(), graph, device);
         ctx.mem_model = self.mem_model;
         let mut timings = Vec::with_capacity(self.passes.len());
+        let mut record = |pass: &dyn Pass, duration: Duration, ctx: &CompileCtx| {
+            timings.push(PassTiming {
+                pass: pass.name().to_string(),
+                duration,
+                stats: ctx.stats(),
+            });
+        };
         for pass in &self.passes[..first] {
             let start = Instant::now();
             pass.run(&mut ctx)?;
-            timings.push(PassTiming {
-                pass: pass.name().to_string(),
-                duration: start.elapsed(),
-                stats: ctx.stats(),
-            });
+            record(pass.as_ref(), start.elapsed(), &ctx);
         }
 
-        // Per-group fingerprints: content ⊕ device ⊕ sequence ⊕ the
-        // context digest of every refinement pass.
-        let refiners = &self.passes[first..];
-        let device_fp = device_fingerprint(&ctx.device);
-        let seq = self.sequence_id();
-        let mut fps: Vec<DefaultHasher> = ctx
-            .groups
-            .iter()
-            .map(|g| {
-                let mut h = DefaultHasher::new();
-                group_content_hash(&ctx.graph, g).hash(&mut h);
-                device_fp.hash(&mut h);
-                seq.hash(&mut h);
-                h
-            })
-            .collect();
-        let mut context_time = vec![Duration::ZERO; refiners.len()];
-        for (k, pass) in refiners.iter().enumerate() {
-            let start = Instant::now();
-            let digests = pass.as_group_refine().expect("suffix checked").group_context(&mut ctx);
-            context_time[k] = start.elapsed();
-            debug_assert_eq!(digests.len(), fps.len(), "one context digest per group");
-            for (h, d) in fps.iter_mut().zip(digests) {
-                d.hash(h);
+        if let Some(cache) = cache.filter(|_| first < self.passes.len()) {
+            let refiners: Vec<(&dyn Pass, &dyn GroupRefine)> = self.passes[first..]
+                .iter()
+                .map(|p| (p.as_ref(), p.as_group_refine().expect("suffix checked")))
+                .collect();
+            // Per-group fingerprints: content ⊕ device ⊕ sequence ⊕ the
+            // context digest of every refinement pass.
+            let device_fp = device_fingerprint(&ctx.device);
+            let seq = self.sequence_id();
+            let mut fps: Vec<DefaultHasher> = ctx
+                .groups
+                .iter()
+                .map(|g| {
+                    let mut h = DefaultHasher::new();
+                    group_content_hash(&ctx.graph, g).hash(&mut h);
+                    device_fp.hash(&mut h);
+                    seq.hash(&mut h);
+                    h
+                })
+                .collect();
+            let mut context_time = Vec::with_capacity(refiners.len());
+            for (_, refine) in &refiners {
+                let start = Instant::now();
+                let digests = refine.group_context(&mut ctx);
+                context_time.push(start.elapsed());
+                debug_assert_eq!(digests.len(), fps.len(), "one context digest per group");
+                for (h, d) in fps.iter_mut().zip(digests) {
+                    d.hash(h);
+                }
             }
-        }
-        let fps: Vec<u64> = fps.into_iter().map(|h| h.finish()).collect();
+            let fps: Vec<u64> = fps.into_iter().map(|h| h.finish()).collect();
 
-        // Replay cached decisions; collect the groups that must be
-        // refined cold. An unusable cached entry (fingerprint collision)
-        // is a miss.
-        let mut missed = Vec::new();
-        let mut hit = 0usize;
-        for (i, fp) in fps.iter().enumerate() {
-            match cache.lookup(*fp) {
-                Some(d) if d.apply(&ctx.graph, &mut ctx.groups[i]) => hit += 1,
-                _ => missed.push(i),
+            // Replay cached decisions; collect the groups that must be
+            // refined cold. An unusable cached entry (fingerprint
+            // collision) is a miss.
+            let mut missed = Vec::new();
+            let mut hit = 0usize;
+            for (i, fp) in fps.iter().enumerate() {
+                match cache.lookup(*fp) {
+                    Some(d) if d.apply(&ctx.graph, &mut ctx.groups[i]) => hit += 1,
+                    _ => missed.push(i),
+                }
             }
-        }
 
-        // Refine the misses with the original pass order and record one
-        // timing entry per refinement pass, context time included.
-        for (k, pass) in refiners.iter().enumerate() {
-            let start = Instant::now();
-            pass.as_group_refine().expect("suffix checked").refine(&mut ctx, &missed)?;
-            timings.push(PassTiming {
-                pass: pass.name().to_string(),
-                duration: context_time[k] + start.elapsed(),
-                stats: ctx.stats(),
-            });
+            // Refine the misses with the original pass order and record
+            // one timing entry per refinement pass, context time
+            // included.
+            for ((pass, refine), context) in refiners.into_iter().zip(context_time) {
+                let start = Instant::now();
+                refine.refine(&mut ctx, &missed)?;
+                record(pass, context + start.elapsed(), &ctx);
+            }
+            for &i in &missed {
+                cache.insert(fps[i], GroupDecisions::capture(&ctx.groups[i]));
+            }
+            cache.count(hit, missed.len());
         }
-        for &i in &missed {
-            cache.insert(fps[i], GroupDecisions::capture(&ctx.groups[i]));
-        }
-        cache.count(hit, missed.len());
 
         let stats = ctx.stats();
         Ok(CompileOutput {

@@ -20,7 +20,7 @@
 //!                               (fingerprints would no longer match)
 //! length   u64 LE               payload byte count
 //! checksum u64 LE               FNV-1a over the payload
-//! payload  wire-encoded value   CompileOutput / LTE memo entries
+//! payload  wire-encoded value   CompileOutput / group decisions
 //! ```
 //!
 //! Every safeguard fails *open*: a missing, truncated, corrupted,
@@ -31,21 +31,17 @@
 //! and crashed processes can never leave a half-written artifact under
 //! a valid name.
 //!
-//! Alongside the artifacts, the cache persists the LTE
-//! composition/simplification memo (`lte-memo.smem`) so a warm restart
-//! also skips the *first-occurrence* strength-reduction cost, and the
-//! per-kernel-group decision cache (`group-cache.smem`, see the
-//! `groupcache` module) so a restarted process replays layout and
-//! tuning decisions even for models it has never compiled — as long as
-//! individual kernel groups match. Both side files use the same
-//! header/probe format as the artifacts and are only rewritten when
-//! their generation counter moved since the last save.
+//! Alongside the artifacts, the cache persists the per-kernel-group
+//! decision cache (`group-cache.smem`, see the `groupcache` module) so
+//! a restarted process replays layout and tuning decisions even for
+//! models it has never compiled — as long as individual kernel groups
+//! match. The side file uses the same header/probe format as the
+//! artifacts and is only rewritten when its generation counter moved
+//! since the last save.
 
 use crate::groupcache::{GroupCache, GroupDecisions};
-use crate::lte::{lte_memo_export, lte_memo_generation, lte_memo_import};
 use crate::pass::CompileOutput;
 use crate::pipeline::Unsupported;
-use smartmem_index::IndexMap;
 use smartmem_ir::wire::{decode_from, encode_to_vec, Decode, Encode, Reader, WireError, Writer};
 use smartmem_sim::{FaultKind, FaultPlan};
 use std::collections::hash_map::DefaultHasher;
@@ -69,7 +65,7 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
 /// optimizer's build fingerprint. Two invalidation triggers share this
 /// header field:
 ///
-/// * Cache keys and LTE memo fingerprints are `DefaultHasher` digests,
+/// * Cache keys and group fingerprints are `DefaultHasher` digests,
 ///   which the std library does not guarantee stable across releases —
 ///   hashing the sentinel turns "the hasher changed under us" from
 ///   silent key mismatches into an explicit whole-file invalidation.
@@ -147,12 +143,10 @@ pub(crate) struct ArtifactKey {
 #[derive(Debug)]
 pub(crate) struct DiskCache {
     dir: PathBuf,
-    /// LTE memo generation at the last save — skips rewriting the memo
-    /// file when nothing changed since. A generation counter, not a
-    /// length: lengths only proxy change while insertion is the sole
-    /// mutation, and silently go stale the day it is not.
-    memo_saved_gen: AtomicU64,
-    /// Per-group decision cache generation at the last save.
+    /// Per-group decision cache generation at the last save — skips
+    /// rewriting the file when nothing changed since. A generation
+    /// counter, not a length: lengths only proxy change while insertion
+    /// is the sole mutation, and silently go stale the day it is not.
     groups_saved_gen: AtomicU64,
     /// Unique temp-file suffix counter (plus the pid) for atomic writes.
     tmp_seq: AtomicUsize,
@@ -173,25 +167,16 @@ const FAULT_SITE_READ: usize = 0;
 const FAULT_SITE_WRITE: usize = 1;
 
 impl DiskCache {
-    /// Opens (creating if needed) a cache directory and imports the
-    /// persisted LTE memo.
+    /// Opens (creating if needed) a cache directory.
     pub(crate) fn open(dir: &Path) -> io::Result<DiskCache> {
         fs::create_dir_all(dir)?;
-        let cache = DiskCache {
+        Ok(DiskCache {
             dir: dir.to_path_buf(),
-            memo_saved_gen: AtomicU64::new(0),
             groups_saved_gen: AtomicU64::new(0),
             tmp_seq: AtomicUsize::new(0),
             faults: OnceLock::new(),
             disk_faults: AtomicU64::new(0),
-        };
-        if let Some(payload) = cache.read_payload(&cache.memo_path()) {
-            if let Ok(entries) = decode_from::<Vec<(u64, IndexMap)>>(&payload) {
-                lte_memo_import(entries);
-            }
-        }
-        cache.memo_saved_gen.store(lte_memo_generation(), Ordering::Relaxed);
-        Ok(cache)
+        })
     }
 
     /// The cache directory.
@@ -226,10 +211,6 @@ impl DiskCache {
             "art-{:016x}-{:016x}-{:016x}-{:016x}.smem",
             key.graph, key.device, key.sequence, key.bucket
         ))
-    }
-
-    fn memo_path(&self) -> PathBuf {
-        self.dir.join("lte-memo.smem")
     }
 
     fn groups_path(&self) -> PathBuf {
@@ -318,35 +299,9 @@ impl DiskCache {
     }
 
     /// Writes a compilation result (positive or negative) through to
-    /// disk and opportunistically refreshes the persisted LTE memo.
+    /// disk.
     pub(crate) fn store(&self, key: &ArtifactKey, result: Result<&CompileOutput, &Unsupported>) {
         self.write_payload(&self.artifact_path(key), &encode_result(result));
-        // Nearly every cold compile in a zoo batch grows the memo;
-        // exporting + rewriting the whole memo file per compile would
-        // be O(n²), so intermediate saves only fire after meaningful
-        // growth. The session's Drop performs the exact final save.
-        self.save_memo_if_grown_by(256);
-    }
-
-    /// Persists the LTE memo when it changed by more than `slack`
-    /// generations since the last save (`0` = any change).
-    fn save_memo_if_grown_by(&self, slack: u64) {
-        let generation = lte_memo_generation();
-        let saved = self.memo_saved_gen.load(Ordering::Relaxed);
-        if generation.saturating_sub(saved) <= slack {
-            return;
-        }
-        self.save_memo();
-    }
-
-    /// Persists the LTE memo when it changed since the last save; a
-    /// memo identical to the one already on disk is not rewritten.
-    pub(crate) fn save_memo(&self) {
-        let generation = lte_memo_generation();
-        if self.memo_saved_gen.swap(generation, Ordering::Relaxed) == generation {
-            return;
-        }
-        self.write_payload(&self.memo_path(), &encode_to_vec(&lte_memo_export()));
     }
 
     /// Imports the persisted per-group decision cache into `groups` and

@@ -305,9 +305,7 @@ impl CompileSession {
     /// served by decoding its artifact (counted in
     /// [`CacheStats::disk_hits`]). Unreadable, truncated, corrupted or
     /// version-mismatched artifacts are ignored and recompiled cold —
-    /// the cache can only ever make things faster, never wrong. The
-    /// LTE composition memo is persisted alongside and imported on
-    /// open.
+    /// the cache can only ever make things faster, never wrong.
     ///
     /// # Errors
     ///
@@ -590,12 +588,11 @@ impl CompileSession {
 }
 
 impl Drop for CompileSession {
-    /// Final exact save of the LTE memo and the per-group decision
-    /// cache: intermediate write-throughs only persist them after
-    /// meaningful growth (amortization), so the tail entries land here.
+    /// Final exact save of the per-group decision cache: intermediate
+    /// write-throughs only persist it after meaningful growth
+    /// (amortization), so the tail entries land here.
     fn drop(&mut self) {
         if let Some(disk) = &self.persist {
-            disk.save_memo();
             disk.save_groups(&self.groups);
         }
     }

@@ -1,9 +1,11 @@
 //! Text/JSON graph import and export.
 //!
-//! A small, hand-rolled interchange format so external graphs — importer
-//! fixtures, fuzzer counterexamples, user models — can flow through every
-//! optimizing pipeline without linking a serialization crate. The format
-//! is a single JSON object:
+//! A small interchange format so external graphs — importer fixtures,
+//! fuzzer counterexamples, user models — can flow through every
+//! optimizing pipeline without linking a serialization crate. This
+//! module is the schema mapping only; the grammar (depth cap, finite
+//! numbers, escapes) is `smartmem-json`'s. The format is a single JSON
+//! object:
 //!
 //! ```json
 //! {
@@ -44,253 +46,13 @@ use crate::error::ImportError;
 use crate::graph::{Graph, GraphBuilder, TensorKind};
 use crate::ops::{BinaryKind, Op, PoolKind, ReduceKind, UnaryKind};
 use crate::sym::BucketTable;
+use smartmem_json::{escape, fmt_value, Json};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Hard cap on elements per declared tensor (2^40): rejects absurd shape
 /// declarations before they reach shape inference or allocation.
 const MAX_TENSOR_NUMEL: u64 = 1 << 40;
-
-/// Maximum JSON nesting depth the parser accepts (guards the recursive
-/// parser's stack against `[[[[…` bombs).
-const MAX_DEPTH: usize = 64;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value + recursive-descent parser
-// ---------------------------------------------------------------------------
-
-/// Parsed JSON value. Objects keep insertion order; duplicate keys keep
-/// the first occurrence (lookup scans front to back).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn err(&self, msg: impl Into<String>) -> ImportError {
-        ImportError::Parse { offset: self.pos, msg: msg.into() }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, lit: &str) -> Result<(), ImportError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{lit}`")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, ImportError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        self.skip_ws();
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.expect("null").map(|_| Json::Null),
-            Some(b't') => self.expect("true").map(|_| Json::Bool(true)),
-            Some(b'f') => self.expect("false").map(|_| Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(c) => Err(self.err(format!("unexpected byte 0x{c:02x}"))),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, ImportError> {
-        self.bump(); // '['
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected `,` or `]` in array"));
-                }
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, ImportError> {
-        self.bump(); // '{'
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key in object"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.bump() != Some(b':') {
-                self.pos = self.pos.saturating_sub(1);
-                return Err(self.err("expected `:` after object key"));
-            }
-            let val = self.value(depth + 1)?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(pairs)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected `,` or `}` in object"));
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ImportError> {
-        self.bump(); // opening quote
-        let mut s = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(s),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => s.push('"'),
-                    Some(b'\\') => s.push('\\'),
-                    Some(b'/') => s.push('/'),
-                    Some(b'b') => s.push('\u{8}'),
-                    Some(b'f') => s.push('\u{c}'),
-                    Some(b'n') => s.push('\n'),
-                    Some(b'r') => s.push('\r'),
-                    Some(b't') => s.push('\t'),
-                    Some(b'u') => s.push(self.unicode_escape()?),
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(c) if c < 0x80 => s.push(c as char),
-                Some(c) => {
-                    // Re-decode the UTF-8 sequence starting at `c`.
-                    let start = self.pos - 1;
-                    let width = match c {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        0xf0..=0xf7 => 4,
-                        _ => return Err(self.err("invalid UTF-8 in string")),
-                    };
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| self.err("truncated UTF-8 in string"))?;
-                    let text = std::str::from_utf8(chunk)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    s.push_str(text);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn unicode_escape(&mut self) -> Result<char, ImportError> {
-        let first = self.hex4()?;
-        if (0xd800..0xdc00).contains(&first) {
-            // High surrogate: must be followed by `\uDC00`–`\uDFFF`.
-            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                return Err(self.err("lone high surrogate in \\u escape"));
-            }
-            let second = self.hex4()?;
-            if !(0xdc00..0xe000).contains(&second) {
-                return Err(self.err("invalid low surrogate in \\u escape"));
-            }
-            let cp = 0x10000 + ((first - 0xd800) << 10) + (second - 0xdc00);
-            char::from_u32(cp).ok_or_else(|| self.err("invalid surrogate pair"))
-        } else if (0xdc00..0xe000).contains(&first) {
-            Err(self.err("lone low surrogate in \\u escape"))
-        } else {
-            char::from_u32(first).ok_or_else(|| self.err("invalid \\u escape"))
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ImportError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = match self.bump() {
-                Some(c @ b'0'..=b'9') => (c - b'0') as u32,
-                Some(c @ b'a'..=b'f') => (c - b'a') as u32 + 10,
-                Some(c @ b'A'..=b'F') => (c - b'A') as u32 + 10,
-                _ => return Err(self.err("expected 4 hex digits after \\u")),
-            };
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, ImportError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number chars");
-        text.parse::<f64>()
-            .ok()
-            .filter(|v| v.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| self.err(format!("invalid number `{text}`")))
-    }
-}
-
-fn parse_json(src: &str) -> Result<Json, ImportError> {
-    let mut p = Parser { bytes: src.as_bytes(), pos: 0 };
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after top-level value"));
-    }
-    Ok(v)
-}
 
 // ---------------------------------------------------------------------------
 // Field extraction helpers
@@ -344,6 +106,16 @@ fn usize_pair(v: &Json, field: &str) -> Result<(usize, usize), ImportError> {
 
 fn opt_field<'a>(obj: &'a Json, key: &str) -> Option<&'a Json> {
     obj.get(key).filter(|v| !matches!(v, Json::Null))
+}
+
+/// An optional field read by `read`, or `default` when absent or null.
+fn opt_or<T>(
+    obj: &Json,
+    key: &str,
+    read: fn(&Json, &str) -> Result<T, ImportError>,
+    default: T,
+) -> Result<T, ImportError> {
+    opt_field(obj, key).map_or(Ok(default), |v| read(v, key))
 }
 
 fn req_field<'a>(
@@ -455,28 +227,13 @@ pub(crate) fn binary_kind_str(k: BinaryKind) -> &'static str {
 fn parse_op(kind: &str, obj: &Json) -> Result<Op, ImportError> {
     let op = match kind {
         "conv2d" => Op::Conv2d {
-            stride: opt_field(obj, "stride")
-                .map(|v| usize_pair(v, "stride"))
-                .transpose()?
-                .unwrap_or((1, 1)),
-            padding: opt_field(obj, "padding")
-                .map(|v| usize_pair(v, "padding"))
-                .transpose()?
-                .unwrap_or((0, 0)),
-            groups: opt_field(obj, "groups")
-                .map(|v| as_usize(v, "groups"))
-                .transpose()?
-                .unwrap_or(1),
+            stride: opt_or(obj, "stride", usize_pair, (1, 1))?,
+            padding: opt_or(obj, "padding", usize_pair, (0, 0))?,
+            groups: opt_or(obj, "groups", as_usize, 1)?,
         },
         "matmul" => Op::MatMul {
-            trans_a: opt_field(obj, "trans_a")
-                .map(|v| as_bool(v, "trans_a"))
-                .transpose()?
-                .unwrap_or(false),
-            trans_b: opt_field(obj, "trans_b")
-                .map(|v| as_bool(v, "trans_b"))
-                .transpose()?
-                .unwrap_or(false),
+            trans_a: opt_or(obj, "trans_a", as_bool, false)?,
+            trans_b: opt_or(obj, "trans_b", as_bool, false)?,
         },
         "layer_norm" => Op::LayerNorm { axes: usize_vec(req_field(obj, "op", "axes")?, "axes")? },
         "instance_norm" => Op::InstanceNorm,
@@ -490,10 +247,7 @@ fn parse_op(kind: &str, obj: &Json) -> Result<Op, ImportError> {
                 other => return Err(ImportError::UnknownOp(format!("reduce:{other}"))),
             },
             axes: usize_vec(req_field(obj, "op", "axes")?, "axes")?,
-            keep_dims: opt_field(obj, "keep_dims")
-                .map(|v| as_bool(v, "keep_dims"))
-                .transpose()?
-                .unwrap_or(false),
+            keep_dims: opt_or(obj, "keep_dims", as_bool, false)?,
         },
         "pool2d" => {
             let kernel = usize_pair(req_field(obj, "op", "kernel")?, "kernel")?;
@@ -504,14 +258,8 @@ fn parse_op(kind: &str, obj: &Json) -> Result<Op, ImportError> {
                     other => return Err(ImportError::UnknownOp(format!("pool2d:{other}"))),
                 },
                 kernel,
-                stride: opt_field(obj, "stride")
-                    .map(|v| usize_pair(v, "stride"))
-                    .transpose()?
-                    .unwrap_or(kernel),
-                padding: opt_field(obj, "padding")
-                    .map(|v| usize_pair(v, "padding"))
-                    .transpose()?
-                    .unwrap_or((0, 0)),
+                stride: opt_or(obj, "stride", usize_pair, kernel)?,
+                padding: opt_or(obj, "padding", usize_pair, (0, 0))?,
             }
         }
         "unary" => Op::Unary { kind: parse_unary_kind(as_str(req_field(obj, "op", "f")?, "f")?)? },
@@ -585,7 +333,8 @@ struct OpDesc {
 /// assert_eq!(g.tensor(g.outputs()[0]).name, "y");
 /// ```
 pub fn import_json(src: &str) -> Result<Graph, ImportError> {
-    let root = parse_json(src)?;
+    let root = smartmem_json::parse(src)
+        .map_err(|e| ImportError::Parse { offset: e.offset, msg: e.msg })?;
     if !matches!(root, Json::Obj(_)) {
         return Err(bad("$", "a top-level JSON object"));
     }
@@ -793,24 +542,6 @@ fn check_dtypes(
 // Export
 // ---------------------------------------------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn f32_json(v: f32) -> String {
     if v.is_nan() {
         "\"nan\"".to_string()
@@ -819,8 +550,7 @@ fn f32_json(v: f32) -> String {
     } else if v == f32::NEG_INFINITY {
         "\"-inf\"".to_string()
     } else {
-        // Rust's `{}` prints the shortest representation that round-trips.
-        format!("{v}")
+        fmt_value(v)
     }
 }
 
@@ -910,7 +640,7 @@ fn op_kind_str(op: &Op) -> &'static str {
 pub fn export_json(g: &Graph) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"name\": \"{}\",", esc(g.name()));
+    let _ = writeln!(out, "  \"name\": \"{}\",", escape(g.name()));
     let _ = writeln!(out, "  \"tensors\": [");
     let decls: Vec<&crate::TensorInfo> = g
         .tensors()
@@ -930,7 +660,7 @@ pub fn export_json(g: &Graph) -> String {
         let _ = writeln!(
             out,
             "    {{\"name\": \"{}\", \"kind\": \"{kind}\", \"shape\": {}, \"dtype\": \"{}\"{init}}}{comma}",
-            esc(&t.name),
+            escape(&t.name),
             usize_list(t.shape.dims()),
             dtype_str(t.dtype)
         );
@@ -939,9 +669,9 @@ pub fn export_json(g: &Graph) -> String {
     let _ = writeln!(out, "  \"ops\": [");
     for (i, n) in g.nodes().iter().enumerate() {
         let ins: Vec<String> =
-            n.inputs.iter().map(|&t| format!("\"{}\"", esc(&g.tensor(t).name))).collect();
+            n.inputs.iter().map(|&t| format!("\"{}\"", escape(&g.tensor(t).name))).collect();
         let outs: Vec<String> =
-            n.outputs.iter().map(|&t| format!("\"{}\"", esc(&g.tensor(t).name))).collect();
+            n.outputs.iter().map(|&t| format!("\"{}\"", escape(&g.tensor(t).name))).collect();
         let comma = if i + 1 == g.nodes().len() { "" } else { "," };
         let _ = writeln!(
             out,
@@ -954,7 +684,7 @@ pub fn export_json(g: &Graph) -> String {
     }
     let _ = writeln!(out, "  ],");
     let onames: Vec<String> =
-        g.outputs().iter().map(|&t| format!("\"{}\"", esc(&g.tensor(t).name))).collect();
+        g.outputs().iter().map(|&t| format!("\"{}\"", escape(&g.tensor(t).name))).collect();
     if g.sym_dims().is_empty() {
         let _ = writeln!(out, "  \"outputs\": [{}]", onames.join(", "));
     } else {
@@ -965,7 +695,7 @@ pub fn export_json(g: &Graph) -> String {
             let _ = writeln!(
                 out,
                 "    {{\"name\": \"{}\", \"buckets\": {}, \"value\": {}}}{comma}",
-                esc(&d.name),
+                escape(&d.name),
                 usize_list(d.table.buckets()),
                 d.value
             );

@@ -6,9 +6,7 @@
 //! per-key FIFO queues and *pulled* out by device workers when a device
 //! frees up — the batch is composed at pull time, so a backlogged
 //! device grows its batches toward `max_batch` instead of flushing
-//! whatever happened to arrive inside a fixed window. The old
-//! size-or-deadline composition survives as [`CutPolicy::Deadline`],
-//! the A/B baseline.
+//! whatever happened to arrive inside a fixed window.
 //!
 //! Three rules govern a pull:
 //!
@@ -38,20 +36,6 @@ pub struct BatchKey {
     pub model: usize,
     /// Device id.
     pub device: usize,
-}
-
-/// How a batch is composed at cut time.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum CutPolicy {
-    /// Pull-based: a cut takes up to `max_batch` queued requests,
-    /// however long the backlog has grown while the device was busy.
-    #[default]
-    Pull,
-    /// Fixed-deadline baseline: a cut only takes requests that arrived
-    /// within `idle_delay` of the batch head — the composition the old
-    /// push-mode batcher produced by flushing on a timer. Kept so
-    /// benchmarks can A/B the two policies at identical load.
-    Deadline,
 }
 
 /// A queued request as the batcher sees it: enough metadata to order
@@ -117,7 +101,6 @@ struct Queued<T> {
 pub struct Batcher<T> {
     max_batch: usize,
     idle_delay: Duration,
-    policy: CutPolicy,
     aging_factor: f64,
     queues: HashMap<BatchKey, VecDeque<Queued<T>>>,
     /// Devices declared dead by [`Batcher::mark_dead`]: their keys hold
@@ -128,8 +111,8 @@ pub struct Batcher<T> {
 
 impl<T> Batcher<T> {
     /// Batcher cutting at most `max_batch` requests (≥ 1) per batch,
-    /// with `idle_delay` as the idle-latency bound, under the default
-    /// [`CutPolicy::Pull`] and an aging factor of 4.
+    /// with `idle_delay` as the idle-latency bound and an aging factor
+    /// of 4.
     ///
     /// # Panics
     ///
@@ -139,18 +122,10 @@ impl<T> Batcher<T> {
         Batcher {
             max_batch,
             idle_delay,
-            policy: CutPolicy::Pull,
             aging_factor: 4.0,
             queues: HashMap::new(),
             dead: HashSet::new(),
         }
-    }
-
-    /// Replaces the cut policy (builder style).
-    #[must_use]
-    pub fn with_policy(mut self, policy: CutPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Replaces the starvation-aging factor (builder style): each
@@ -172,11 +147,6 @@ impl<T> Batcher<T> {
     /// key becomes due even on an idle device.
     pub fn idle_delay(&self) -> Duration {
         self.idle_delay
-    }
-
-    /// The active cut policy.
-    pub fn policy(&self) -> CutPolicy {
-        self.policy
     }
 
     /// Requests currently queued across all keys.
@@ -333,25 +303,10 @@ impl<T: BatchItem> Batcher<T> {
             .map(|(&k, _)| k)?;
         let q = self.queues.get_mut(&key).expect("key just selected");
         let opened_at = q.front().expect("non-empty queue").enqueued;
-        let window_end = opened_at + self.idle_delay;
         let mut items = Vec::new();
         let mut cancelled = Vec::new();
         while items.len() < self.max_batch {
-            match q.front() {
-                None => break,
-                // The fixed-deadline baseline only batches what arrived
-                // within the head's window — the composition a 3 ms
-                // flush timer would have produced.
-                Some(head)
-                    if self.policy == CutPolicy::Deadline
-                        && !force
-                        && head.enqueued > window_end =>
-                {
-                    break
-                }
-                Some(_) => {}
-            }
-            let entry = q.pop_front().expect("front just checked");
+            let Some(entry) = q.pop_front() else { break };
             if entry.item.claim() {
                 items.push(entry.item);
             } else {
@@ -442,13 +397,6 @@ mod tests {
         let cut = b.pull(0, late).expect("long overdue");
         assert_eq!(cut.batch.items.len(), 8, "pull takes the grown backlog");
         assert_eq!(ids(&cut.batch), (0..8).collect::<Vec<_>>());
-        // The fixed-deadline baseline only takes the head's window.
-        let mut fixed: Batcher<It> = Batcher::new(8, DELAY).with_policy(CutPolicy::Deadline);
-        for i in 0..20 {
-            fixed.push(key(0, 0), it(i, t0 + DELAY * 100), t0 + Duration::from_millis(i)).unwrap();
-        }
-        let cut = fixed.pull(0, late).expect("due");
-        assert_eq!(cut.batch.items.len(), 5, "only the 4 ms window of the head (ms 0..=4)");
     }
 
     #[test]

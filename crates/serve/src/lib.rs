@@ -96,7 +96,7 @@ mod router;
 mod scheduler;
 mod server;
 
-pub use batcher::{Batch, BatchItem, BatchKey, Batcher, Cut, CutPolicy};
+pub use batcher::{Batch, BatchItem, BatchKey, Batcher, Cut};
 pub use decode::{DecodeError, DecodeSession};
 pub use request::{
     InferenceRequest, InferenceResponse, ModelSpec, Priority, SubmitError, Ticket, REPLICA_KILLED,

@@ -9,7 +9,7 @@
 //! `max_batch`; the old `max_delay` survives only as the idle-latency
 //! bound that flushes a lone request on an otherwise idle device.
 
-use crate::batcher::{Batch, BatchItem, BatchKey, Batcher, CutPolicy};
+use crate::batcher::{Batch, BatchItem, BatchKey, Batcher};
 use crate::request::{
     InferenceRequest, InferenceResponse, ModelSpec, Priority, SubmitError, Ticket, REPLICA_KILLED,
 };
@@ -192,10 +192,6 @@ pub struct ServeConfig {
     /// eventually outranks fresh interactive traffic. Zero disables
     /// aging.
     pub aging_factor: f64,
-    /// How batches are composed at cut time ([`CutPolicy::Pull`] by
-    /// default; [`CutPolicy::Deadline`] reproduces the old fixed-window
-    /// batches for A/B comparison).
-    pub cut_policy: CutPolicy,
     /// Tracing/metrics knobs (see [`TelemetryConfig`]).
     pub telemetry: TelemetryConfig,
     /// Deterministic fault injection (chaos testing). `None` — the
@@ -221,7 +217,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             deadlines: ClassDeadlines::default(),
             aging_factor: 4.0,
-            cut_policy: CutPolicy::Pull,
             telemetry: TelemetryConfig::default(),
             fault_plan: None,
             retry: RetryPolicy::default(),
@@ -740,9 +735,8 @@ impl Server {
                 session.inject_disk_faults(Arc::clone(plan));
             }
         }
-        let batcher = Batcher::new(config.max_batch, config.max_delay)
-            .with_policy(config.cut_policy)
-            .with_aging_factor(config.aging_factor);
+        let batcher =
+            Batcher::new(config.max_batch, config.max_delay).with_aging_factor(config.aging_factor);
         let pool_len = pool.len();
         let inner = Arc::new(Inner {
             models,

@@ -8,7 +8,7 @@
 //! bounds how long a key can be passed over.
 
 use proptest::prelude::*;
-use smartmem_serve::{BatchItem, BatchKey, Batcher, CutPolicy};
+use smartmem_serve::{BatchItem, BatchKey, Batcher};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,9 +86,8 @@ struct Run {
     mixed_key: usize,
 }
 
-fn run_script(raw_events: &[u8], max_batch: usize, policy: CutPolicy) -> Run {
-    let mut batcher: Batcher<Item> =
-        Batcher::new(max_batch, Duration::from_millis(DELAY_MS)).with_policy(policy);
+fn run_script(raw_events: &[u8], max_batch: usize) -> Run {
+    let mut batcher: Batcher<Item> = Batcher::new(max_batch, Duration::from_millis(DELAY_MS));
     let t0 = Instant::now();
     let mut now = t0;
     let mut run = Run {
@@ -165,12 +164,10 @@ proptest! {
 
     /// Every pushed request ends in exactly one terminal set:
     /// executed, dropped-at-cut, or eagerly removed — none lost, none
-    /// duplicated, under both cut policies.
+    /// duplicated.
     #[test]
-    fn conservation(raw in prop::collection::vec(0u8..255, 0..160), max_batch in 1usize..7,
-                    deadline_policy in 0u8..2) {
-        let policy = if deadline_policy == 1 { CutPolicy::Deadline } else { CutPolicy::Pull };
-        let run = run_script(&raw, max_batch, policy);
+    fn conservation(raw in prop::collection::vec(0u8..255, 0..160), max_batch in 1usize..7) {
+        let run = run_script(&raw, max_batch);
         let mut seen: Vec<u64> = run.executed.iter().map(|&(_, id)| id).collect();
         seen.extend(&run.cut_cancelled);
         seen.extend(&run.eager_cancelled);
@@ -183,7 +180,7 @@ proptest! {
     /// A cut never exceeds `max_batch` and never mixes keys.
     #[test]
     fn batch_bounds(raw in prop::collection::vec(0u8..255, 0..160), max_batch in 1usize..7) {
-        let run = run_script(&raw, max_batch, CutPolicy::Pull);
+        let run = run_script(&raw, max_batch);
         prop_assert_eq!(run.oversized, 0, "a cut exceeded max_batch");
         prop_assert_eq!(run.mixed_key, 0, "a batch mixed keys");
     }
@@ -193,7 +190,7 @@ proptest! {
     #[test]
     fn cancelled_never_executes(raw in prop::collection::vec(0u8..255, 0..160),
                                 max_batch in 1usize..7) {
-        let run = run_script(&raw, max_batch, CutPolicy::Pull);
+        let run = run_script(&raw, max_batch);
         for &(_, id) in &run.executed {
             prop_assert!(!run.cancel_wins.contains(&id), "cancelled request {} executed", id);
         }
@@ -208,7 +205,7 @@ proptest! {
     /// flush order yields strictly increasing submission ids.
     #[test]
     fn fifo_within_key(raw in prop::collection::vec(0u8..255, 0..160), max_batch in 1usize..7) {
-        let run = run_script(&raw, max_batch, CutPolicy::Pull);
+        let run = run_script(&raw, max_batch);
         let mut per_key: HashMap<BatchKey, Vec<u64>> = HashMap::new();
         for &(key, id) in &run.executed {
             per_key.entry(key).or_default().push(id);

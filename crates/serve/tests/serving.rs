@@ -4,7 +4,7 @@
 //! placement across the device pool, priority-class accounting,
 //! request cancellation, and pull-based batch growth under backlog.
 
-use smartmem_serve::{CutPolicy, InferenceRequest, ModelSpec, Priority, ServeConfig, Server};
+use smartmem_serve::{InferenceRequest, ModelSpec, Priority, ServeConfig, Server};
 use smartmem_sim::DeviceConfig;
 use std::time::Duration;
 
@@ -338,53 +338,43 @@ fn try_submit_sheds_load_beyond_queue_capacity() {
     assert_eq!(stats.completed, 2);
 }
 
-/// The tentpole behaviour: on a backlogged device, pull-based cutting
-/// grows batches toward `max_batch`, while the fixed-deadline baseline
-/// keeps cutting whatever arrived inside its window — at identical
-/// offered load.
+/// On a backlogged device, pull-based cutting grows batches toward
+/// `max_batch`: `max_delay` only bounds idle latency, it never truncates
+/// a batch the backlog has grown. The backlog is a burst (no paced
+/// sleeps), so the outcome does not depend on the runner's clock; the
+/// trickle-arrival case runs under a synthetic clock in the batcher's
+/// `backlog_grows_batches_up_to_max_batch`.
 #[test]
 fn pull_cutting_grows_batches_on_a_backlogged_device() {
-    let mean_batch = |policy: CutPolicy| -> f64 {
-        let config = ServeConfig {
-            max_batch: 8,
-            max_delay: Duration::from_millis(2),
-            // ConvNext is ~19 ms simulated on the 8 Gen 2; 0.15 makes a
-            // full batch ~20 ms of wall time against ~0.5 ms arrivals,
-            // so the device is deeply backlogged in both modes.
-            exec_time_scale: 0.15,
-            cut_policy: policy,
-            ..ServeConfig::default()
-        };
-        let server = Server::start(
-            vec![ModelSpec::new("ConvNext", smartmem_models::convnext(1))],
-            vec![DeviceConfig::snapdragon_8gen2()],
-            config,
-        );
-        // Warm the compile cache so the trace measures batching, not
-        // the one-off cold compile.
-        assert!(server.submit(InferenceRequest::new(0)).unwrap().wait().error.is_none());
-        let tickets: Vec<_> = (0..120)
-            .map(|_| {
-                std::thread::sleep(Duration::from_micros(500));
-                server.submit(InferenceRequest::new(0)).expect("submit")
-            })
-            .collect();
-        for t in tickets {
-            assert!(t.wait().error.is_none());
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.completed, 121);
-        // Drop the warmup singleton from the mean.
-        let mut hist = stats.batch_histogram.clone();
-        hist[0] = hist[0].saturating_sub(1);
-        smartmem_serve::histogram_mean(&hist)
+    let config = ServeConfig {
+        max_batch: 8,
+        max_delay: Duration::from_millis(2),
+        // ConvNext is ~19 ms simulated on the 8 Gen 2; 0.15 makes a
+        // full batch ~20 ms of wall time, so everything submitted
+        // behind the first cut queues up while the device is busy.
+        exec_time_scale: 0.15,
+        ..ServeConfig::default()
     };
-    let pull = mean_batch(CutPolicy::Pull);
-    let fixed = mean_batch(CutPolicy::Deadline);
-    assert!(
-        pull > fixed + 0.75,
-        "pull-based cutting must grow batches under backlog: pull {pull:.2} vs fixed {fixed:.2}"
+    let server = Server::start(
+        vec![ModelSpec::new("ConvNext", smartmem_models::convnext(1))],
+        vec![DeviceConfig::snapdragon_8gen2()],
+        config,
     );
+    // Warm the compile cache so the trace measures batching, not the
+    // one-off cold compile.
+    assert!(server.submit(InferenceRequest::new(0)).unwrap().wait().error.is_none());
+    let tickets: Vec<_> =
+        (0..120).map(|_| server.submit(InferenceRequest::new(0)).expect("submit")).collect();
+    for t in tickets {
+        assert!(t.wait().error.is_none());
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.completed, 121);
+    // Drop the warmup singleton from the mean.
+    let mut hist = stats.batch_histogram.clone();
+    hist[0] = hist[0].saturating_sub(1);
+    let mean = smartmem_serve::histogram_mean(&hist);
+    assert!(mean >= 4.0, "a backlogged device must cut grown batches, mean size {mean:.2}");
 }
 
 #[test]

@@ -9,42 +9,14 @@
 //! CI smoke check consume trace files through it, and rendering is
 //! tested as an exact round trip.
 //!
-//! The container is offline (no serde), so the writer and the
-//! structural JSON parser here are hand-rolled, mirroring
-//! `smartmem-bench`'s flat bench-JSON codec.
+//! Only the `trace_event` schema lives here; tokenizing, escaping and
+//! number formatting are `smartmem-json`'s.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
 use crate::trace::{SpanKind, SpanRecord, Trace, TraceId};
-use std::collections::BTreeMap;
+use smartmem_json::{escape, fmt_value, Json};
 use std::fmt::Write as _;
-
-/// JSON-escapes `s` (quotes, backslashes, control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a finite value so it round-trips through the parser exactly.
-fn fmt_value(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        // JSON has no Inf/NaN; an exporter should never see one, but a
-        // null parses loudly rather than corrupting the file silently.
-        "null".to_string()
-    }
-}
 
 /// Microsecond timestamp of a nanosecond count, exact through the
 /// parser's inverse (`f64` holds 53 mantissa bits; traces live well
@@ -88,194 +60,6 @@ pub fn render_chrome(trace: &Trace) -> String {
     out
 }
 
-// ---------------------------------------------------------------------
-// Structural JSON parsing (hand-rolled; the container has no serde).
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (just enough structure for trace files).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Result<u8, String> {
-        let b = self.peek().ok_or("unexpected end of input")?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next()? {
-            b if b == want => Ok(()),
-            b => Err(format!(
-                "expected '{}' at byte {}, got '{}'",
-                want as char, self.pos, b as char
-            )),
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
-        for want in text.bytes() {
-            self.expect(want)?;
-        }
-        Ok(value)
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek().ok_or("unexpected end of input")? {
-            b'n' => self.literal("null", Json::Null),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            _ => self.number(),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next()? as char;
-                            code = code * 16
-                                + d.to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u escape digit '{d}'"))?;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    c => return Err(format!("unsupported escape '\\{}'", c as char)),
-                },
-                b if b < 0x80 => out.push(b as char),
-                b => {
-                    // Re-decode the UTF-8 sequence starting here.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (start + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|e| format!("invalid UTF-8 in string: {e}"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>().map(Json::Num).map_err(|e| format!("bad number '{text}': {e}"))
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.next()? {
-                b',' => {}
-                b']' => return Ok(Json::Arr(items)),
-                c => {
-                    return Err(format!(
-                        "expected ',' or ']' at byte {}, got '{}'",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            fields.insert(key, self.value()?);
-            self.skip_ws();
-            match self.next()? {
-                b',' => {}
-                b'}' => return Ok(Json::Obj(fields)),
-                c => {
-                    return Err(format!(
-                        "expected ',' or '}}' at byte {}, got '{}'",
-                        self.pos, c as char
-                    ))
-                }
-            }
-        }
-    }
-}
-
 /// Nanosecond count of a microsecond timestamp (inverse of the
 /// renderer's conversion).
 fn ns(us: f64) -> u64 {
@@ -293,25 +77,17 @@ fn ns(us: f64) -> u64 {
 /// JSON, a missing `traceEvents` array, or an event without the
 /// required fields.
 pub fn parse_chrome(text: &str) -> Result<Trace, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing bytes after the trace at byte {}", p.pos));
-    }
+    let root = smartmem_json::parse(text).map_err(|e| e.to_string())?;
     let (events, dropped) = match &root {
         Json::Arr(events) => (events, 0),
-        Json::Obj(fields) => {
-            let events = match fields.get("traceEvents") {
-                Some(Json::Arr(events)) => events,
-                _ => return Err("no \"traceEvents\" array in the trace object".into()),
+        Json::Obj(_) => {
+            let Some(Json::Arr(events)) = root.get("traceEvents") else {
+                return Err("no \"traceEvents\" array in the trace object".into());
             };
-            let dropped = fields
+            let dropped = root
                 .get("otherData")
-                .and_then(|o| match o {
-                    Json::Obj(f) => f.get("dropped_spans").and_then(Json::num),
-                    _ => None,
-                })
+                .and_then(|o| o.get("dropped_spans"))
+                .and_then(Json::num)
                 .unwrap_or(0.0) as u64;
             (events, dropped)
         }
@@ -319,8 +95,10 @@ pub fn parse_chrome(text: &str) -> Result<Trace, String> {
     };
     let mut trace = Trace { spans: Vec::new(), dropped };
     for (i, ev) in events.iter().enumerate() {
-        let Json::Obj(f) = ev else { return Err(format!("event {i} is not an object")) };
-        let field = |k: &str| f.get(k).ok_or_else(|| format!("event {i} missing \"{k}\""));
+        if !matches!(ev, Json::Obj(_)) {
+            return Err(format!("event {i} is not an object"));
+        }
+        let field = |k: &str| ev.get(k).ok_or_else(|| format!("event {i} missing \"{k}\""));
         let kind = match field("ph")?.str() {
             Some("X") => SpanKind::Complete,
             Some("i") | Some("I") => SpanKind::Instant,
@@ -328,7 +106,7 @@ pub fn parse_chrome(text: &str) -> Result<Trace, String> {
         };
         let mut trace_id = TraceId::NONE;
         let mut args = Vec::new();
-        if let Some(Json::Obj(a)) = f.get("args") {
+        if let Some(Json::Obj(a)) = ev.get("args") {
             for (k, v) in a {
                 let Some(v) = v.num() else { continue };
                 if k == "trace" {
@@ -346,12 +124,12 @@ pub fn parse_chrome(text: &str) -> Result<Trace, String> {
         };
         trace.spans.push(SpanRecord {
             name: field("name")?.str().ok_or_else(|| format!("event {i}: non-string name"))?.into(),
-            cat: f.get("cat").and_then(Json::str).unwrap_or_default().into(),
+            cat: ev.get("cat").and_then(Json::str).unwrap_or_default().into(),
             kind,
             trace: trace_id,
             start_ns: ns(field("ts")?.num().ok_or_else(|| format!("event {i}: non-numeric ts"))?),
             dur_ns: dur,
-            tid: f.get("tid").and_then(Json::num).unwrap_or(0.0) as u64,
+            tid: ev.get("tid").and_then(Json::num).unwrap_or(0.0) as u64,
             args,
         });
     }
