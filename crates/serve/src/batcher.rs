@@ -138,17 +138,6 @@ impl<T> Batcher<T> {
         self
     }
 
-    /// Batch-size cap of a single cut.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
-
-    /// The idle-latency bound: how long a request may wait before its
-    /// key becomes due even on an idle device.
-    pub fn idle_delay(&self) -> Duration {
-        self.idle_delay
-    }
-
     /// Requests currently queued across all keys.
     pub fn pending(&self) -> usize {
         self.queues.values().map(|q| q.len()).sum()
@@ -183,36 +172,21 @@ impl<T> Batcher<T> {
     /// Declares a device dead: every request queued for it is drained
     /// and returned (grouped per key, FIFO within each key, keys in
     /// ascending model order so callers re-place deterministically), and
-    /// future [`Batcher::push`]es for the device are rejected until
-    /// [`Batcher::revive`].
+    /// future [`Batcher::push`]es for the device are rejected.
     pub fn mark_dead(&mut self, device: usize) -> Vec<(BatchKey, Vec<T>)> {
         self.dead.insert(device);
-        let mut keys: Vec<BatchKey> =
-            self.queues.keys().filter(|k| k.device == device).copied().collect();
-        keys.sort_by_key(|k| k.model);
-        keys.into_iter()
-            .map(|k| {
-                let q = self.queues.remove(&k).expect("key just listed");
-                (k, q.into_iter().map(|e| e.item).collect())
-            })
-            .collect()
-    }
-
-    /// Clears a device's dead mark (replica warm restart).
-    pub fn revive(&mut self, device: usize) {
-        self.dead.remove(&device);
-    }
-
-    /// Whether `device` is currently marked dead.
-    pub fn is_dead(&self, device: usize) -> bool {
-        self.dead.contains(&device)
+        self.drain_where(|k| k.device == device)
     }
 
     /// Drains every queued request of every device (replica kill),
     /// grouped per key — FIFO within each key, keys sorted by
     /// (device, model) so the caller resolves them deterministically.
     pub fn drain_all(&mut self) -> Vec<(BatchKey, Vec<T>)> {
-        let mut keys: Vec<BatchKey> = self.queues.keys().copied().collect();
+        self.drain_where(|_| true)
+    }
+
+    fn drain_where(&mut self, pred: impl Fn(&BatchKey) -> bool) -> Vec<(BatchKey, Vec<T>)> {
+        let mut keys: Vec<BatchKey> = self.queues.keys().filter(|k| pred(k)).copied().collect();
         keys.sort_by_key(|k| (k.device, k.model));
         keys.into_iter()
             .map(|k| {
@@ -498,7 +472,6 @@ mod tests {
         b.push(key(1, 0), it(2, t0 + DELAY), t0).unwrap();
         b.push(key(0, 1), it(3, t0 + DELAY), t0).unwrap();
         let drained = b.mark_dead(0);
-        assert!(b.is_dead(0));
         let drained_ids: Vec<(usize, Vec<u64>)> = drained
             .iter()
             .map(|(k, items)| (k.model, items.iter().map(|i| i.id).collect()))
@@ -509,10 +482,6 @@ mod tests {
         let rejected = b.push(key(0, 0), it(4, t0 + DELAY), t0).unwrap_err();
         assert_eq!(rejected.id, 4, "the item comes back for re-placement");
         assert_eq!(b.pending_for(0), 0, "nothing queued behind the dead device");
-        b.revive(0);
-        assert!(!b.is_dead(0));
-        b.push(key(0, 0), it(5, t0 + DELAY), t0).unwrap();
-        assert_eq!(b.pending_for(0), 1);
     }
 
     #[test]

@@ -183,8 +183,7 @@ mod tests {
     use smartmem_ir::{BucketTable, DType, Graph, GraphBuilder};
     use smartmem_sim::DeviceConfig;
 
-    /// A minimal attention block with a symbolic sequence axis: the
-    /// `QKᵀ` matmul (`trans_b = true`) marks `k` as the KV tensor.
+    /// A minimal attention block with a symbolic sequence axis.
     fn attn_graph(seq: usize, table: &BucketTable) -> Graph {
         let mut b = GraphBuilder::new(format!("attn-s{seq}"));
         let q = b.input("q", &[4, seq, 48], DType::F16);
@@ -243,33 +242,5 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.decode_tokens, 4);
         assert_eq!(stats.decode_steps, 4);
-    }
-
-    #[test]
-    fn kv_cache_layout_is_memoized_per_model_device() {
-        let table = BucketTable::new(vec![4, 8]).expect("valid table");
-        let models = vec![
-            ModelSpec::new("attn-b8", attn_graph(8, &table)),
-            // A static graph has no symbolic axis and therefore no KV
-            // cache to lay out.
-            ModelSpec::new("static", {
-                let mut b = GraphBuilder::new("static");
-                let x = b.input("x", &[1, 16, 32], DType::F16);
-                let w = b.weight("w", &[32, 32], DType::F16);
-                let mm = b.matmul(x, w);
-                b.output(mm);
-                b.finish()
-            }),
-        ];
-        let server =
-            Server::start(models, vec![DeviceConfig::snapdragon_8gen2()], ServeConfig::default());
-        let first = server.kv_cache_layout(0, 0).expect("sym attention graph has a KV layout");
-        let second = server.kv_cache_layout(0, 0).expect("memoized");
-        assert_eq!(format!("{first:?}"), format!("{second:?}"), "the choice is stable");
-        assert_eq!(server.stats().kv_layouts, 1, "two lookups, one memo entry");
-        assert!(server.kv_cache_layout(1, 0).is_none(), "static graph has no KV cache");
-        assert!(server.kv_cache_layout(7, 0).is_none(), "unknown model");
-        assert!(server.kv_cache_layout(0, 9).is_none(), "unknown device");
-        server.shutdown();
     }
 }

@@ -52,10 +52,11 @@ pub struct Router {
     rerouted: AtomicU64,
     kills: AtomicU64,
     restarts: AtomicU64,
-    /// Max resubmissions per ticket before a [`REPLICA_KILLED`] answer
-    /// is returned to the caller as-is.
-    reroute_budget: u32,
 }
+
+/// Max resubmissions per ticket before a [`REPLICA_KILLED`] answer is
+/// returned to the caller as-is.
+const REROUTE_BUDGET: u32 = 8;
 
 /// A ticket bound to the router: like [`crate::Ticket`], but
 /// [`RouterTicket::wait`] transparently resubmits the request to a
@@ -126,19 +127,11 @@ impl Router {
             rerouted: AtomicU64::new(0),
             kills: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
-            reroute_budget: 8,
         };
         for slot in &router.replicas {
             *slot.server.lock().expect("replica slot poisoned") = Some(router.build_server());
         }
         router
-    }
-
-    /// Caps how many times one ticket may be resubmitted after kills.
-    #[must_use]
-    pub fn with_reroute_budget(mut self, budget: u32) -> Self {
-        self.reroute_budget = budget;
-        self
     }
 
     fn build_server(&self) -> Arc<Server> {
@@ -165,11 +158,6 @@ impl Router {
     /// and per-replica inspection.
     pub fn server(&self, replica: usize) -> Option<Arc<Server>> {
         self.replicas[replica].server.lock().expect("replica slot poisoned").clone()
-    }
-
-    /// Alive replica indices, ascending.
-    pub fn alive(&self) -> Vec<usize> {
-        (0..self.replicas.len()).filter(|&r| self.server(r).is_some()).collect()
     }
 
     /// Submits to the least-loaded alive replica (ties to the lowest
@@ -263,6 +251,11 @@ impl Router {
         per_replica.extend(
             self.retired.lock().expect("retired generations poisoned").iter().map(|s| s.stats()),
         );
+        self.fleet_stats(per_replica)
+    }
+
+    /// Sums the per-generation snapshots into the fleet totals.
+    fn fleet_stats(&self, per_replica: Vec<ServeStats>) -> RouterStats {
         let sum = |f: fn(&ServeStats) -> u64| per_replica.iter().map(f).sum();
         RouterStats {
             submitted: sum(|s| s.submitted),
@@ -293,7 +286,8 @@ impl Router {
                 self.retired.lock().expect("retired generations poisoned").push(server);
             }
         }
-        let generations = self.retired.into_inner().expect("retired generations poisoned");
+        let generations =
+            std::mem::take(&mut *self.retired.lock().expect("retired generations poisoned"));
         let per_replica: Vec<ServeStats> = generations
             .into_iter()
             .map(|server| match Arc::try_unwrap(server) {
@@ -301,21 +295,7 @@ impl Router {
                 Err(server) => server.stats(),
             })
             .collect();
-        let sum = |f: fn(&ServeStats) -> u64| per_replica.iter().map(f).sum();
-        RouterStats {
-            submitted: sum(|s| s.submitted),
-            completed: sum(|s| s.completed),
-            failed: sum(|s| s.failed),
-            cancelled: sum(|s| s.cancelled),
-            shed: sum(|s| s.shed),
-            retried: sum(|s| s.retried),
-            recovered: sum(|s| s.recovered),
-            killed: sum(|s| s.killed),
-            rerouted: self.rerouted.load(Ordering::Relaxed),
-            kills: self.kills.load(Ordering::Relaxed),
-            restarts: self.restarts.load(Ordering::Relaxed),
-            per_replica,
-        }
+        self.fleet_stats(per_replica)
     }
 }
 
@@ -335,7 +315,7 @@ impl RouterTicket<'_> {
             let response = self.ticket.wait();
             self.router.replicas[self.replica].outstanding.fetch_sub(1, Ordering::Relaxed);
             let was_killed = response.error.as_deref() == Some(REPLICA_KILLED);
-            if !was_killed || self.reroutes >= self.router.reroute_budget {
+            if !was_killed || self.reroutes >= REROUTE_BUDGET {
                 return response;
             }
             match self.router.route(self.req) {

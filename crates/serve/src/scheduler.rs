@@ -51,7 +51,7 @@ struct DeviceEntry {
     load_ns: AtomicU64,
     class_load_ns: [AtomicU64; 3],
     /// Cleared when the device dies (injected fault or operator
-    /// retirement): dead devices are skipped by placement until revived.
+    /// retirement): dead devices are skipped by placement.
     alive: AtomicBool,
 }
 
@@ -126,11 +126,6 @@ impl DevicePool {
         self.entries[id].alive.swap(false, Ordering::Relaxed)
     }
 
-    /// Revives a dead device (replica warm restart).
-    pub fn revive(&self, id: usize) {
-        self.entries[id].alive.store(true, Ordering::Relaxed);
-    }
-
     /// Number of alive devices.
     pub fn alive_count(&self) -> usize {
         self.entries.iter().filter(|e| e.alive.load(Ordering::Relaxed)).count()
@@ -141,25 +136,30 @@ impl DevicePool {
         (0..self.entries.len()).filter(|&i| !self.is_alive(i)).collect()
     }
 
+    /// The device with the earliest estimated completion (outstanding
+    /// work + estimate), as `(id, estimate, completion)`. Dead devices
+    /// are skipped; with every device dead (the server never lets
+    /// injected faults get there, but an operator might) the alive
+    /// flags are ignored rather than stranding the request.
+    fn earliest(&self, estimates_ns: &[f64]) -> (usize, f64, f64) {
+        assert_eq!(estimates_ns.len(), self.entries.len(), "one estimate per device");
+        let candidate = |alive_only: bool| {
+            self.entries
+                .iter()
+                .zip(estimates_ns)
+                .enumerate()
+                .filter(|(_, (e, _))| !alive_only || e.alive.load(Ordering::Relaxed))
+                .map(|(i, (e, &est))| (i, est, e.load_ns.load(Ordering::Relaxed) as f64 + est))
+                .min_by(|a, b| a.2.total_cmp(&b.2))
+        };
+        candidate(true).or_else(|| candidate(false)).expect("device pool must not be empty")
+    }
+
     /// Best (smallest) estimated completion time across *alive*
     /// devices: `min(outstanding + estimate)` — the admission-control
     /// slack probe. Falls back to all devices when none is alive.
     pub fn best_completion_ns(&self, estimates_ns: &[f64]) -> f64 {
-        assert_eq!(estimates_ns.len(), self.entries.len(), "one estimate per device");
-        let completion =
-            |(e, &est): (&DeviceEntry, &f64)| e.load_ns.load(Ordering::Relaxed) as f64 + est;
-        let best = self
-            .entries
-            .iter()
-            .zip(estimates_ns)
-            .filter(|(e, _)| e.alive.load(Ordering::Relaxed))
-            .map(completion)
-            .fold(f64::INFINITY, f64::min);
-        if best.is_finite() {
-            best
-        } else {
-            self.entries.iter().zip(estimates_ns).map(completion).fold(f64::INFINITY, f64::min)
-        }
+        self.earliest(estimates_ns).2
     }
 
     /// Places one inference: picks the device minimizing estimated
@@ -174,23 +174,7 @@ impl DevicePool {
     ///
     /// Panics on an empty pool.
     pub fn place(&self, estimates_ns: &[f64], class: Priority) -> (usize, u64) {
-        assert_eq!(estimates_ns.len(), self.entries.len(), "one estimate per device");
-        // Dead devices are skipped; with every device dead (the server
-        // never lets injected faults get there, but an operator might)
-        // fall back to ignoring the alive flags rather than stranding
-        // the request.
-        let candidate = |alive_only: bool| {
-            self.entries
-                .iter()
-                .zip(estimates_ns)
-                .enumerate()
-                .filter(|(_, (e, _))| !alive_only || e.alive.load(Ordering::Relaxed))
-                .map(|(i, (e, &est))| (i, est, e.load_ns.load(Ordering::Relaxed) as f64 + est))
-                .min_by(|a, b| a.2.total_cmp(&b.2))
-                .map(|(i, est, _)| (i, est))
-        };
-        let (best, est) =
-            candidate(true).or_else(|| candidate(false)).expect("device pool must not be empty");
+        let (best, est, _) = self.earliest(estimates_ns);
         let charged = est.max(0.0) as u64;
         self.charge(best, charged, class);
         (best, charged)
@@ -303,11 +287,6 @@ mod tests {
         // completion only considers survivors.
         let alive_best = p.best_completion_ns(&ests);
         assert!(alive_best >= ests[preferred], "dead fastest device is excluded");
-        p.revive(preferred);
-        assert!(p.is_alive(preferred));
-        assert_eq!(p.alive_count(), p.len());
-        let (d, _) = p.place(&ests, Priority::Batch);
-        assert_eq!(d, preferred, "revived idle fast device is preferred again");
     }
 
     #[test]

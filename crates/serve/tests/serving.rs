@@ -273,6 +273,39 @@ fn cancel_after_completion_is_refused() {
     assert_eq!(stats.completed, 1);
 }
 
+/// A cancel that wins on a request the server moved to another device
+/// must still unqueue and answer it at once. (The handle used to
+/// remember the admission-time batcher key: after a re-placement the
+/// eager removal missed, and the ticket — with its queue slot and
+/// scheduler charge — sat until the new key's next cut.)
+#[test]
+fn cancel_resolves_a_replaced_request_at_once() {
+    use std::time::Instant;
+
+    // Nothing is cut for 30 s, so only the eager-cancel path can answer.
+    let config = ServeConfig { max_delay: Duration::from_secs(30), ..ServeConfig::default() };
+    let two = vec![DeviceConfig::snapdragon_8gen2(), DeviceConfig::apple_m1()];
+    let server = Server::start(models(), two, config);
+    let ticket = server.submit(InferenceRequest::new(0).on_device(0)).expect("submit");
+    let handle = ticket.cancel_handle();
+    assert!(server.retire_device(0), "device 0 retires; its request moves to device 1");
+    let start = Instant::now();
+    assert!(handle.cancel(), "the re-queued request is still cancellable");
+    let r = ticket.wait();
+    assert!(r.cancelled);
+    assert_eq!(r.retries, 1, "the re-placement consumed one retry attempt");
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "a won cancel answers at once, not at the next cut ({:?})",
+        start.elapsed()
+    );
+    for d in 0..server.pool().len() {
+        assert_eq!(server.pool().load_ns(d), 0, "device {d} still carries the refunded charge");
+    }
+    let stats = server.shutdown();
+    assert_eq!((stats.cancelled, stats.completed, stats.failed), (1, 0, 0));
+}
+
 #[test]
 fn priority_classes_are_accounted_separately() {
     let server = Server::start(models(), devices(), ServeConfig::default());
