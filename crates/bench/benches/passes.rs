@@ -13,8 +13,9 @@ use smartmem_sim::{CacheConfig, CacheSim, DeviceConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Runs `f` repeatedly and prints the median per-iteration time.
-fn bench(name: &str, mut f: impl FnMut()) {
+/// Runs `f` repeatedly, prints the median per-iteration time and
+/// returns it in seconds.
+fn bench(name: &str, mut f: impl FnMut()) -> f64 {
     // Warm up, then size the batch so one sample takes ~1 ms.
     f();
     let probe = Instant::now();
@@ -33,6 +34,7 @@ fn bench(name: &str, mut f: impl FnMut()) {
     times.sort_by(|a, b| a.partial_cmp(b).expect("finite times"));
     let median = times[samples / 2];
     println!("{name:<40} {:>12.2} us/iter", median * 1e6);
+    median
 }
 
 fn bench_index_engine() {
@@ -61,9 +63,18 @@ fn bench_pipeline() {
         black_box(SmartMemPipeline::new().optimize(&swin, &device).unwrap());
     });
     let opt = SmartMemPipeline::new().optimize(&swin, &device).unwrap();
-    bench("pipeline/estimate swin", || {
+    let estimate_s = bench("pipeline/estimate swin", || {
         black_box(opt.estimate(&device));
     });
+    let trace = opt.estimate(&device).trace;
+    println!(
+        "  estimate/{:<32} {:>12.2} us/kernel ({} unique traces / {} groups, {} addresses)",
+        "swin",
+        estimate_s * 1e6 / opt.groups.len() as f64,
+        trace.unique_groups,
+        opt.groups.len(),
+        trace.addresses
+    );
     // Per-pass breakdown of one compilation, from the pass manager.
     let timed = SmartMemPipeline::new().optimize_timed(&swin, &device).unwrap();
     for t in &timed.timings {

@@ -221,6 +221,44 @@ fn main() {
         )
     );
 
+    // 2a. What `OptimizedGraph::estimate` costs on those artifacts, one
+    // serial zoo sweep per framework. The host time is what the sampled
+    // trace spends; unique traces and addresses say how much work that
+    // was, so an estimator change has its "before" here.
+    let mut rows = Vec::new();
+    for (fi, fw) in frameworks.iter().enumerate() {
+        let compiled: Vec<_> = results.iter().filter_map(|row| row[fi].as_ref().ok()).collect();
+        let start = Instant::now();
+        let reports: Vec<_> = compiled.iter().map(|out| out.optimized.estimate(&device)).collect();
+        let ms = start.elapsed().as_secs_f64() * 1e3;
+        let kernels: usize = reports.iter().map(|r| r.kernel_count).sum();
+        let unique: usize = reports.iter().map(|r| r.trace.unique_groups).sum();
+        let addresses: u64 = reports.iter().map(|r| r.trace.addresses).sum();
+        rows.push(vec![
+            fw.name().to_string(),
+            format!("{}", reports.len()),
+            format!("{ms:.1}"),
+            format!("{:.1}", ms * 1e3 / kernels.max(1) as f64),
+            format!("{unique} / {kernels}"),
+            format!("{addresses}"),
+        ]);
+    }
+    print!(
+        "{}",
+        render_table(
+            "estimate: serial zoo sweep per framework",
+            &[
+                "framework",
+                "models",
+                "ms",
+                "us/kernel",
+                "unique traces / groups",
+                "addresses traced"
+            ],
+            &rows,
+        )
+    );
+
     // 3. Warm recompile: everything must come from the cache.
     let warm_start = Instant::now();
     let _ = session.compile_batch(&frameworks, &graphs, &device, 0);

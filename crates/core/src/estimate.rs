@@ -22,22 +22,17 @@
 //! in cache stream once; otherwise once per output tile strip), and the
 //! roofline cost model of `smartmem-sim` turns traffic and ALU work
 //! (including strength-reduced index arithmetic) into nanoseconds.
-//! Identical group signatures are memoized (transformer blocks repeat
-//! dozens of times).
+//! The trace itself — sample window, address generation, distinct
+//! counting, memoization of identical groups — is [`crate::trace`].
 
 use crate::lte::{is_eliminable, op_pullback};
 use crate::pipeline::{EdgeRead, KernelGroup, OptimizedGraph};
+use crate::trace::{LineDragTracer, TraceStats};
 use smartmem_index::IndexMap;
-use smartmem_ir::{Graph, MemoryClass, Op, PhysicalAddress, Shape};
+use smartmem_ir::{Graph, Layout, MemoryClass, Op, Shape};
 use smartmem_sim::{DeviceConfig, KernelProfile, LatencyClass, MemCounters, OpCost};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 
-/// Output-space sample budget per kernel.
-const MAX_OUT_SAMPLES: usize = 256;
-/// Inner (reduction) loop sample budget per output point.
-const MAX_INNER: usize = 16;
 /// Amortization of index arithmetic across vectorized (`vec4`) loads:
 /// one composed-index evaluation covers a vector of elements.
 const INDEX_AMORTIZATION: f64 = 0.25;
@@ -81,6 +76,8 @@ pub struct ModelReport {
     pub peak_memory_bytes: u64,
     /// Per-kernel details.
     pub groups: Vec<GroupReport>,
+    /// Host-side work the sampled trace did to produce this report.
+    pub trace: TraceStats,
 }
 
 impl ModelReport {
@@ -104,26 +101,12 @@ impl ModelReport {
     }
 }
 
-/// Measured locality of one operand's sampled trace.
-#[derive(Clone, Copy, Debug)]
-struct EdgeTrace {
-    /// Bytes dragged per useful byte, `[1, line/elem]`.
-    drag: f64,
-}
-
-/// Memoized per-group trace results (last entry is the output write).
-#[derive(Clone, Debug)]
-struct GroupTrace {
-    reads: Vec<EdgeTrace>,
-    write: EdgeTrace,
-}
-
 impl OptimizedGraph {
     /// Estimates execution of the optimized model on `device`.
     pub fn estimate(&self, device: &DeviceConfig) -> ModelReport {
         let graph = &self.graph;
         let elem = device.dtype.size_bytes();
-        let mut memo: HashMap<u64, GroupTrace> = HashMap::new();
+        let mut tracer = LineDragTracer::default();
 
         let line_buffer = device.buffer_cache.line_bytes as u64;
         let tile_texture = (device.texture_tiling.tile_w * device.texture_tiling.tile_h) * 4 * elem;
@@ -142,11 +125,9 @@ impl OptimizedGraph {
             let anchor_numel = anchor_out_shape.numel();
             let out_numel = out_shape.numel();
 
-            // --- Sampled trace (memoized) ----------------------------
-            let trace = {
-                let key = group_signature(graph, group);
-                memo.entry(key).or_insert_with(|| trace_group(graph, group, device, elem)).clone()
-            };
+            // --- Sampled trace (memoized): line drag per read, `None`
+            // for a cache-resident operand -----------------------------
+            let drags = tracer.drags(graph, group, device, elem);
 
             // --- Per-operand DRAM traffic ----------------------------
             let mut dram_buffer: u64 = 0;
@@ -155,7 +136,7 @@ impl OptimizedGraph {
             let mut accesses_texture: u64 = 0;
             let mut index_ops = 0.0f64;
 
-            for (read, trace) in group.reads.iter().zip(trace.reads.iter()) {
+            for (read, drag) in group.reads.iter().zip(drags) {
                 let is_anchor_read = read.member == group.anchor;
                 let iter_numel = if is_anchor_read { anchor_numel } else { out_numel } as f64;
                 let ppr = if is_anchor_read {
@@ -170,15 +151,12 @@ impl OptimizedGraph {
                 // compulsory fetch: traffic is just the footprint. Only
                 // streamed operands pay line drag and re-streaming
                 // passes.
-                let cache = match read.layout.memory_class() {
-                    MemoryClass::Buffer1D => device.buffer_cache.size_bytes as f64 * 0.5,
-                    MemoryClass::Texture2p5D => device.texture_cache.size_bytes as f64 * 0.5,
-                };
-                let (traffic, requests) = if (src_bytes as f64) <= cache {
-                    (unique as u64, (unique / elem as f64) as u64)
-                } else {
-                    let passes = operand_passes(graph, group, read, device, elem);
-                    ((unique * trace.drag * passes) as u64, (unique * passes / elem as f64) as u64)
+                let (traffic, requests) = match drag {
+                    None => (unique as u64, (unique / elem as f64) as u64),
+                    Some(drag) => {
+                        let passes = operand_passes(graph, group, read, device, elem);
+                        ((unique * drag * passes) as u64, (unique * passes / elem as f64) as u64)
+                    }
                 };
                 // `requests` are accesses reaching global memory — the
                 // quantity the paper's hardware counter reports (Fig. 7);
@@ -193,7 +171,6 @@ impl OptimizedGraph {
                         accesses_texture += requests;
                     }
                 }
-                let _ = accesses;
                 let mut map_cost = read.map.as_ref().map(|m| m.cost().weighted()).unwrap_or(0.0);
                 if is_anchor_read && is_eliminable(&anchor.op) {
                     map_cost +=
@@ -212,10 +189,13 @@ impl OptimizedGraph {
                 index_ops += map_cost * unique_accesses * INDEX_AMORTIZATION;
             }
 
-            // Output write: streamed once per copy, dragged by the
-            // write layout's locality in iteration order.
-            let write_bytes = ((out_numel * elem) as f64 * trace.write.drag) as u64
-                * (1 + group.extra_copies as u64);
+            // Output write: streamed once per copy. Writes are coalesced
+            // by construction — the kernel's thread order follows the
+            // output layout and GPU write-combining absorbs the residual
+            // scatter (this is also why the paper finds sub-optimal
+            // *writes* cheaper than sub-optimal *reads*, SS3.2.2) — so
+            // they pay no line drag.
+            let write_bytes = out_numel * elem * (1 + group.extra_copies as u64);
             match group.output_layout.memory_class() {
                 MemoryClass::Buffer1D => {
                     dram_buffer += write_bytes;
@@ -283,6 +263,7 @@ impl OptimizedGraph {
             dram_bytes: dram_bytes_total,
             peak_memory_bytes: self.peak_memory(device),
             groups: groups_out,
+            trace: tracer.stats(),
         }
     }
 
@@ -358,6 +339,15 @@ impl OptimizedGraph {
     }
 }
 
+/// Largest operand that stays cache-resident after its compulsory fetch:
+/// half of the cache serving the layout's memory class.
+pub(crate) fn resident_bytes(layout: &Layout, device: &DeviceConfig) -> f64 {
+    match layout.memory_class() {
+        MemoryClass::Buffer1D => device.buffer_cache.size_bytes as f64 * 0.5,
+        MemoryClass::Texture2p5D => device.texture_cache.size_bytes as f64 * 0.5,
+    }
+}
+
 /// How many times an operand must be streamed from DRAM given on-chip
 /// tile reuse: GEMM/conv operands whose counterpart (times its drag)
 /// fits in the cache stream once; otherwise once per output-tile strip.
@@ -372,12 +362,6 @@ fn operand_passes(
     if read.member != group.anchor {
         return 1.0;
     }
-    let cache_bytes = |layout: &smartmem_ir::Layout| -> f64 {
-        match layout.memory_class() {
-            MemoryClass::Buffer1D => device.buffer_cache.size_bytes as f64 * 0.5,
-            MemoryClass::Texture2p5D => device.texture_cache.size_bytes as f64 * 0.5,
-        }
-    };
     let eff_tile_m = (group.config.tile.0 * group.config.workgroup.0).max(1) as f64;
     let eff_tile_n = (group.config.tile.1 * group.config.workgroup.1).max(1) as f64;
     match &member.op {
@@ -388,7 +372,7 @@ fn operand_passes(
             // Does the counterpart operand fit?
             let other_idx = 1 - read.operand_idx.min(1);
             let other = &graph.tensor(member.inputs[other_idx]).shape;
-            let other_fits = (other.numel() * elem) as f64 <= cache_bytes(&read.layout);
+            let other_fits = (other.numel() * elem) as f64 <= resident_bytes(&read.layout, device);
             if other_fits {
                 1.0
             } else if read.operand_idx == 0 {
@@ -402,7 +386,7 @@ fn operand_passes(
             match read.operand_idx {
                 0 => {
                     // x reused across output channels of its group.
-                    let w_fits = (w.numel() * elem) as f64 <= cache_bytes(&read.layout);
+                    let w_fits = (w.numel() * elem) as f64 <= resident_bytes(&read.layout, device);
                     if w_fits {
                         1.0
                     } else {
@@ -425,7 +409,7 @@ fn operand_passes(
 }
 
 /// Pull-back map of a retained transformation kernel's own operation.
-fn own_pullback(graph: &Graph, group: &KernelGroup) -> Option<IndexMap> {
+pub(crate) fn own_pullback(graph: &Graph, group: &KernelGroup) -> Option<IndexMap> {
     let node = graph.node(group.anchor);
     if !is_eliminable(&node.op) {
         return None;
@@ -462,367 +446,6 @@ fn per_point_reads(graph: &Graph, op: &Op, read: &EdgeRead, anchor_out: &Shape) 
             decl.dim(*axis) as f64 / out_extent
         }
         _ => 1.0,
-    }
-}
-
-/// Hash signature of a group for trace memoization.
-fn group_signature(graph: &Graph, group: &KernelGroup) -> u64 {
-    let mut h = DefaultHasher::new();
-    let anchor = graph.node(group.anchor);
-    format!("{:?}", anchor.op).hash(&mut h);
-    graph.tensor(anchor.outputs[0]).shape.dims().hash(&mut h);
-    graph.tensor(group.output).shape.dims().hash(&mut h);
-    format!("{}", group.output_layout).hash(&mut h);
-    for r in &group.reads {
-        graph.tensor(r.source).shape.dims().hash(&mut h);
-        format!("{}", r.layout).hash(&mut h);
-        r.operand_idx.hash(&mut h);
-        graph.node(r.member).op.mnemonic().hash(&mut h);
-        (r.member == group.anchor).hash(&mut h);
-        if let Some(m) = &r.map {
-            format!("{m}").hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-/// Granule key of a physical address: cache line for buffers, 2-D tile
-/// for textures (Table 2's 2.5D locality).
-fn granule_key(addr: PhysicalAddress, device: &DeviceConfig, elem: u64) -> u64 {
-    match addr {
-        PhysicalAddress::Linear(off) => (off * elem) / device.buffer_cache.line_bytes as u64,
-        PhysicalAddress::Texel { x, y, .. } => {
-            let tx = x / device.texture_tiling.tile_w;
-            let ty = y / device.texture_tiling.tile_h;
-            (ty << 24) | tx | (1 << 62)
-        }
-    }
-}
-
-fn elem_key(addr: PhysicalAddress) -> u64 {
-    match addr {
-        PhysicalAddress::Linear(off) => off,
-        PhysicalAddress::Texel { x, y, lane } => (y << 26) | (x << 2) | lane as u64 | (1 << 62),
-    }
-}
-
-/// Runs the sampled trace and measures per-operand line drag.
-fn trace_group(graph: &Graph, group: &KernelGroup, device: &DeviceConfig, elem: u64) -> GroupTrace {
-    let anchor = graph.node(group.anchor);
-    let anchor_out = graph.tensor(anchor.outputs[0]).shape.clone();
-    let out_shape = graph.tensor(group.output).shape.clone();
-    let own_map = own_pullback(graph, group);
-
-    let anchor_samples = sample_subvolume(anchor_out.dims(), MAX_OUT_SAMPLES);
-    let out_samples = sample_subvolume(out_shape.dims(), MAX_OUT_SAMPLES);
-
-    let granule_bytes = |layout: &smartmem_ir::Layout| -> f64 {
-        match layout.memory_class() {
-            MemoryClass::Buffer1D => device.buffer_cache.line_bytes as f64,
-            MemoryClass::Texture2p5D => {
-                (device.texture_tiling.tile_w * device.texture_tiling.tile_h * 4 * elem) as f64
-            }
-        }
-    };
-    let max_drag = |layout: &smartmem_ir::Layout| -> f64 { granule_bytes(layout) / elem as f64 };
-
-    let mut reads = Vec::with_capacity(group.reads.len());
-    let mut scratch = Vec::new();
-    for read in &group.reads {
-        let src_shape = graph.tensor(read.source).shape.clone();
-        let is_anchor_read = read.member == group.anchor;
-        let samples = if is_anchor_read { &anchor_samples } else { &out_samples };
-        let decl_dims = graph.tensor(read.logical).shape.dims().to_vec();
-        let mut elems: HashSet<u64> = HashSet::new();
-        let mut granules: HashSet<u64> = HashSet::new();
-        for coord in samples {
-            scratch.clear();
-            if is_anchor_read {
-                anchor_read_coords(
-                    graph,
-                    &anchor.op,
-                    read,
-                    coord,
-                    &decl_dims,
-                    own_map.as_ref(),
-                    &mut scratch,
-                );
-            } else {
-                scratch.push(clamp_broadcast(coord, &decl_dims));
-            }
-            for decl_coord in &scratch {
-                let src_coord = match &read.map {
-                    None => decl_coord.clone(),
-                    Some(m) => m.eval(decl_coord),
-                };
-                let addr = read.layout.address(&src_shape, &src_coord);
-                elems.insert(elem_key(addr));
-                granules.insert(granule_key(addr, device, elem));
-            }
-        }
-        let useful = (elems.len() as f64 * elem as f64).max(1.0);
-        let dragged = granules.len() as f64 * granule_bytes(&read.layout);
-        let drag = (dragged / useful).clamp(1.0, max_drag(&read.layout));
-        reads.push(EdgeTrace { drag });
-    }
-
-    // Writes are coalesced by construction: the kernel's thread order
-    // follows the output layout and GPU write-combining absorbs the
-    // residual scatter (this is also why the paper finds sub-optimal
-    // *writes* cheaper than sub-optimal *reads*, SS3.2.2).
-    let _ = out_shape;
-    let write = EdgeTrace { drag: 1.0 };
-    GroupTrace { reads, write }
-}
-
-/// Contiguous sub-volume of `dims` with at most `budget` points,
-/// allocated innermost-first.
-fn sample_subvolume(dims: &[usize], budget: usize) -> Vec<Vec<usize>> {
-    let mut window = vec![1usize; dims.len()];
-    let mut remaining = budget.max(1);
-    for i in (0..dims.len()).rev() {
-        let take = dims[i].min(remaining);
-        window[i] = take.max(1);
-        remaining = (remaining / window[i]).max(1);
-    }
-    let total: usize = window.iter().product();
-    let mut coords = Vec::with_capacity(total);
-    let mut c = vec![0usize; dims.len()];
-    for _ in 0..total {
-        coords.push(c.clone());
-        for d in (0..dims.len()).rev() {
-            c[d] += 1;
-            if c[d] < window[d] {
-                break;
-            }
-            c[d] = 0;
-        }
-    }
-    coords
-}
-
-/// Right-aligned broadcast clamp of an iteration coordinate onto a
-/// (possibly lower-rank / size-1) operand shape.
-fn clamp_broadcast(coord: &[usize], decl_dims: &[usize]) -> Vec<usize> {
-    let shift = decl_dims.len() as isize - coord.len() as isize;
-    decl_dims
-        .iter()
-        .enumerate()
-        .map(|(j, &d)| {
-            let ci = j as isize - shift;
-            let c = if ci >= 0 { coord.get(ci as usize).copied().unwrap_or(0) } else { 0 };
-            c.min(d.saturating_sub(1))
-        })
-        .collect()
-}
-
-/// SplitMix64 for pseudo-random gather rows.
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
-/// Generates the declared-space coordinates read by the anchor for one
-/// output point (inner loops sampled up to [`MAX_INNER`]).
-fn anchor_read_coords(
-    graph: &Graph,
-    op: &Op,
-    read: &EdgeRead,
-    out_coord: &[usize],
-    decl_dims: &[usize],
-    own_map: Option<&IndexMap>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    match op {
-        Op::Conv2d { stride, padding, groups } => {
-            let member = graph.node(read.member);
-            let w = graph.tensor(member.inputs[1]).shape.clone();
-            let (cpg, kh, kw) = (w.dim(1), w.dim(2), w.dim(3));
-            let (n, oc, oh, ow) = (out_coord[0], out_coord[1], out_coord[2], out_coord[3]);
-            let o_per_g = w.dim(0) / groups;
-            let g_idx = oc / o_per_g.max(1);
-            let mut emitted = 0usize;
-            'outer: for ic in 0..cpg {
-                for dh in 0..kh {
-                    for dw in 0..kw {
-                        if emitted >= MAX_INNER {
-                            break 'outer;
-                        }
-                        emitted += 1;
-                        match read.operand_idx {
-                            0 => {
-                                let ih = (oh * stride.0 + dh) as isize - padding.0 as isize;
-                                let iw = (ow * stride.1 + dw) as isize - padding.1 as isize;
-                                if ih < 0
-                                    || iw < 0
-                                    || ih as usize >= decl_dims[2]
-                                    || iw as usize >= decl_dims[3]
-                                {
-                                    continue;
-                                }
-                                out.push(vec![n, g_idx * cpg + ic, ih as usize, iw as usize]);
-                            }
-                            1 => out.push(vec![oc, ic, dh, dw]),
-                            _ => {
-                                out.push(vec![oc.min(decl_dims[0].saturating_sub(1))]);
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Op::MatMul { trans_a, trans_b } => {
-            let rank = decl_dims.len();
-            let k_extent = match read.operand_idx {
-                0 => {
-                    if *trans_a {
-                        decl_dims[rank - 2]
-                    } else {
-                        decl_dims[rank - 1]
-                    }
-                }
-                _ => {
-                    if *trans_b {
-                        decl_dims[rank - 1]
-                    } else {
-                        decl_dims[rank - 2]
-                    }
-                }
-            };
-            let or = out_coord.len();
-            let (m, n) = (out_coord[or - 2], out_coord[or - 1]);
-            let batch = clamp_broadcast(&out_coord[..or - 2], &decl_dims[..rank - 2]);
-            for k in 0..k_extent.min(MAX_INNER) {
-                let mut c = batch.clone();
-                match read.operand_idx {
-                    0 => {
-                        if *trans_a {
-                            c.push(k);
-                            c.push(m.min(decl_dims[rank - 1] - 1));
-                        } else {
-                            c.push(m.min(decl_dims[rank - 2] - 1));
-                            c.push(k);
-                        }
-                    }
-                    _ => {
-                        if *trans_b {
-                            c.push(n.min(decl_dims[rank - 2] - 1));
-                            c.push(k);
-                        } else {
-                            c.push(k);
-                            c.push(n.min(decl_dims[rank - 1] - 1));
-                        }
-                    }
-                }
-                out.push(c);
-            }
-        }
-        Op::LayerNorm { axes } | Op::Reduce { axes, .. } => {
-            reduction_space_coords(out_coord, decl_dims, axes, out);
-        }
-        Op::InstanceNorm => {
-            reduction_space_coords(out_coord, decl_dims, &[2, 3], out);
-        }
-        Op::Softmax { axis } => {
-            reduction_space_coords(out_coord, decl_dims, &[*axis], out);
-        }
-        Op::Pool2d { kernel, stride, padding, .. } => {
-            let (n, c0, oh, ow) = (out_coord[0], out_coord[1], out_coord[2], out_coord[3]);
-            let mut emitted = 0;
-            for dh in 0..kernel.0 {
-                for dw in 0..kernel.1 {
-                    if emitted >= MAX_INNER {
-                        return;
-                    }
-                    let ih = (oh * stride.0 + dh) as isize - padding.0 as isize;
-                    let iw = (ow * stride.1 + dw) as isize - padding.1 as isize;
-                    if ih < 0
-                        || iw < 0
-                        || ih as usize >= decl_dims[2]
-                        || iw as usize >= decl_dims[3]
-                    {
-                        continue;
-                    }
-                    out.push(vec![n, c0, ih as usize, iw as usize]);
-                    emitted += 1;
-                }
-            }
-        }
-        Op::Gather { axis } => {
-            if read.operand_idx == 0 {
-                let lin: u64 = out_coord.iter().fold(0u64, |acc, &c| acc * 31 + c as u64);
-                let row = (splitmix(lin) % decl_dims[*axis].max(1) as u64) as usize;
-                let mut c = clamp_broadcast(out_coord, decl_dims);
-                c[*axis] = row;
-                out.push(c);
-            } else {
-                out.push(clamp_broadcast(out_coord, decl_dims));
-            }
-        }
-        Op::Concat { axis } => {
-            let member = graph.node(read.member);
-            let mut offset = 0usize;
-            for (i, &input) in member.inputs.iter().enumerate() {
-                let extent = graph.tensor(input).shape.dim(*axis);
-                if i == read.operand_idx {
-                    let pos = out_coord[*axis];
-                    if pos >= offset && pos < offset + extent {
-                        let mut c = out_coord.to_vec();
-                        c[*axis] = pos - offset;
-                        out.push(clamp_broadcast(&c, decl_dims));
-                    }
-                    return;
-                }
-                offset += extent;
-            }
-        }
-        _ => {
-            let decl = match own_map {
-                Some(m) => m.eval(out_coord),
-                None => clamp_broadcast(out_coord, decl_dims),
-            };
-            out.push(decl);
-        }
-    }
-}
-
-/// Coordinates covering the reduction space of normalization/reduction
-/// operators: non-reduced dims come from the output coordinate, reduced
-/// dims iterate (sampled).
-fn reduction_space_coords(
-    out_coord: &[usize],
-    decl_dims: &[usize],
-    axes: &[usize],
-    out: &mut Vec<Vec<usize>>,
-) {
-    let keeps_rank = out_coord.len() == decl_dims.len();
-    let mut template = vec![0usize; decl_dims.len()];
-    if keeps_rank {
-        for (j, t) in template.iter_mut().enumerate() {
-            *t = out_coord[j].min(decl_dims[j] - 1);
-        }
-    } else {
-        let mut oi = 0;
-        for (j, t) in template.iter_mut().enumerate() {
-            if axes.contains(&j) {
-                continue;
-            }
-            *t = out_coord.get(oi).copied().unwrap_or(0).min(decl_dims[j] - 1);
-            oi += 1;
-        }
-    }
-    let red_total: usize = axes.iter().map(|&a| decl_dims[a]).product();
-    for step in 0..red_total.min(MAX_INNER) {
-        let mut c = template.clone();
-        let mut rem = step;
-        for &a in axes.iter().rev() {
-            c[a] = rem % decl_dims[a];
-            rem /= decl_dims[a];
-        }
-        out.push(c);
     }
 }
 
@@ -909,24 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_subvolume_bounds() {
-        let s = sample_subvolume(&[1000, 1000], 256);
-        assert!(s.len() <= 256);
-        assert!(!s.is_empty());
-        let s = sample_subvolume(&[2, 2], 256);
-        assert_eq!(s.len(), 4);
-        let s = sample_subvolume(&[], 16);
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn clamp_broadcast_right_aligns() {
-        assert_eq!(clamp_broadcast(&[3, 5, 7], &[8, 8]), vec![5, 7]);
-        assert_eq!(clamp_broadcast(&[3, 5, 7], &[1, 8]), vec![0, 7]);
-        assert_eq!(clamp_broadcast(&[2], &[4, 4]), vec![0, 2]);
-    }
-
-    #[test]
     fn peak_memory_pooled_below_unpooled() {
         let g = small_model();
         let device = DeviceConfig::snapdragon_8gen2();
@@ -936,18 +541,5 @@ mod tests {
         opt.mem_model.pooled = false;
         let unpooled = opt.peak_memory(&device);
         assert!(pooled <= unpooled);
-    }
-
-    #[test]
-    fn reduction_space_coords_cover_axes() {
-        let mut out = Vec::new();
-        reduction_space_coords(&[2, 3], &[4, 8, 6], &[1], &mut out);
-        assert!(out.len() <= MAX_INNER);
-        for c in &out {
-            assert_eq!(c[0], 2);
-            assert_eq!(c[2], 3);
-        }
-        let axis_vals: std::collections::HashSet<usize> = out.iter().map(|c| c[1]).collect();
-        assert!(axis_vals.len() > 1);
     }
 }

@@ -74,6 +74,7 @@ mod reduction;
 mod session;
 mod streamline;
 mod texture;
+mod trace;
 mod tune;
 
 pub use classify::{classify, InputDep, OpClass, OutputKind};
@@ -103,4 +104,5 @@ pub use session::{
     device_fingerprint, graph_fingerprint, CacheStats, CompileResult, CompileSession,
 };
 pub use texture::{fits_texture, place_buffer, place_texture, MAX_TEXTURE_EXTENT};
+pub use trace::TraceStats;
 pub use tune::{base_utilization, utilization, ExecConfig, GaTuner};

@@ -335,12 +335,6 @@ pub(crate) fn simplify_all(exprs: &[IndexExpr], extents: &[usize]) -> Vec<IndexE
     })
 }
 
-/// Evaluates every expression in `exprs` under one variable assignment
-/// with a single arena lock (the hot path of [`crate::IndexMap::eval`]).
-pub(crate) fn eval_all(exprs: &[IndexExpr], vars: &[i64]) -> Vec<i64> {
-    intern::with_read(|a| exprs.iter().map(|e| a.eval(e.id, vars)).collect())
-}
-
 /// Sums the costs of `exprs` with a single arena lock and a shared
 /// per-node memo.
 pub(crate) fn cost_all(exprs: &[IndexExpr]) -> ExprCost {

@@ -19,6 +19,9 @@
 //!   elimination (`e % m → e` when `e < m`).
 //! * [`IndexMap`] — multi-dimensional coordinate maps with constructors
 //!   for every Fixed-output operator and composition for operator chains.
+//! * [`MapProgram`] — a map compiled to a register program
+//!   ([`IndexMap::compile`]), the address generator a consumer runs per
+//!   element without re-interpreting the expression DAG.
 //! * Index **dependency classification** ([`IndexMap::classify`]) into
 //!   identity / split / merge, as in Fig. 3.
 //!
@@ -46,8 +49,10 @@
 mod expr;
 mod intern;
 mod map;
+mod program;
 mod simplify;
 mod wire;
 
 pub use expr::{ExprCost, ExprView, IndexExpr, Range};
 pub use map::{DepKind, IndexMap};
+pub use program::MapProgram;

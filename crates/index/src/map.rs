@@ -1,6 +1,7 @@
 //! Multi-dimensional coordinate maps for layout-transformation chains.
 
 use crate::expr::{self, ExprCost, IndexExpr};
+use crate::program::MapProgram;
 use std::fmt;
 
 /// Index dependency kind of one input dimension with respect to the
@@ -245,15 +246,23 @@ impl IndexMap {
         }
     }
 
-    /// Evaluates the map at an output coordinate.
+    /// Compiles the map into a register program (one arena lock). Worth
+    /// it whenever more than one coordinate will be evaluated.
+    pub fn compile(&self) -> MapProgram {
+        MapProgram::new(self.out_extents.len(), &self.exprs)
+    }
+
+    /// Evaluates the map at one output coordinate (compiles, then runs,
+    /// the map's program — hold on to [`IndexMap::compile`]'s result to
+    /// evaluate many).
     ///
     /// # Panics
     ///
     /// Panics if `coord` rank differs from the output rank.
     pub fn eval(&self, coord: &[usize]) -> Vec<usize> {
-        assert_eq!(coord.len(), self.out_extents.len(), "coordinate rank mismatch");
-        let vars: Vec<i64> = coord.iter().map(|&c| c as i64).collect();
-        expr::eval_all(&self.exprs, &vars).into_iter().map(|v| v.max(0) as usize).collect()
+        let mut out = Vec::with_capacity(self.exprs.len());
+        self.compile().eval_into(coord, &mut out);
+        out
     }
 
     /// Input extents (the producer tensor's shape).

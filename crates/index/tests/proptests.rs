@@ -162,3 +162,60 @@ proptest! {
         prop_assert!(roundtrip.is_identity(), "got {}", roundtrip);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The compiled register program is the tree walk: on
+    /// slice ∘ reshape ∘ transpose ∘ roll chains — the reshape's
+    /// linearization is a sub-DAG shared by every component, and the
+    /// roll's `(i - k) % e` goes negative before the euclidean
+    /// remainder — one program evaluated over the whole output box
+    /// agrees with `IndexExpr::eval` per component, raw and simplified.
+    #[test]
+    fn compiled_program_matches_tree_walk(
+        shape in prop::collection::vec(1usize..6, 2..4),
+        split in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let mut s = seed;
+        let mut next = |n: usize| {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 33) as usize % n
+        };
+        let axis = next(shape.len());
+        let start = next(shape[axis]);
+        let len = 1 + next(shape[axis] - start);
+        let slice = IndexMap::slice(&shape, axis, start, len);
+        let numel: usize = slice.out_extents().iter().product();
+        let to = if numel % split == 0 { vec![split, numel / split] } else { vec![1, numel] };
+        let reshape = IndexMap::reshape(slice.out_extents(), &to);
+        let perm = if next(2) == 0 { vec![0, 1] } else { vec![1, 0] };
+        let transpose = IndexMap::transpose(&to, &perm);
+        let out = transpose.out_extents().to_vec();
+        let roll = IndexMap::from_parts(
+            out.clone(),
+            out.clone(),
+            out.iter()
+                .enumerate()
+                .map(|(j, &e)| {
+                    let shifted = IndexExpr::add(IndexExpr::var(j), IndexExpr::constant(-(next(4) as i64)));
+                    IndexExpr::rem(shifted, IndexExpr::constant(e as i64))
+                })
+                .collect(),
+        );
+        let raw = slice.then(&reshape).then(&transpose).then(&roll);
+        for map in [raw.simplify(), raw] {
+            let mut program = map.compile();
+            let mut got = Vec::new();
+            for coord in enumerate_coords(&out) {
+                let vars: Vec<i64> = coord.iter().map(|&c| c as i64).collect();
+                let expect: Vec<usize> =
+                    map.exprs().iter().map(|e| e.eval(&vars).max(0) as usize).collect();
+                program.eval_into(&coord, &mut got);
+                prop_assert_eq!(&got, &expect, "{} at {:?}", map, coord);
+                prop_assert_eq!(map.eval(&coord), expect);
+            }
+        }
+    }
+}

@@ -62,6 +62,46 @@ pub enum PhysicalAddress {
     },
 }
 
+/// One logical dim's contribution to an address:
+/// `(coord >> shift) * x` to the linear offset or texel column,
+/// `(coord >> shift) * y` to the texel row.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct DimStride {
+    /// 2 for the vec4-packed dim (block index), 0 otherwise.
+    shift: u32,
+    x: u64,
+    y: u64,
+}
+
+/// Addressing of one (layout, shape) pair, built by [`Layout::plan`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AddressPlan {
+    class: MemoryClass,
+    /// Per logical dim, in logical order.
+    dims: Vec<DimStride>,
+    vector_dim: Option<usize>,
+}
+
+impl AddressPlan {
+    /// Physical address of the element at `coord`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coord` rank differs from the planned shape's rank.
+    pub fn address(&self, coord: &[usize]) -> PhysicalAddress {
+        assert_eq!(coord.len(), self.dims.len(), "coordinate rank mismatch");
+        let (x, y) = coord.iter().zip(&self.dims).fold((0u64, 0u64), |(x, y), (&c, d)| {
+            let c = (c >> d.shift) as u64;
+            (x.wrapping_add(c.wrapping_mul(d.x)), y.wrapping_add(c.wrapping_mul(d.y)))
+        });
+        let lane = self.vector_dim.map_or(0, |v| coord[v] % 4);
+        match self.class {
+            MemoryClass::Buffer1D => PhysicalAddress::Linear(x + lane as u64),
+            MemoryClass::Texture2p5D => PhysicalAddress::Texel { x, y, lane: lane as u8 },
+        }
+    }
+}
+
 /// A physical layout for a tensor of some rank.
 ///
 /// # Example
@@ -187,57 +227,58 @@ impl Layout {
         }
     }
 
-    /// Physical address of the element at `coord` in a tensor of `shape`.
+    /// The dim lists folded (outer→inner) into the two address axes —
+    /// `[linear offset, nothing]` for a buffer, `[texel column, texel
+    /// row]` for a texture — and the vec4-packed dim.
+    fn folded_axes(&self) -> ([&[usize]; 2], Option<usize>) {
+        match self {
+            Layout::Buffer { perm, vector_dim } => ([perm, &[]], *vector_dim),
+            Layout::Texture(p) => ([&p.width_dims, &p.height_dims], p.vector_dim),
+        }
+    }
+
+    /// Precomputes addressing of a tensor of `shape` under this layout:
+    /// the folds of `perm` / the texture axis lists become per-dim
+    /// strides, so [`AddressPlan::address`] is a dot product. Build it
+    /// once per (layout, shape) when addressing many coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layout names a dim outside the shape's rank.
+    pub fn plan(&self, shape: &Shape) -> AddressPlan {
+        let (axes, vector_dim) = self.folded_axes();
+        // A buffer's lane is the innermost unit of the linear offset; a
+        // texel's lane is addressed beside (x, y).
+        let innermost = match (self, vector_dim) {
+            (Layout::Buffer { .. }, Some(_)) => 4,
+            _ => 1,
+        };
+        let mut dims = vec![DimStride::default(); shape.rank()];
+        for (axis, listed) in axes.into_iter().enumerate() {
+            let mut stride: u64 = innermost;
+            for &d in listed.iter().rev() {
+                // The packed dim folds at ceil(extent/4) granularity and
+                // contributes its block index; its low 2 bits are the lane.
+                let packed = vector_dim == Some(d);
+                let extent = if packed { shape.dim(d).div_ceil(4) } else { shape.dim(d) };
+                dims[d].shift = if packed { 2 } else { 0 };
+                let slot = if axis == 0 { &mut dims[d].x } else { &mut dims[d].y };
+                *slot = slot.wrapping_add(stride);
+                stride = stride.wrapping_mul(extent as u64);
+            }
+        }
+        AddressPlan { class: self.memory_class(), dims, vector_dim }
+    }
+
+    /// Physical address of the element at `coord` in a tensor of `shape`
+    /// (one-shot [`Layout::plan`] + [`AddressPlan::address`]).
     ///
     /// # Panics
     ///
     /// Panics if `coord` rank differs from `shape` rank or the layout is
     /// invalid for the shape's rank.
     pub fn address(&self, shape: &Shape, coord: &[usize]) -> PhysicalAddress {
-        assert_eq!(coord.len(), shape.rank(), "coordinate rank mismatch");
-        match self {
-            Layout::Buffer { perm, vector_dim } => {
-                let mut offset: u64 = 0;
-                match vector_dim {
-                    None => {
-                        for &d in perm {
-                            offset = offset * shape.dim(d) as u64 + coord[d] as u64;
-                        }
-                        PhysicalAddress::Linear(offset)
-                    }
-                    Some(v) => {
-                        // Packed dim folds at ceil(extent/4) granularity;
-                        // its low 2 bits become the innermost unit.
-                        for &d in perm {
-                            if d == *v {
-                                let blocks = shape.dim(d).div_ceil(4) as u64;
-                                offset = offset * blocks + (coord[d] / 4) as u64;
-                            } else {
-                                offset = offset * shape.dim(d) as u64 + coord[d] as u64;
-                            }
-                        }
-                        PhysicalAddress::Linear(offset * 4 + (coord[*v] % 4) as u64)
-                    }
-                }
-            }
-            Layout::Texture(p) => {
-                let fold = |dims: &[usize]| -> u64 {
-                    let mut idx: u64 = 0;
-                    for &d in dims {
-                        let (extent, c) = match p.vector_dim {
-                            Some(v) if v == d => {
-                                (shape.dim(d).div_ceil(4) as u64, (coord[d] / 4) as u64)
-                            }
-                            _ => (shape.dim(d) as u64, coord[d] as u64),
-                        };
-                        idx = idx * extent + c;
-                    }
-                    idx
-                };
-                let lane = p.vector_dim.map(|v| (coord[v] % 4) as u8).unwrap_or(0);
-                PhysicalAddress::Texel { x: fold(&p.width_dims), y: fold(&p.height_dims), lane }
-            }
-        }
+        self.plan(shape).address(coord)
     }
 
     /// Texture extent `(width_texels, height_rows)` for a tensor of
@@ -434,6 +475,59 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 3 * 5 * 7);
+    }
+
+    /// The definitional address: Horner folds of `perm` / the texture
+    /// axis lists, re-deriving every extent per call. The plan must
+    /// agree with it everywhere.
+    fn fold_address(layout: &Layout, shape: &Shape, coord: &[usize]) -> PhysicalAddress {
+        let (axes, vector_dim) = layout.folded_axes();
+        let [x, y] = axes.map(|dims| {
+            dims.iter().fold(0u64, |idx, &d| {
+                if vector_dim == Some(d) {
+                    idx * shape.dim(d).div_ceil(4) as u64 + (coord[d] / 4) as u64
+                } else {
+                    idx * shape.dim(d) as u64 + coord[d] as u64
+                }
+            })
+        });
+        let lane = vector_dim.map_or(0, |v| coord[v] % 4);
+        match layout {
+            Layout::Buffer { vector_dim: None, .. } => PhysicalAddress::Linear(x),
+            Layout::Buffer { .. } => PhysicalAddress::Linear(x * 4 + lane as u64),
+            Layout::Texture(_) => PhysicalAddress::Texel { x, y, lane: lane as u8 },
+        }
+    }
+
+    #[test]
+    fn plan_matches_the_fold_for_every_variant_on_odd_extents() {
+        let shape = Shape::new(vec![3, 7, 5, 9]);
+        let texture = |vector_dim| {
+            Layout::Texture(TexturePlacement {
+                height_dims: vec![2, 0],
+                width_dims: vec![3, 1],
+                vector_dim,
+            })
+        };
+        let layouts = [
+            Layout::row_major(4),
+            Layout::permuted(vec![2, 0, 3, 1]),
+            Layout::nc4hw4(),
+            Layout::Buffer { perm: vec![3, 1, 0, 2], vector_dim: Some(3) },
+            Layout::texture_default(4),
+            texture(Some(2)),
+            texture(None),
+        ];
+        for layout in &layouts {
+            assert!(layout.validate(4).is_ok());
+            let plan = layout.plan(&shape);
+            for off in 0..shape.numel() {
+                let c = shape.delinearize(off);
+                let expect = fold_address(layout, &shape, &c);
+                assert_eq!(plan.address(&c), expect, "{layout} at {c:?}");
+                assert_eq!(layout.address(&shape, &c), expect, "{layout} at {c:?}");
+            }
+        }
     }
 
     #[test]

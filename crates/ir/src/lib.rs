@@ -51,7 +51,7 @@ pub use graph::{
     infer_output_shapes, Graph, GraphBuilder, Node, OpId, OpOrigin, SymAxis, TensorId, TensorInfo,
     TensorKind,
 };
-pub use layout::{Layout, MemoryClass, PhysicalAddress, TexturePlacement};
+pub use layout::{AddressPlan, Layout, MemoryClass, PhysicalAddress, TexturePlacement};
 pub use ops::{BinaryKind, Op, OpCategory, PoolKind, ReduceKind, UnaryKind};
 pub use shape::Shape;
 pub use sym::{BucketTable, SymDim};
