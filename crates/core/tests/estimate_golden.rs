@@ -5,8 +5,10 @@
 //! same distinct elements and granules, so latency, DRAM traffic, the
 //! memory counters and every per-group cost stay bit-identical.
 //!
-//! The rows were recorded on the interpretive trace path (PR 16's parent)
-//! and must not be edited by a change that claims to preserve the model.
+//! The rows were recorded on the interpretive trace path, before the
+//! trace was compiled (the serve-pool rows below `server_npu`: on the
+//! compiled trace, before repeated coordinate sets were skipped), and
+//! must not be edited by a change that claims to preserve the model.
 //! On a mismatch the test prints the whole table as computed, in source
 //! form, so a deliberate model change can re-seed it in one paste.
 
@@ -24,11 +26,37 @@ type Row = (&'static str, &'static str, &'static str, u64, u64, [u64; 4], u64);
 /// decoder LLM.
 const CROSS_DEVICE_MODELS: [&str; 3] = ["Swin", "ResNext", "Pythia"];
 
-fn devices() -> Vec<(&'static str, DeviceConfig, Option<&'static [&'static str]>)> {
+/// The ten models the serve workloads deploy on every pool device.
+const SERVE_MODELS: [&str; 10] = [
+    "AutoFormer",
+    "CrossFormer",
+    "EfficientVit",
+    "Swin",
+    "ViT",
+    "SD-TextEncoder",
+    "ConvNext",
+    "RegNet",
+    "ResNext",
+    "Yolo-V8",
+];
+
+const BOTH_LEVELS: &[&str] = &["smartmem", "dnnfusion"];
+
+/// A device, its name in the table, the models pinned on it (`None`:
+/// the whole zoo) and the levels.
+type DeviceRows =
+    (&'static str, DeviceConfig, Option<&'static [&'static str]>, &'static [&'static str]);
+
+fn devices() -> Vec<DeviceRows> {
     vec![
-        ("snapdragon_8gen2", DeviceConfig::snapdragon_8gen2(), None),
-        ("apple_m1", DeviceConfig::apple_m1(), Some(&CROSS_DEVICE_MODELS)),
-        ("server_npu", DeviceConfig::server_npu(), Some(&CROSS_DEVICE_MODELS)),
+        ("snapdragon_8gen2", DeviceConfig::snapdragon_8gen2(), None, BOTH_LEVELS),
+        ("apple_m1", DeviceConfig::apple_m1(), Some(&CROSS_DEVICE_MODELS), BOTH_LEVELS),
+        ("server_npu", DeviceConfig::server_npu(), Some(&CROSS_DEVICE_MODELS), BOTH_LEVELS),
+        // The rest of the serve pool, as served: older texture GPUs and
+        // the AFBC-compressed Mali path.
+        ("snapdragon_835", DeviceConfig::snapdragon_835(), Some(&SERVE_MODELS), &["smartmem"]),
+        ("dimensity_700", DeviceConfig::dimensity_700(), Some(&SERVE_MODELS), &["smartmem"]),
+        ("mali_g710", DeviceConfig::mali_g710(), Some(&SERVE_MODELS), &["smartmem"]),
     ]
 }
 
@@ -47,13 +75,16 @@ fn fold_groups(report: &ModelReport) -> u64 {
 
 fn compute() -> Vec<Row> {
     let mut rows = Vec::new();
-    for (device_name, device, only) in devices() {
+    for (device_name, device, only, levels) in devices() {
         for entry in all_models() {
             if only.is_some_and(|names| !names.contains(&entry.name)) {
                 continue;
             }
             let graph = entry.graph();
             for (config_name, config) in configs() {
+                if !levels.contains(&config_name) {
+                    continue;
+                }
                 let optimized = SmartMemPipeline::with_config(config)
                     .optimize(&graph, &device)
                     .unwrap_or_else(|e| panic!("{} on {device_name}: {e}", entry.name));
@@ -142,4 +173,34 @@ const GOLDEN: &[Row] = &[
     ("Pythia", "server_npu", "dnnfusion", 0x402d2734ba2329b4, 2340358656, [1136887040, 9142026, 0, 0], 0xd0b0ad1e14d1e6e8),
     ("ResNext", "server_npu", "smartmem", 0x3fef3bb84a2baee2, 119943120, [59971560, 468527, 0, 0], 0x83cace91f93e795a),
     ("ResNext", "server_npu", "dnnfusion", 0x3ffcc986d825e501, 119943120, [59971560, 468527, 0, 0], 0xb2d287488fad2306),
+    ("AutoFormer", "snapdragon_835", "smartmem", 0x40574087d4888b7f, 366666938, [0, 0, 101026573, 5729157], 0xcc03e7449476087b),
+    ("CrossFormer", "snapdragon_835", "smartmem", 0x405448210d829bd2, 541605004, [0, 0, 110055596, 8462560], 0xdff206c49e3e5bcf),
+    ("EfficientVit", "snapdragon_835", "smartmem", 0x40530c12784cf48d, 751118807, [0, 0, 153688880, 11736226], 0xb6479b32c43978fb),
+    ("Swin", "snapdragon_835", "smartmem", 0x40544ea9447ae681, 542363212, [0, 0, 113725580, 8474407], 0xdb9c09c1360abeb9),
+    ("ViT", "snapdragon_835", "smartmem", 0x406cc2add0e60531, 682441144, [0, 0, 200743388, 10663142], 0x20021d83cb6d4a79),
+    ("SD-TextEncoder", "snapdragon_835", "smartmem", 0x405a44cd26a949d4, 353341030, [59136, 59136, 139632905, 5461802], 0x57492c3dbb66bc50),
+    ("ConvNext", "snapdragon_835", "smartmem", 0x404fed7249b4aa86, 377186575, [0, 0, 91784048, 5893538], 0x02d9f99608d7af8e),
+    ("RegNet", "snapdragon_835", "smartmem", 0x40526d873357c459, 496711970, [0, 0, 93208224, 7761066], 0x1146d78d14d8f2f9),
+    ("ResNext", "snapdragon_835", "smartmem", 0x40564368a152421e, 695337403, [0, 0, 198106088, 10864638], 0x23c0f90aa2a6cc34),
+    ("Yolo-V8", "snapdragon_835", "smartmem", 0x405496c19d1715c7, 595227567, [0, 0, 82134416, 9300409], 0x77495452a359fadb),
+    ("AutoFormer", "dimensity_700", "smartmem", 0x4061cc6abad2e4ab, 366666938, [0, 0, 101026573, 5729157], 0xa0c19f1b64909f6a),
+    ("CrossFormer", "dimensity_700", "smartmem", 0x405ee5da493610a6, 541605004, [0, 0, 110055596, 8462560], 0xb722a2ec2d250bcd),
+    ("EfficientVit", "dimensity_700", "smartmem", 0x405dc8ae55748f44, 755091517, [0, 0, 154290992, 11798300], 0x1fcb5ab77eca5ade),
+    ("Swin", "dimensity_700", "smartmem", 0x405eb9260f6c1063, 542363212, [0, 0, 113725580, 8474407], 0xffca6ac264448865),
+    ("ViT", "dimensity_700", "smartmem", 0x4076a318affae49f, 682441144, [0, 0, 200743388, 10663142], 0xede08449b0bef226),
+    ("SD-TextEncoder", "dimensity_700", "smartmem", 0x40644a1d1def4157, 353341030, [59136, 59136, 139632905, 5461802], 0x1d329875eb4c7ddc),
+    ("ConvNext", "dimensity_700", "smartmem", 0x40588fb939c85cfa, 378033295, [0, 0, 91784048, 5906768], 0x904a498e1cb8742e),
+    ("RegNet", "dimensity_700", "smartmem", 0x405c16dedc752c1d, 500379938, [0, 0, 95014560, 7818378], 0x49f60c5afb1731a5),
+    ("ResNext", "dimensity_700", "smartmem", 0x40617ad7269af8fe, 700886952, [0, 0, 199661544, 10951350], 0x04652bd617b09d1e),
+    ("Yolo-V8", "dimensity_700", "smartmem", 0x405ffeb753c2c75b, 597484463, [0, 0, 82748816, 9335673], 0x7d1ed9682604a7cc),
+    ("AutoFormer", "mali_g710", "smartmem", 0x4046230d4817659c, 366666938, [0, 0, 101026573, 5729157], 0xa63232a194c2d06c),
+    ("CrossFormer", "mali_g710", "smartmem", 0x4044285eff37f152, 541605004, [0, 0, 110055596, 8462560], 0x3d3c59f715a25cd8),
+    ("EfficientVit", "mali_g710", "smartmem", 0x40415c6ccd954932, 751118807, [0, 0, 153688880, 11736226], 0xafdc3bcd8f16aa06),
+    ("Swin", "mali_g710", "smartmem", 0x404495c91d9d5999, 542363212, [0, 0, 113725580, 8474407], 0x020a215eb402986d),
+    ("ViT", "mali_g710", "smartmem", 0x4059773629af6bea, 682441144, [0, 0, 200743388, 10663142], 0x3bf18e8bb52e10d3),
+    ("SD-TextEncoder", "mali_g710", "smartmem", 0x4048683caa32a682, 353341030, [59136, 59136, 139632905, 5461802], 0x3a6ce62c2e20cdfe),
+    ("ConvNext", "mali_g710", "smartmem", 0x403dcf1ede9aa8b2, 377186575, [0, 0, 91784048, 5893538], 0xf4aa77cdfa3235e9),
+    ("RegNet", "mali_g710", "smartmem", 0x4041dbf8d1107e98, 496711970, [0, 0, 93208224, 7761066], 0x9a12a9eef7f94ba1),
+    ("ResNext", "mali_g710", "smartmem", 0x4043bc39a0eba643, 695337403, [0, 0, 198106088, 10864638], 0x9c4b157a4f9221e5),
+    ("Yolo-V8", "mali_g710", "smartmem", 0x4042da66adc7cee0, 595227567, [0, 0, 82134416, 9300409], 0xf49101c725f0f2a4),
 ];
