@@ -68,12 +68,13 @@ fn bench_pipeline() {
     });
     let trace = opt.estimate(&device).trace;
     println!(
-        "  estimate/{:<32} {:>12.2} us/kernel ({} unique traces / {} groups, {} addresses)",
+        "  estimate/{:<32} {:>12.2} us/kernel ({} unique traces / {} groups, {} addresses, {} points skipped)",
         "swin",
         estimate_s * 1e6 / opt.groups.len() as f64,
         trace.unique_groups,
         opt.groups.len(),
-        trace.addresses
+        trace.addresses,
+        trace.skipped_points
     );
     // Per-pass breakdown of one compilation, from the pass manager.
     let timed = SmartMemPipeline::new().optimize_timed(&swin, &device).unwrap();

@@ -222,9 +222,13 @@ fn main() {
     );
 
     // 2a. What `OptimizedGraph::estimate` costs on those artifacts, one
-    // serial zoo sweep per framework. The host time is what the sampled
-    // trace spends; unique traces and addresses say how much work that
-    // was, so an estimator change has its "before" here.
+    // zoo sweep per framework (models one after another; each estimate
+    // traces its distinct groups across the cores). The host time is
+    // what the sampled trace spends; unique traces, addresses and
+    // skipped points say how much work that was, so an estimator change
+    // has its "before" here. SmartMem's two counts are deterministic, so
+    // the regression gate pins them: a change that re-inflates the
+    // trace fails CI even when no wall clock moved.
     let mut rows = Vec::new();
     for (fi, fw) in frameworks.iter().enumerate() {
         let compiled: Vec<_> = results.iter().filter_map(|row| row[fi].as_ref().ok()).collect();
@@ -234,6 +238,15 @@ fn main() {
         let kernels: usize = reports.iter().map(|r| r.kernel_count).sum();
         let unique: usize = reports.iter().map(|r| r.trace.unique_groups).sum();
         let addresses: u64 = reports.iter().map(|r| r.trace.addresses).sum();
+        let skipped: u64 = reports.iter().map(|r| r.trace.skipped_points).sum();
+        if fw.name() == "SmartMem" {
+            for (metric, value) in [
+                ("estimate_addresses", addresses as f64),
+                ("estimate_unique_traces", unique as f64),
+            ] {
+                records.push(BenchRecord::new("pass_timing", device.slug(), metric, value));
+            }
+        }
         rows.push(vec![
             fw.name().to_string(),
             format!("{}", reports.len()),
@@ -241,19 +254,21 @@ fn main() {
             format!("{:.1}", ms * 1e3 / kernels.max(1) as f64),
             format!("{unique} / {kernels}"),
             format!("{addresses}"),
+            format!("{skipped}"),
         ]);
     }
     print!(
         "{}",
         render_table(
-            "estimate: serial zoo sweep per framework",
+            "estimate: zoo sweep per framework",
             &[
                 "framework",
                 "models",
                 "ms",
                 "us/kernel",
                 "unique traces / groups",
-                "addresses traced"
+                "addresses traced",
+                "points skipped"
             ],
             &rows,
         )

@@ -23,11 +23,13 @@
 //! roofline cost model of `smartmem-sim` turns traffic and ALU work
 //! (including strength-reduced index arithmetic) into nanoseconds.
 //! The trace itself — sample window, address generation, distinct
-//! counting, memoization of identical groups — is [`crate::trace`].
+//! counting, one trace per distinct group signature — is
+//! [`crate::trace`].
 
 use crate::lte::{is_eliminable, op_pullback};
+use crate::par;
 use crate::pipeline::{EdgeRead, KernelGroup, OptimizedGraph};
-use crate::trace::{LineDragTracer, TraceStats};
+use crate::trace::{trace_all, TraceStats};
 use smartmem_index::IndexMap;
 use smartmem_ir::{Graph, Layout, MemoryClass, Op, Shape};
 use smartmem_sim::{DeviceConfig, KernelProfile, LatencyClass, MemCounters, OpCost};
@@ -106,7 +108,10 @@ impl OptimizedGraph {
     pub fn estimate(&self, device: &DeviceConfig) -> ModelReport {
         let graph = &self.graph;
         let elem = device.dtype.size_bytes();
-        let mut tracer = LineDragTracer::default();
+        let pullbacks: Vec<_> = self.groups.iter().map(|g| own_pullback(graph, g)).collect();
+        // --- Sampled trace: line drag per read, `None` for a
+        // cache-resident operand; one trace per distinct signature -----
+        let traces = trace_all(graph, &self.groups, &pullbacks, device, elem, par::workers());
 
         let line_buffer = device.buffer_cache.line_bytes as u64;
         let tile_texture = (device.texture_tiling.tile_w * device.texture_tiling.tile_h) * 4 * elem;
@@ -125,10 +130,6 @@ impl OptimizedGraph {
             let anchor_numel = anchor_out_shape.numel();
             let out_numel = out_shape.numel();
 
-            // --- Sampled trace (memoized): line drag per read, `None`
-            // for a cache-resident operand -----------------------------
-            let drags = tracer.drags(graph, group, device, elem);
-
             // --- Per-operand DRAM traffic ----------------------------
             let mut dram_buffer: u64 = 0;
             let mut dram_texture: u64 = 0;
@@ -136,7 +137,7 @@ impl OptimizedGraph {
             let mut accesses_texture: u64 = 0;
             let mut index_ops = 0.0f64;
 
-            for (read, drag) in group.reads.iter().zip(drags) {
+            for (read, drag) in group.reads.iter().zip(traces.drags(gi)) {
                 let is_anchor_read = read.member == group.anchor;
                 let iter_numel = if is_anchor_read { anchor_numel } else { out_numel } as f64;
                 let ppr = if is_anchor_read {
@@ -172,9 +173,8 @@ impl OptimizedGraph {
                     }
                 }
                 let mut map_cost = read.map.as_ref().map(|m| m.cost().weighted()).unwrap_or(0.0);
-                if is_anchor_read && is_eliminable(&anchor.op) {
-                    map_cost +=
-                        own_pullback(graph, group).map(|m| m.cost().weighted()).unwrap_or(0.0);
+                if let Some(own) = pullbacks[gi].as_ref().filter(|_| is_anchor_read) {
+                    map_cost += own.cost().weighted();
                 }
                 // Index expressions are evaluated once per *distinct*
                 // element: loop-invariant sub-expressions are hoisted out
@@ -263,7 +263,7 @@ impl OptimizedGraph {
             dram_bytes: dram_bytes_total,
             peak_memory_bytes: self.peak_memory(device),
             groups: groups_out,
-            trace: tracer.stats(),
+            trace: traces.stats,
         }
     }
 

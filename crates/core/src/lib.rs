@@ -67,6 +67,7 @@ mod fusion;
 mod groupcache;
 mod layout_select;
 mod lte;
+mod par;
 mod pass;
 mod persist;
 mod pipeline;

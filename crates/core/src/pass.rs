@@ -24,6 +24,7 @@ use crate::layout_select::{
     SelectionLevel,
 };
 use crate::lte::{eliminate, LteResult};
+use crate::par;
 use crate::pipeline::{
     assemble_groups, iteration_mn, KernelGroup, MemModel, OptStats, OptimizedGraph, Unsupported,
 };
@@ -34,8 +35,6 @@ use smartmem_ir::{Graph, Op};
 use smartmem_sim::DeviceConfig;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Shared state threaded through a pass sequence.
@@ -736,35 +735,16 @@ impl GroupRefine for TunePass {
                 (i, node.op.clone(), m, n, group_content_hash(&ctx.graph, g))
             })
             .collect();
-        let workers = std::thread::available_parallelism().map_or(4, usize::from).min(jobs.len());
-        let mut results: Vec<Option<(ExecConfig, f64)>> = vec![None; jobs.len()];
-        if workers <= 1 {
-            for (slot, (_, op, m, n, salt)) in results.iter_mut().zip(&jobs) {
-                *slot = Some(self.tuner.tune_salted(op, *m, *n, *salt));
-            }
-        } else {
-            let slots: Vec<Mutex<Option<(ExecConfig, f64)>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
-            let cursor = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    s.spawn(|| loop {
-                        let j = cursor.fetch_add(1, Ordering::Relaxed);
-                        if j >= jobs.len() {
-                            break;
-                        }
-                        let (_, op, m, n, salt) = &jobs[j];
-                        let tuned = self.tuner.tune_salted(op, *m, *n, *salt);
-                        *slots[j].lock().expect("tune slot lock") = Some(tuned);
-                    });
-                }
-            });
-            for (slot, m) in results.iter_mut().zip(slots) {
-                *slot = m.into_inner().expect("tune slot lock");
-            }
-        }
-        for ((i, ..), tuned) in jobs.iter().zip(results) {
-            let (config, util) = tuned.expect("every tuning job ran");
+        let results = par::fan_out(
+            jobs.len(),
+            par::workers(),
+            || (),
+            |_, j| {
+                let (_, op, m, n, salt) = &jobs[j];
+                self.tuner.tune_salted(op, *m, *n, *salt)
+            },
+        );
+        for ((i, ..), (config, util)) in jobs.iter().zip(results) {
             ctx.groups[*i].config = config;
             ctx.groups[*i].utilization = util;
         }

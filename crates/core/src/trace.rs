@@ -15,12 +15,23 @@
 //! flat buffers and the distinct-counters are open-addressing tables,
 //! all reused across reads and groups. Operands small enough to stay
 //! cache-resident are not traced at all — their traffic is their
-//! footprint and nobody asks for their drag. Identical group signatures
-//! share one trace (transformer blocks repeat dozens of times).
+//! footprint and nobody asks for their drag.
+//!
+//! Only work that can change a count is done. An output point whose
+//! declared coordinates repeat the previous point's (a MatMul A operand
+//! along `n`, conv weights along the spatial dims) is skipped: the
+//! counts are set unions, so the repeat cannot move them. Where the
+//! point moved only along output dims the read's loop nest never looks
+//! at ([`blind_out_dims`]), the repeat is known without generating the
+//! set (debug builds generate it anyway and assert it). Identical
+//! group signatures share one trace (transformer blocks repeat dozens
+//! of times), and [`trace_all`] traces the distinct ones across the
+//! host's cores; the result does not depend on how many.
 //!
 //! [`OptimizedGraph::estimate`]: crate::OptimizedGraph::estimate
 
-use crate::estimate::{own_pullback, resident_bytes};
+use crate::estimate::resident_bytes;
+use crate::par;
 use crate::pipeline::{EdgeRead, KernelGroup};
 use smartmem_index::IndexMap;
 use smartmem_ir::{Graph, MemoryClass, Op, PhysicalAddress, TensorId};
@@ -38,14 +49,17 @@ const MAX_INNER: usize = 16;
 /// simulated quantity): the "before" of any estimator optimization.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Kernel groups actually traced; the rest reused a memoized trace
-    /// of an identical signature.
+    /// Kernel groups actually traced, one per distinct signature; the
+    /// rest reused the trace of an identical signature.
     pub unique_groups: usize,
     /// Physical addresses generated across those traces.
     pub addresses: u64,
+    /// Output points whose declared coordinate set repeated the
+    /// previous point's, so no address was generated for them.
+    pub skipped_points: u64,
 }
 
-/// Hash signature of a group for trace memoization: everything
+/// Hash signature of a group for trace sharing: everything
 /// [`LineDragTracer::trace_group`] reads from the graph for this group.
 fn group_signature(graph: &Graph, group: &KernelGroup) -> u64 {
     let dims = |t: TensorId| graph.tensor(t).shape.dims();
@@ -91,7 +105,7 @@ fn elem_key(addr: PhysicalAddress) -> u64 {
 
 /// A list of coordinates of one rank, stored flat (rank-strided) so a
 /// trace reuses one allocation for every point it generates.
-#[derive(Default)]
+#[derive(Default, PartialEq)]
 struct Coords {
     rank: usize,
     len: usize,
@@ -197,64 +211,99 @@ impl Default for DistinctCounter {
     }
 }
 
-/// The tracer of one `estimate` call: the per-signature memo, the
-/// buffers every trace reuses, and the running count of addresses.
+/// The line drags of every group of one `estimate` call.
+pub(crate) struct Traces {
+    /// Per distinct signature, in order of first occurrence: the drag of
+    /// each of its reads.
+    unique: Vec<Vec<Option<f64>>>,
+    /// Per group: its signature's index into `unique`.
+    slot_of: Vec<usize>,
+    /// What producing them cost.
+    pub(crate) stats: TraceStats,
+}
+
+impl Traces {
+    /// Line drag of every read of group `gi`, in `reads` order: bytes
+    /// dragged from memory per useful byte, in `[1, granule/elem]`.
+    /// `None` marks a cache-resident operand — never streamed, so it
+    /// has no drag and is not traced.
+    pub(crate) fn drags(&self, gi: usize) -> &[Option<f64>] {
+        &self.unique[self.slot_of[gi]]
+    }
+}
+
+/// Traces every distinct group signature once, on up to `workers`
+/// threads, each with its own [`LineDragTracer`]. `pullbacks[gi]` is
+/// group `gi`'s own pull-back map (see [`own_pullback`]). Results and
+/// stats do not depend on `workers`: each signature is traced exactly
+/// once, by whichever worker pulls it, into its own slot.
+///
+/// [`own_pullback`]: crate::estimate::own_pullback
+pub(crate) fn trace_all(
+    graph: &Graph,
+    groups: &[KernelGroup],
+    pullbacks: &[Option<IndexMap>],
+    device: &DeviceConfig,
+    elem: u64,
+    workers: usize,
+) -> Traces {
+    let mut first_of: HashMap<u64, usize> = HashMap::new();
+    let mut leaders = Vec::new();
+    let slot_of = groups
+        .iter()
+        .enumerate()
+        .map(|(gi, group)| {
+            *first_of.entry(group_signature(graph, group)).or_insert_with(|| {
+                leaders.push(gi);
+                leaders.len() - 1
+            })
+        })
+        .collect();
+    let traced = par::fan_out(leaders.len(), workers, LineDragTracer::default, |tracer, j| {
+        let gi = leaders[j];
+        tracer.trace_group(graph, &groups[gi], pullbacks[gi].as_ref(), device, elem)
+    });
+    let mut stats = TraceStats::default();
+    let unique = traced
+        .into_iter()
+        .map(|(drags, cost)| {
+            stats.unique_groups += cost.unique_groups;
+            stats.addresses += cost.addresses;
+            stats.skipped_points += cost.skipped_points;
+            drags
+        })
+        .collect();
+    Traces { unique, slot_of, stats }
+}
+
+/// The buffers one trace worker reuses across reads and groups.
 #[derive(Default)]
-pub(crate) struct LineDragTracer {
-    memo: HashMap<u64, Vec<Option<f64>>>,
+struct LineDragTracer {
     anchor_samples: Coords,
     out_samples: Coords,
     /// Declared-space coordinates read for one output point.
     decl: Coords,
+    /// The same for the previous output point of the current read.
+    prev: Coords,
     /// One source-space coordinate.
     src: Vec<usize>,
     elems: DistinctCounter,
     granules: DistinctCounter,
-    addresses: u64,
 }
 
 impl LineDragTracer {
-    /// Line drag of every read of `group`, in `group.reads` order: bytes
-    /// dragged from memory per useful byte, in `[1, granule/elem]`.
-    /// `None` marks a cache-resident operand — never streamed, so it
-    /// has no drag and is not traced.
-    pub(crate) fn drags(
-        &mut self,
-        graph: &Graph,
-        group: &KernelGroup,
-        device: &DeviceConfig,
-        elem: u64,
-    ) -> &[Option<f64>] {
-        let key = group_signature(graph, group);
-        if !self.memo.contains_key(&key) {
-            let drags = self.trace_group(graph, group, device, elem);
-            self.memo.insert(key, drags);
-        }
-        &self.memo[&key]
-    }
-
-    /// What the calls so far cost.
-    pub(crate) fn stats(&self) -> TraceStats {
-        TraceStats { unique_groups: self.memo.len(), addresses: self.addresses }
-    }
-
+    /// The drags of `group`'s reads (see [`Traces::drags`]) and what
+    /// tracing them cost. `own` is the group's own pull-back map.
     fn trace_group(
         &mut self,
         graph: &Graph,
         group: &KernelGroup,
+        own: Option<&IndexMap>,
         device: &DeviceConfig,
         elem: u64,
-    ) -> Vec<Option<f64>> {
-        let LineDragTracer {
-            anchor_samples,
-            out_samples,
-            decl,
-            src,
-            elems,
-            granules,
-            addresses,
-            ..
-        } = self;
+    ) -> (Vec<Option<f64>>, TraceStats) {
+        let LineDragTracer { anchor_samples, out_samples, decl, prev, src, elems, granules } = self;
+        let mut stats = TraceStats { unique_groups: 1, ..TraceStats::default() };
         let anchor = graph.node(group.anchor);
         sample_subvolume(
             graph.tensor(anchor.outputs[0]).shape.dims(),
@@ -273,25 +322,45 @@ impl LineDragTracer {
             let decl_dims = graph.tensor(read.logical).shape.dims();
             // A retained transformation kernel reads through its own
             // pull-back; every other anchor through its loop nest.
-            let mut own =
-                if is_anchor_read { own_pullback(graph, group) } else { None }.map(|m| m.compile());
+            let mut own = if is_anchor_read { own } else { None }.map(IndexMap::compile);
             let mut map = read.map.as_ref().map(IndexMap::compile);
             let plan = read.layout.plan(src_shape);
+            let blind = match own {
+                None if is_anchor_read => {
+                    blind_out_dims(&anchor.op, read.operand_idx, samples.rank, decl_dims.len())
+                }
+                _ => 0,
+            };
             elems.clear();
             granules.clear();
-            for coord in samples.iter() {
-                decl.reset(decl_dims.len());
-                match &mut own {
-                    Some(own) => {
-                        own.eval_into(coord, src);
-                        decl.push(src.iter().copied());
+            let mut last: &[usize] = &[];
+            for (i, coord) in samples.iter().enumerate() {
+                // Moved only along blind dims: the previous set again,
+                // known without generating it.
+                let unmoved =
+                    i > 0 && (0..coord.len()).all(|d| blind >> d & 1 == 1 || coord[d] == last[d]);
+                last = coord;
+                if !unmoved || cfg!(debug_assertions) {
+                    decl.reset(decl_dims.len());
+                    match &mut own {
+                        Some(own) => {
+                            own.eval_into(coord, src);
+                            decl.push(src.iter().copied());
+                        }
+                        None if is_anchor_read => {
+                            anchor_read_coords(graph, &anchor.op, read, coord, decl_dims, decl)
+                        }
+                        None => decl.push(clamp_broadcast(coord, decl_dims)),
                     }
-                    None if is_anchor_read => {
-                        anchor_read_coords(graph, &anchor.op, read, coord, decl_dims, decl)
-                    }
-                    None => decl.push(clamp_broadcast(coord, decl_dims)),
+                    decl.assert_strided();
+                    debug_assert!(!unmoved || *decl == *prev, "{:?} reads a blind dim", anchor.op);
                 }
-                decl.assert_strided();
+                // The counts are set unions: a point that reads exactly
+                // the previous point's coordinates cannot change them.
+                if unmoved || (i > 0 && *decl == *prev) {
+                    stats.skipped_points += 1;
+                    continue;
+                }
                 for decl_coord in decl.iter() {
                     let src_coord = match &mut map {
                         None => decl_coord,
@@ -304,7 +373,8 @@ impl LineDragTracer {
                     elems.insert(elem_key(addr));
                     granules.insert(granule_key(addr, device, elem));
                 }
-                *addresses += decl.len as u64;
+                stats.addresses += decl.len as u64;
+                std::mem::swap(decl, prev);
             }
             let granule_bytes = match read.layout.memory_class() {
                 MemoryClass::Buffer1D => device.buffer_cache.line_bytes as f64,
@@ -316,7 +386,8 @@ impl LineDragTracer {
             let dragged = granules.len() as f64 * granule_bytes;
             Some((dragged / useful).clamp(1.0, granule_bytes / elem as f64))
         };
-        group.reads.iter().map(trace_read).collect()
+        let drags = group.reads.iter().map(trace_read).collect();
+        (drags, stats)
     }
 }
 
@@ -342,6 +413,24 @@ fn sample_subvolume(dims: &[usize], budget: usize, out: &mut Coords) {
                 c[d] = 0;
             }
         });
+    }
+}
+
+/// The output dims [`anchor_read_coords`] never looks at for an operand
+/// of `op`, as a bit set over an `out_rank`-dim output point: a point
+/// that moves only along them reads exactly the previous point's set.
+fn blind_out_dims(op: &Op, operand_idx: usize, out_rank: usize, decl_rank: usize) -> u64 {
+    let dims = |ds: &[usize]| ds.iter().fold(0u64, |set, &d| set | 1 << d);
+    match op {
+        // A reads row `m` (blind to `n`), B column `n` (blind to `m`).
+        Op::MatMul { .. } => 1 << (out_rank - 1 - operand_idx.min(1)),
+        // Weights and bias follow the output channel only.
+        Op::Conv2d { .. } if operand_idx > 0 => dims(&[0, 2, 3]),
+        // Same-rank reductions overwrite their reduced dims.
+        Op::LayerNorm { axes } | Op::Reduce { axes, .. } if out_rank == decl_rank => dims(axes),
+        Op::InstanceNorm if out_rank == decl_rank => dims(&[2, 3]),
+        Op::Softmax { axis } if out_rank == decl_rank => dims(&[*axis]),
+        _ => 0,
     }
 }
 
@@ -531,6 +620,7 @@ fn reduction_space_coords(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::own_pullback;
     use crate::pipeline::{Framework, OptimizedGraph, SmartMemConfig, SmartMemPipeline};
     use smartmem_ir::{DType, GraphBuilder, UnaryKind};
 
@@ -626,5 +716,119 @@ mod tests {
         );
         group_a.reads[0].logical = group_a.output;
         assert_ne!(group_signature(&opt_a.graph, &group_a), full);
+    }
+
+    /// Every group's drags and the whole sweep's stats, traced on
+    /// `workers` threads.
+    fn trace_on(opt: &OptimizedGraph, workers: usize) -> (Vec<Vec<Option<f64>>>, TraceStats) {
+        let device = DeviceConfig::snapdragon_8gen2();
+        let pullbacks: Vec<_> = opt.groups.iter().map(|g| own_pullback(&opt.graph, g)).collect();
+        let elem = device.dtype.size_bytes();
+        let traces = trace_all(&opt.graph, &opt.groups, &pullbacks, &device, elem, workers);
+        let drags = (0..opt.groups.len()).map(|gi| traces.drags(gi).to_vec()).collect();
+        (drags, traces.stats)
+    }
+
+    #[test]
+    fn worker_count_changes_neither_drags_nor_stats() {
+        let device = DeviceConfig::snapdragon_8gen2();
+        for name in ["Swin", "ResNext", "Pythia"] {
+            let graph = smartmem_models::by_name(name).expect("zoo model").graph();
+            // The DNNFusion level also traces retained transform kernels
+            // through their own pull-backs.
+            for config in [SmartMemConfig::full(), SmartMemConfig::dnnfusion_level()] {
+                let opt = SmartMemPipeline::with_config(config).optimize(&graph, &device).unwrap();
+                let serial = trace_on(&opt, 1);
+                assert!(serial.1.unique_groups < opt.groups.len(), "{name} repeats signatures");
+                assert!(serial.1.skipped_points > 0, "{name} repeats coordinate sets");
+                for workers in [2, 7] {
+                    assert!(trace_on(&opt, workers) == serial, "{name} on {workers} workers");
+                }
+            }
+        }
+    }
+
+    /// The anchor group of `graph`'s only `op`-kernel, reduced to its
+    /// anchor read of operand `operand`, and what tracing it cost.
+    fn trace_anchor_read(graph: &Graph, mnemonic: &str, operand: usize) -> TraceStats {
+        let device = DeviceConfig::snapdragon_8gen2();
+        let opt = SmartMemPipeline::new().optimize(graph, &device).unwrap();
+        let mut group = opt
+            .groups
+            .iter()
+            .find(|k| opt.graph.node(k.anchor).op.mnemonic() == mnemonic)
+            .expect("the kernel exists")
+            .clone();
+        group.reads.retain(|r| r.member == group.anchor && r.operand_idx == operand);
+        assert_eq!(group.reads.len(), 1);
+        let elem = device.dtype.size_bytes();
+        let traces = trace_all(&opt.graph, &[group], &[None], &device, elem, 1);
+        assert!(traces.drags(0)[0].is_some(), "the operand is streamed, so traced");
+        traces.stats
+    }
+
+    /// `x[1, 512, 1024] @ w[1024, 512]`: both operands stream, and the
+    /// 256-point output window varies only `n`.
+    fn matmul_graph() -> Graph {
+        let mut g = GraphBuilder::new("matmul");
+        let x = g.input("x", &[1, 512, 1024], DType::F16);
+        let w = g.weight("w", &[1024, 512], DType::F16);
+        let y = g.matmul(x, w);
+        g.output(y);
+        g.finish()
+    }
+
+    #[test]
+    fn matmul_a_operand_traces_one_point_of_its_window() {
+        // A reads row m for k in 0..16 at every n: one set, 255 repeats.
+        let a = trace_anchor_read(&matmul_graph(), "MatMul", 0);
+        assert_eq!((a.addresses, a.skipped_points), (16, 255));
+    }
+
+    #[test]
+    fn repeat_skip_keeps_sets_that_differ() {
+        // Equal lengths, different values: B reads column n, k in 0..16.
+        let b = trace_anchor_read(&matmul_graph(), "MatMul", 1);
+        assert_eq!((b.addresses, b.skipped_points), (256 * 16, 0));
+
+        // A 3x1 conv with one row of padding over a one-column image:
+        // the window walks `oh`, and at the top border the first tap
+        // falls in the padding. Point 1's set is point 0's plus one
+        // coordinate — same prefix, different length.
+        let mut g = GraphBuilder::new("conv");
+        let x = g.input("x", &[1, 1, 1 << 19, 1], DType::F16);
+        let w = g.weight("w", &[1, 1, 3, 1], DType::F16);
+        let y = g.conv2d(x, w, (1, 1), (1, 0), 1);
+        g.output(y);
+        let graph = g.finish();
+        let op = Op::Conv2d { stride: (1, 1), padding: (1, 0), groups: 1 };
+        let read = EdgeRead {
+            source: x,
+            logical: x,
+            member: graph.producer(y).expect("conv node"),
+            operand_idx: 0,
+            map: None,
+            layout: smartmem_ir::Layout::row_major(4),
+            canon: None,
+        };
+        let points: Vec<Vec<usize>> = (0..2)
+            .map(|oh| {
+                let mut set = Coords::default();
+                set.reset(4);
+                anchor_read_coords(
+                    &graph,
+                    &op,
+                    &read,
+                    &[0, 0, oh, 0],
+                    &[1, 1, 1 << 19, 1],
+                    &mut set,
+                );
+                set.flat
+            })
+            .collect();
+        assert_eq!((points[0].len(), points[1].len()), (2 * 4, 3 * 4));
+        assert!(points[1].starts_with(&points[0]));
+        let conv = trace_anchor_read(&graph, "Conv2d", 0);
+        assert_eq!((conv.addresses, conv.skipped_points), (2 + 255 * 3, 0));
     }
 }

@@ -7,7 +7,7 @@ use super::recovery::{mark_device_dead, retry_or_fail, strand};
 use super::stats::record_fault;
 use super::{BatchState, Inner};
 use crate::batcher::Batch;
-use smartmem_core::{ModelReport, Unsupported};
+use smartmem_core::Unsupported;
 use smartmem_sim::FaultKind;
 use smartmem_telemetry::{now_ns, TraceId};
 use std::collections::HashMap;
@@ -28,9 +28,9 @@ pub fn batch_exec_ms(single_ms: f64, n: usize) -> f64 {
 }
 
 pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
-    // Latency reports per model on this device. Only this worker ever
+    // Estimated latency per model on this device. Only this worker ever
     // touches (·, device_id) pairs, so the memo is thread-local.
-    let mut reports: HashMap<usize, ModelReport> = HashMap::new();
+    let mut latencies: HashMap<usize, f64> = HashMap::new();
     let mut st: MutexGuard<'_, BatchState> = inner.state.lock().expect("batch state poisoned");
     loop {
         let now = Instant::now();
@@ -49,7 +49,7 @@ pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
                     resolve(inner, p, Terminal::Cancelled);
                 }
                 if !cut.batch.items.is_empty() {
-                    execute_batch(inner, device_id, &mut reports, cut.batch);
+                    execute_batch(inner, device_id, &mut latencies, cut.batch);
                 }
                 st = inner.state.lock().expect("batch state poisoned");
             }
@@ -75,7 +75,7 @@ pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
 fn execute_batch(
     inner: &Inner,
     device_id: usize,
-    reports: &mut HashMap<usize, ModelReport>,
+    latencies: &mut HashMap<usize, f64>,
     batch: Batch<Pending>,
 ) {
     let exec_start = Instant::now();
@@ -182,8 +182,12 @@ fn execute_batch(
         .iter()
         .flatten()
         .find_map(|(res, _)| res.as_ref().ok())
-        .map(|output| reports.entry(model_id).or_insert_with(|| output.optimized.estimate(device)))
-        .map_or(0.0, |r| batch_exec_ms(r.latency_ms, size) * f64::from(iters));
+        .map(|output| {
+            *latencies
+                .entry(model_id)
+                .or_insert_with(|| output.optimized.estimate(device).latency_ms)
+        })
+        .map_or(0.0, |latency_ms| batch_exec_ms(latency_ms, size) * f64::from(iters));
     if inner.config.exec_time_scale > 0.0 && exec_ms > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(exec_ms * inner.config.exec_time_scale / 1e3));
     }
