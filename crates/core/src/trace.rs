@@ -23,10 +23,12 @@
 //! counts are set unions, so the repeat cannot move them. Where the
 //! point moved only along output dims the read's loop nest never looks
 //! at ([`blind_out_dims`]), the repeat is known without generating the
-//! set (debug builds generate it anyway and assert it). Identical
-//! group signatures share one trace (transformer blocks repeat dozens
-//! of times), and [`trace_all`] traces the distinct ones across the
-//! host's cores; the result does not depend on how many.
+//! set (debug builds generate it anyway and assert it). Groups with
+//! identical signatures share all their drags (transformer blocks
+//! repeat dozens of times), reads with identical signatures share one
+//! trace across the remaining groups, and [`trace_all`] traces the
+//! distinct reads across the host's cores; the result does not depend
+//! on how many.
 //!
 //! [`OptimizedGraph::estimate`]: crate::OptimizedGraph::estimate
 
@@ -49,18 +51,18 @@ const MAX_INNER: usize = 16;
 /// simulated quantity): the "before" of any estimator optimization.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Kernel groups actually traced, one per distinct signature; the
-    /// rest reused the trace of an identical signature.
+    /// Distinct group signatures; the other groups reused the drags of
+    /// an identical one.
     pub unique_groups: usize,
-    /// Physical addresses generated across those traces.
+    /// Physical addresses generated, once per distinct streamed read.
     pub addresses: u64,
     /// Output points whose declared coordinate set repeated the
     /// previous point's, so no address was generated for them.
     pub skipped_points: u64,
 }
 
-/// Hash signature of a group for trace sharing: everything
-/// [`LineDragTracer::trace_group`] reads from the graph for this group.
+/// Hash signature of a group for trace sharing: everything the traces
+/// of its reads ([`LineDragTracer::trace_read`]) read from the graph.
 fn group_signature(graph: &Graph, group: &KernelGroup) -> u64 {
     let dims = |t: TensorId| graph.tensor(t).shape.dims();
     let mut h = DefaultHasher::new();
@@ -80,6 +82,31 @@ fn group_signature(graph: &Graph, group: &KernelGroup) -> u64 {
         (r.member == group.anchor).hash(&mut h);
         r.map.hash(&mut h);
     }
+    h.finish()
+}
+
+/// Hash signature of one read of `group` for trace sharing: everything
+/// [`LineDragTracer::trace_read`] reads from the graph for it.
+fn read_signature(graph: &Graph, group: &KernelGroup, read: &EdgeRead) -> u64 {
+    let dims = |t: TensorId| graph.tensor(t).shape.dims();
+    let mut h = DefaultHasher::new();
+    let is_anchor_read = read.member == group.anchor;
+    is_anchor_read.hash(&mut h);
+    if is_anchor_read {
+        // The anchor's loop nest and own pull-back, over its output
+        // space, read its op and its operands' extents.
+        let anchor = graph.node(group.anchor);
+        anchor.op.hash(&mut h);
+        dims(anchor.outputs[0]).hash(&mut h);
+        anchor.inputs.iter().for_each(|&t| dims(t).hash(&mut h));
+    } else {
+        dims(group.output).hash(&mut h);
+    }
+    dims(read.source).hash(&mut h);
+    dims(read.logical).hash(&mut h);
+    read.layout.hash(&mut h);
+    read.operand_idx.hash(&mut h);
+    read.map.hash(&mut h);
     h.finish()
 }
 
@@ -213,8 +240,8 @@ impl Default for DistinctCounter {
 
 /// The line drags of every group of one `estimate` call.
 pub(crate) struct Traces {
-    /// Per distinct signature, in order of first occurrence: the drag of
-    /// each of its reads.
+    /// Per distinct group signature, in order of first occurrence: the
+    /// drag of each of its reads.
     unique: Vec<Vec<Option<f64>>>,
     /// Per group: its signature's index into `unique`.
     slot_of: Vec<usize>,
@@ -232,11 +259,13 @@ impl Traces {
     }
 }
 
-/// Traces every distinct group signature once, on up to `workers`
-/// threads, each with its own [`LineDragTracer`]. `pullbacks[gi]` is
-/// group `gi`'s own pull-back map (see [`own_pullback`]). Results and
-/// stats do not depend on `workers`: each signature is traced exactly
-/// once, by whichever worker pulls it, into its own slot.
+/// Traces every distinct streamed read once, on up to `workers`
+/// threads, each with its own [`LineDragTracer`]. Groups with one
+/// signature share all their drags; across the remaining groups, reads
+/// with one signature share a trace. `pullbacks[gi]` is group `gi`'s
+/// own pull-back map (see [`own_pullback`]). Results and stats do not
+/// depend on `workers`: each read signature is traced exactly once, by
+/// whichever worker pulls it, into its own slot.
 ///
 /// [`own_pullback`]: crate::estimate::own_pullback
 pub(crate) fn trace_all(
@@ -259,28 +288,51 @@ pub(crate) fn trace_all(
             })
         })
         .collect();
-    let traced = par::fan_out(leaders.len(), workers, LineDragTracer::default, |tracer, j| {
-        let gi = leaders[j];
-        tracer.trace_group(graph, &groups[gi], pullbacks[gi].as_ref(), device, elem)
-    });
-    let mut stats = TraceStats::default();
-    let unique = traced
-        .into_iter()
-        .map(|(drags, cost)| {
-            stats.unique_groups += cost.unique_groups;
-            stats.addresses += cost.addresses;
-            stats.skipped_points += cost.skipped_points;
-            drags
+    // Per leader read: the job tracing it, `None` when cache-resident.
+    let mut job_of_read: HashMap<u64, usize> = HashMap::new();
+    let mut jobs: Vec<(usize, usize)> = Vec::new();
+    let job_refs: Vec<Vec<Option<usize>>> = leaders
+        .iter()
+        .map(|&gi| {
+            let group = &groups[gi];
+            let reads = group.reads.iter().enumerate();
+            reads
+                .map(|(ri, read)| {
+                    let bytes = (graph.tensor(read.source).shape.numel() * elem) as f64;
+                    let streamed = bytes > resident_bytes(&read.layout, device);
+                    streamed.then(|| {
+                        let signature = read_signature(graph, group, read);
+                        *job_of_read.entry(signature).or_insert_with(|| {
+                            jobs.push((gi, ri));
+                            jobs.len() - 1
+                        })
+                    })
+                })
+                .collect()
         })
+        .collect();
+    let traced = par::fan_out(jobs.len(), workers, LineDragTracer::default, |tracer, j| {
+        let (gi, ri) = jobs[j];
+        tracer.trace_read(graph, &groups[gi], ri, pullbacks[gi].as_ref(), device, elem)
+    });
+    let mut stats = TraceStats { unique_groups: leaders.len(), ..TraceStats::default() };
+    for (_, cost) in &traced {
+        stats.addresses += cost.addresses;
+        stats.skipped_points += cost.skipped_points;
+    }
+    let unique = job_refs
+        .into_iter()
+        .map(|reads| reads.into_iter().map(|job| job.map(|j| traced[j].0)).collect())
         .collect();
     Traces { unique, slot_of, stats }
 }
 
-/// The buffers one trace worker reuses across reads and groups.
+/// The buffers one trace worker reuses across reads.
 #[derive(Default)]
 struct LineDragTracer {
-    anchor_samples: Coords,
-    out_samples: Coords,
+    /// The sample window of the output space last traced.
+    samples: Coords,
+    sampled_dims: Vec<usize>,
     /// Declared-space coordinates read for one output point.
     decl: Coords,
     /// The same for the previous output point of the current read.
@@ -292,102 +344,96 @@ struct LineDragTracer {
 }
 
 impl LineDragTracer {
-    /// The drags of `group`'s reads (see [`Traces::drags`]) and what
-    /// tracing them cost. `own` is the group's own pull-back map.
-    fn trace_group(
+    /// The drag of streamed read `ri` of `group` (see [`Traces::drags`])
+    /// and what tracing it cost. `own` is the group's own pull-back map.
+    fn trace_read(
         &mut self,
         graph: &Graph,
         group: &KernelGroup,
+        ri: usize,
         own: Option<&IndexMap>,
         device: &DeviceConfig,
         elem: u64,
-    ) -> (Vec<Option<f64>>, TraceStats) {
-        let LineDragTracer { anchor_samples, out_samples, decl, prev, src, elems, granules } = self;
-        let mut stats = TraceStats { unique_groups: 1, ..TraceStats::default() };
+    ) -> (f64, TraceStats) {
+        let LineDragTracer { samples, sampled_dims, decl, prev, src, elems, granules } = self;
+        let mut stats = TraceStats::default();
+        let read = &group.reads[ri];
         let anchor = graph.node(group.anchor);
-        sample_subvolume(
-            graph.tensor(anchor.outputs[0]).shape.dims(),
-            MAX_OUT_SAMPLES,
-            anchor_samples,
-        );
-        sample_subvolume(graph.tensor(group.output).shape.dims(), MAX_OUT_SAMPLES, out_samples);
-
-        let trace_read = |read: &EdgeRead| {
-            let src_shape = &graph.tensor(read.source).shape;
-            if (src_shape.numel() * elem) as f64 <= resident_bytes(&read.layout, device) {
-                return None;
+        let is_anchor_read = read.member == group.anchor;
+        // The anchor's reads walk its own output space, the epilogue's
+        // the group's.
+        let space = if is_anchor_read { anchor.outputs[0] } else { group.output };
+        let space = graph.tensor(space).shape.dims();
+        if sampled_dims.as_slice() != space {
+            sample_subvolume(space, MAX_OUT_SAMPLES, samples);
+            *sampled_dims = space.to_vec();
+        }
+        let decl_dims = graph.tensor(read.logical).shape.dims();
+        // A retained transformation kernel reads through its own
+        // pull-back; every other anchor through its loop nest.
+        let mut own = if is_anchor_read { own } else { None }.map(IndexMap::compile);
+        let mut map = read.map.as_ref().map(IndexMap::compile);
+        let plan = read.layout.plan(&graph.tensor(read.source).shape);
+        let blind = match own {
+            None if is_anchor_read => {
+                blind_out_dims(&anchor.op, read.operand_idx, samples.rank, decl_dims.len())
             }
-            let is_anchor_read = read.member == group.anchor;
-            let samples = if is_anchor_read { &*anchor_samples } else { &*out_samples };
-            let decl_dims = graph.tensor(read.logical).shape.dims();
-            // A retained transformation kernel reads through its own
-            // pull-back; every other anchor through its loop nest.
-            let mut own = if is_anchor_read { own } else { None }.map(IndexMap::compile);
-            let mut map = read.map.as_ref().map(IndexMap::compile);
-            let plan = read.layout.plan(src_shape);
-            let blind = match own {
-                None if is_anchor_read => {
-                    blind_out_dims(&anchor.op, read.operand_idx, samples.rank, decl_dims.len())
-                }
-                _ => 0,
-            };
-            elems.clear();
-            granules.clear();
-            let mut last: &[usize] = &[];
-            for (i, coord) in samples.iter().enumerate() {
-                // Moved only along blind dims: the previous set again,
-                // known without generating it.
-                let unmoved =
-                    i > 0 && (0..coord.len()).all(|d| blind >> d & 1 == 1 || coord[d] == last[d]);
-                last = coord;
-                if !unmoved || cfg!(debug_assertions) {
-                    decl.reset(decl_dims.len());
-                    match &mut own {
-                        Some(own) => {
-                            own.eval_into(coord, src);
-                            decl.push(src.iter().copied());
-                        }
-                        None if is_anchor_read => {
-                            anchor_read_coords(graph, &anchor.op, read, coord, decl_dims, decl)
-                        }
-                        None => decl.push(clamp_broadcast(coord, decl_dims)),
-                    }
-                    decl.assert_strided();
-                    debug_assert!(!unmoved || *decl == *prev, "{:?} reads a blind dim", anchor.op);
-                }
-                // The counts are set unions: a point that reads exactly
-                // the previous point's coordinates cannot change them.
-                if unmoved || (i > 0 && *decl == *prev) {
-                    stats.skipped_points += 1;
-                    continue;
-                }
-                for decl_coord in decl.iter() {
-                    let src_coord = match &mut map {
-                        None => decl_coord,
-                        Some(map) => {
-                            map.eval_into(decl_coord, src);
-                            src.as_slice()
-                        }
-                    };
-                    let addr = plan.address(src_coord);
-                    elems.insert(elem_key(addr));
-                    granules.insert(granule_key(addr, device, elem));
-                }
-                stats.addresses += decl.len as u64;
-                std::mem::swap(decl, prev);
-            }
-            let granule_bytes = match read.layout.memory_class() {
-                MemoryClass::Buffer1D => device.buffer_cache.line_bytes as f64,
-                MemoryClass::Texture2p5D => {
-                    (device.texture_tiling.tile_w * device.texture_tiling.tile_h * 4 * elem) as f64
-                }
-            };
-            let useful = (elems.len() as f64 * elem as f64).max(1.0);
-            let dragged = granules.len() as f64 * granule_bytes;
-            Some((dragged / useful).clamp(1.0, granule_bytes / elem as f64))
+            _ => 0,
         };
-        let drags = group.reads.iter().map(trace_read).collect();
-        (drags, stats)
+        elems.clear();
+        granules.clear();
+        let mut last: &[usize] = &[];
+        for (i, coord) in samples.iter().enumerate() {
+            // Moved only along blind dims: the previous set again, known
+            // without generating it.
+            let unmoved =
+                i > 0 && (0..coord.len()).all(|d| blind >> d & 1 == 1 || coord[d] == last[d]);
+            last = coord;
+            if !unmoved || cfg!(debug_assertions) {
+                decl.reset(decl_dims.len());
+                match &mut own {
+                    Some(own) => {
+                        own.eval_into(coord, src);
+                        decl.push(src.iter().copied());
+                    }
+                    None if is_anchor_read => {
+                        anchor_read_coords(graph, &anchor.op, read, coord, decl_dims, decl)
+                    }
+                    None => decl.push(clamp_broadcast(coord, decl_dims)),
+                }
+                decl.assert_strided();
+                debug_assert!(!unmoved || *decl == *prev, "{:?} reads a blind dim", anchor.op);
+            }
+            // The counts are set unions: a point that reads exactly the
+            // previous point's coordinates cannot change them.
+            if unmoved || (i > 0 && *decl == *prev) {
+                stats.skipped_points += 1;
+                continue;
+            }
+            for decl_coord in decl.iter() {
+                let src_coord = match &mut map {
+                    None => decl_coord,
+                    Some(map) => {
+                        map.eval_into(decl_coord, src);
+                        src.as_slice()
+                    }
+                };
+                let addr = plan.address(src_coord);
+                elems.insert(elem_key(addr));
+                granules.insert(granule_key(addr, device, elem));
+            }
+            stats.addresses += decl.len as u64;
+            std::mem::swap(decl, prev);
+        }
+        let granule_bytes = match read.layout.memory_class() {
+            MemoryClass::Buffer1D => device.buffer_cache.line_bytes as f64,
+            MemoryClass::Texture2p5D => {
+                (device.texture_tiling.tile_w * device.texture_tiling.tile_h * 4 * elem) as f64
+            }
+        };
+        let useful = (elems.len() as f64 * elem as f64).max(1.0);
+        let dragged = granules.len() as f64 * granule_bytes;
+        ((dragged / useful).clamp(1.0, granule_bytes / elem as f64), stats)
     }
 }
 
