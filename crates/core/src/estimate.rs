@@ -23,8 +23,7 @@
 //! roofline cost model of `smartmem-sim` turns traffic and ALU work
 //! (including strength-reduced index arithmetic) into nanoseconds.
 //! The trace itself — sample window, address generation, distinct
-//! counting, one trace per distinct group signature — is
-//! [`crate::trace`].
+//! counting, one trace per distinct read — is [`crate::trace`].
 
 use crate::lte::{is_eliminable, op_pullback};
 use crate::par;
@@ -110,7 +109,7 @@ impl OptimizedGraph {
         let elem = device.dtype.size_bytes();
         let pullbacks: Vec<_> = self.groups.iter().map(|g| own_pullback(graph, g)).collect();
         // --- Sampled trace: line drag per read, `None` for a
-        // cache-resident operand; one trace per distinct signature -----
+        // cache-resident operand; one trace per distinct read ----------
         let traces = trace_all(graph, &self.groups, &pullbacks, device, elem, par::workers());
 
         let line_buffer = device.buffer_cache.line_bytes as u64;

@@ -330,9 +330,9 @@ pub(crate) fn trace_all(
 /// The buffers one trace worker reuses across reads.
 #[derive(Default)]
 struct LineDragTracer {
-    /// The sample window of the output space last traced.
+    /// The sample window of the output space last traced, and its dims.
     samples: Coords,
-    sampled_dims: Vec<usize>,
+    sampled_dims: Option<Vec<usize>>,
     /// Declared-space coordinates read for one output point.
     decl: Coords,
     /// The same for the previous output point of the current read.
@@ -364,9 +364,9 @@ impl LineDragTracer {
         // the group's.
         let space = if is_anchor_read { anchor.outputs[0] } else { group.output };
         let space = graph.tensor(space).shape.dims();
-        if sampled_dims.as_slice() != space {
+        if sampled_dims.as_deref() != Some(space) {
             sample_subvolume(space, MAX_OUT_SAMPLES, samples);
-            *sampled_dims = space.to_vec();
+            *sampled_dims = Some(space.to_vec());
         }
         let decl_dims = graph.tensor(read.logical).shape.dims();
         // A retained transformation kernel reads through its own
@@ -668,7 +668,7 @@ mod tests {
     use super::*;
     use crate::estimate::own_pullback;
     use crate::pipeline::{Framework, OptimizedGraph, SmartMemConfig, SmartMemPipeline};
-    use smartmem_ir::{DType, GraphBuilder, UnaryKind};
+    use smartmem_ir::{DType, GraphBuilder, ReduceKind, UnaryKind};
 
     #[test]
     fn sample_subvolume_bounds() {
@@ -876,5 +876,16 @@ mod tests {
         assert!(points[1].starts_with(&points[0]));
         let conv = trace_anchor_read(&graph, "Conv2d", 0);
         assert_eq!((conv.addresses, conv.skipped_points), (2 + 255 * 3, 0));
+    }
+
+    #[test]
+    fn a_rank_zero_output_space_is_one_point() {
+        // A full reduction to a scalar: its one output point still reads.
+        let mut g = GraphBuilder::new("sum");
+        let x = g.input("x", &[1 << 19], DType::F16);
+        let y = g.reduce(x, ReduceKind::Sum, vec![0], false);
+        g.output(y);
+        let sum = trace_anchor_read(&g.finish(), "Reduce", 0);
+        assert_eq!((sum.addresses, sum.skipped_points), (MAX_INNER as u64, 0));
     }
 }
