@@ -330,9 +330,8 @@ pub(crate) fn trace_all(
 /// The buffers one trace worker reuses across reads.
 #[derive(Default)]
 struct LineDragTracer {
-    /// The sample window of the output space last traced, and its dims.
+    /// The sample window of the output space a read walks.
     samples: Coords,
-    sampled_dims: Option<Vec<usize>>,
     /// Declared-space coordinates read for one output point.
     decl: Coords,
     /// The same for the previous output point of the current read.
@@ -355,7 +354,7 @@ impl LineDragTracer {
         device: &DeviceConfig,
         elem: u64,
     ) -> (f64, TraceStats) {
-        let LineDragTracer { samples, sampled_dims, decl, prev, src, elems, granules } = self;
+        let LineDragTracer { samples, decl, prev, src, elems, granules } = self;
         let mut stats = TraceStats::default();
         let read = &group.reads[ri];
         let anchor = graph.node(group.anchor);
@@ -363,11 +362,7 @@ impl LineDragTracer {
         // The anchor's reads walk its own output space, the epilogue's
         // the group's.
         let space = if is_anchor_read { anchor.outputs[0] } else { group.output };
-        let space = graph.tensor(space).shape.dims();
-        if sampled_dims.as_deref() != Some(space) {
-            sample_subvolume(space, MAX_OUT_SAMPLES, samples);
-            *sampled_dims = Some(space.to_vec());
-        }
+        sample_subvolume(graph.tensor(space).shape.dims(), MAX_OUT_SAMPLES, samples);
         let decl_dims = graph.tensor(read.logical).shape.dims();
         // A retained transformation kernel reads through its own
         // pull-back; every other anchor through its loop nest.
