@@ -71,7 +71,7 @@ fn bench_pipeline() {
         "  estimate/{:<32} {:>12.2} us/kernel ({} unique traces / {} groups, {} addresses, {} points skipped)",
         "swin",
         estimate_s * 1e6 / opt.groups.len() as f64,
-        trace.unique_groups,
+        trace.unique_traces,
         opt.groups.len(),
         trace.addresses,
         trace.skipped_points

@@ -236,7 +236,7 @@ fn main() {
         let reports: Vec<_> = compiled.iter().map(|out| out.optimized.estimate(&device)).collect();
         let ms = start.elapsed().as_secs_f64() * 1e3;
         let kernels: usize = reports.iter().map(|r| r.kernel_count).sum();
-        let unique: usize = reports.iter().map(|r| r.trace.unique_groups).sum();
+        let unique: usize = reports.iter().map(|r| r.trace.unique_traces).sum();
         let addresses: u64 = reports.iter().map(|r| r.trace.addresses).sum();
         let skipped: u64 = reports.iter().map(|r| r.trace.skipped_points).sum();
         if fw.name() == "SmartMem" {

@@ -20,15 +20,10 @@
 //! Only work that can change a count is done. An output point whose
 //! declared coordinates repeat the previous point's (a MatMul A operand
 //! along `n`, conv weights along the spatial dims) is skipped: the
-//! counts are set unions, so the repeat cannot move them. Where the
-//! point moved only along output dims the read's loop nest never looks
-//! at ([`blind_out_dims`]), the repeat is known without generating the
-//! set (debug builds generate it anyway and assert it). Groups with
-//! identical signatures share all their drags (transformer blocks
-//! repeat dozens of times), reads with identical signatures share one
-//! trace across the remaining groups, and [`trace_all`] traces the
-//! distinct reads across the host's cores; the result does not depend
-//! on how many.
+//! counts are set unions, so the repeat cannot move them. Reads with
+//! identical signatures share one trace (transformer blocks repeat
+//! dozens of times), and [`trace_all`] traces the distinct reads across
+//! the host's cores; the result does not depend on how many.
 //!
 //! [`OptimizedGraph::estimate`]: crate::OptimizedGraph::estimate
 
@@ -51,9 +46,9 @@ const MAX_INNER: usize = 16;
 /// simulated quantity): the "before" of any estimator optimization.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Distinct group signatures; the other groups reused the drags of
-    /// an identical one.
-    pub unique_groups: usize,
+    /// Distinct streamed read signatures, each traced once; every other
+    /// streamed read reused the drag of an identical one.
+    pub unique_traces: usize,
     /// Physical addresses generated, once per distinct streamed read.
     pub addresses: u64,
     /// Output points whose declared coordinate set repeated the
@@ -61,32 +56,9 @@ pub struct TraceStats {
     pub skipped_points: u64,
 }
 
-/// Hash signature of a group for trace sharing: everything the traces
-/// of its reads ([`LineDragTracer::trace_read`]) read from the graph.
-fn group_signature(graph: &Graph, group: &KernelGroup) -> u64 {
-    let dims = |t: TensorId| graph.tensor(t).shape.dims();
-    let mut h = DefaultHasher::new();
-    let anchor = graph.node(group.anchor);
-    anchor.op.hash(&mut h);
-    // `own_pullback` maps the anchor's output space onto its input 0.
-    anchor.inputs.first().map(|&t| dims(t)).hash(&mut h);
-    dims(anchor.outputs[0]).hash(&mut h);
-    dims(group.output).hash(&mut h);
-    group.output_layout.hash(&mut h);
-    for r in &group.reads {
-        dims(r.source).hash(&mut h);
-        dims(r.logical).hash(&mut h);
-        r.layout.hash(&mut h);
-        r.operand_idx.hash(&mut h);
-        graph.node(r.member).op.mnemonic().hash(&mut h);
-        (r.member == group.anchor).hash(&mut h);
-        r.map.hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Hash signature of one read of `group` for trace sharing: everything
-/// [`LineDragTracer::trace_read`] reads from the graph for it.
+/// [`LineDragTracer::trace_read`] reads from the graph for it, including
+/// the anchor's input extents its own pull-back maps onto.
 fn read_signature(graph: &Graph, group: &KernelGroup, read: &EdgeRead) -> u64 {
     let dims = |t: TensorId| graph.tensor(t).shape.dims();
     let mut h = DefaultHasher::new();
@@ -240,11 +212,8 @@ impl Default for DistinctCounter {
 
 /// The line drags of every group of one `estimate` call.
 pub(crate) struct Traces {
-    /// Per distinct group signature, in order of first occurrence: the
-    /// drag of each of its reads.
-    unique: Vec<Vec<Option<f64>>>,
-    /// Per group: its signature's index into `unique`.
-    slot_of: Vec<usize>,
+    /// Per group: the drag of each of its reads.
+    drags: Vec<Vec<Option<f64>>>,
     /// What producing them cost.
     pub(crate) stats: TraceStats,
 }
@@ -255,15 +224,14 @@ impl Traces {
     /// `None` marks a cache-resident operand — never streamed, so it
     /// has no drag and is not traced.
     pub(crate) fn drags(&self, gi: usize) -> &[Option<f64>] {
-        &self.unique[self.slot_of[gi]]
+        &self.drags[gi]
     }
 }
 
 /// Traces every distinct streamed read once, on up to `workers`
-/// threads, each with its own [`LineDragTracer`]. Groups with one
-/// signature share all their drags; across the remaining groups, reads
-/// with one signature share a trace. `pullbacks[gi]` is group `gi`'s
-/// own pull-back map (see [`own_pullback`]). Results and stats do not
+/// threads, each with its own [`LineDragTracer`]; reads with one
+/// signature share a trace. `pullbacks[gi]` is group `gi`'s own
+/// pull-back map (see [`own_pullback`]). Results and stats do not
 /// depend on `workers`: each read signature is traced exactly once, by
 /// whichever worker pulls it, into its own slot.
 ///
@@ -276,25 +244,13 @@ pub(crate) fn trace_all(
     elem: u64,
     workers: usize,
 ) -> Traces {
-    let mut first_of: HashMap<u64, usize> = HashMap::new();
-    let mut leaders = Vec::new();
-    let slot_of = groups
+    // Per read: the job tracing it, `None` when cache-resident.
+    let mut job_of: HashMap<u64, usize> = HashMap::new();
+    let mut jobs: Vec<(usize, usize)> = Vec::new();
+    let job_refs: Vec<Vec<Option<usize>>> = groups
         .iter()
         .enumerate()
         .map(|(gi, group)| {
-            *first_of.entry(group_signature(graph, group)).or_insert_with(|| {
-                leaders.push(gi);
-                leaders.len() - 1
-            })
-        })
-        .collect();
-    // Per leader read: the job tracing it, `None` when cache-resident.
-    let mut job_of_read: HashMap<u64, usize> = HashMap::new();
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    let job_refs: Vec<Vec<Option<usize>>> = leaders
-        .iter()
-        .map(|&gi| {
-            let group = &groups[gi];
             let reads = group.reads.iter().enumerate();
             reads
                 .map(|(ri, read)| {
@@ -302,7 +258,7 @@ pub(crate) fn trace_all(
                     let streamed = bytes > resident_bytes(&read.layout, device);
                     streamed.then(|| {
                         let signature = read_signature(graph, group, read);
-                        *job_of_read.entry(signature).or_insert_with(|| {
+                        *job_of.entry(signature).or_insert_with(|| {
                             jobs.push((gi, ri));
                             jobs.len() - 1
                         })
@@ -315,16 +271,16 @@ pub(crate) fn trace_all(
         let (gi, ri) = jobs[j];
         tracer.trace_read(graph, &groups[gi], ri, pullbacks[gi].as_ref(), device, elem)
     });
-    let mut stats = TraceStats { unique_groups: leaders.len(), ..TraceStats::default() };
+    let mut stats = TraceStats { unique_traces: jobs.len(), ..TraceStats::default() };
     for (_, cost) in &traced {
         stats.addresses += cost.addresses;
         stats.skipped_points += cost.skipped_points;
     }
-    let unique = job_refs
+    let drags = job_refs
         .into_iter()
         .map(|reads| reads.into_iter().map(|job| job.map(|j| traced[j].0)).collect())
         .collect();
-    Traces { unique, slot_of, stats }
+    Traces { drags, stats }
 }
 
 /// The buffers one trace worker reuses across reads.
@@ -369,39 +325,24 @@ impl LineDragTracer {
         let mut own = if is_anchor_read { own } else { None }.map(IndexMap::compile);
         let mut map = read.map.as_ref().map(IndexMap::compile);
         let plan = read.layout.plan(&graph.tensor(read.source).shape);
-        let blind = match own {
-            None if is_anchor_read => {
-                blind_out_dims(&anchor.op, read.operand_idx, samples.rank, decl_dims.len())
-            }
-            _ => 0,
-        };
         elems.clear();
         granules.clear();
-        let mut last: &[usize] = &[];
         for (i, coord) in samples.iter().enumerate() {
-            // Moved only along blind dims: the previous set again, known
-            // without generating it.
-            let unmoved =
-                i > 0 && (0..coord.len()).all(|d| blind >> d & 1 == 1 || coord[d] == last[d]);
-            last = coord;
-            if !unmoved || cfg!(debug_assertions) {
-                decl.reset(decl_dims.len());
-                match &mut own {
-                    Some(own) => {
-                        own.eval_into(coord, src);
-                        decl.push(src.iter().copied());
-                    }
-                    None if is_anchor_read => {
-                        anchor_read_coords(graph, &anchor.op, read, coord, decl_dims, decl)
-                    }
-                    None => decl.push(clamp_broadcast(coord, decl_dims)),
+            decl.reset(decl_dims.len());
+            match &mut own {
+                Some(own) => {
+                    own.eval_into(coord, src);
+                    decl.push(src.iter().copied());
                 }
-                decl.assert_strided();
-                debug_assert!(!unmoved || *decl == *prev, "{:?} reads a blind dim", anchor.op);
+                None if is_anchor_read => {
+                    anchor_read_coords(graph, &anchor.op, read, coord, decl_dims, decl)
+                }
+                None => decl.push(clamp_broadcast(coord, decl_dims)),
             }
+            decl.assert_strided();
             // The counts are set unions: a point that reads exactly the
             // previous point's coordinates cannot change them.
-            if unmoved || (i > 0 && *decl == *prev) {
+            if i > 0 && *decl == *prev {
                 stats.skipped_points += 1;
                 continue;
             }
@@ -454,24 +395,6 @@ fn sample_subvolume(dims: &[usize], budget: usize, out: &mut Coords) {
                 c[d] = 0;
             }
         });
-    }
-}
-
-/// The output dims [`anchor_read_coords`] never looks at for an operand
-/// of `op`, as a bit set over an `out_rank`-dim output point: a point
-/// that moves only along them reads exactly the previous point's set.
-fn blind_out_dims(op: &Op, operand_idx: usize, out_rank: usize, decl_rank: usize) -> u64 {
-    let dims = |ds: &[usize]| ds.iter().fold(0u64, |set, &d| set | 1 << d);
-    match op {
-        // A reads row `m` (blind to `n`), B column `n` (blind to `m`).
-        Op::MatMul { .. } => 1 << (out_rank - 1 - operand_idx.min(1)),
-        // Weights and bias follow the output channel only.
-        Op::Conv2d { .. } if operand_idx > 0 => dims(&[0, 2, 3]),
-        // Same-rank reductions overwrite their reduced dims.
-        Op::LayerNorm { axes } | Op::Reduce { axes, .. } if out_rank == decl_rank => dims(axes),
-        Op::InstanceNorm if out_rank == decl_rank => dims(&[2, 3]),
-        Op::Softmax { axis } if out_rank == decl_rank => dims(&[*axis]),
-        _ => 0,
     }
 }
 
@@ -737,26 +660,29 @@ mod tests {
 
     #[test]
     fn signature_covers_every_shape_the_trace_reads() {
-        // Same op, same output space, same (no) reads: only the
-        // anchor's input-0 dims — `own_pullback`'s domain — differ.
-        let (opt_a, mut group_a) = reshape_kernel(2, 6);
-        let (opt_b, mut group_b) = reshape_kernel(3, 4);
-        let full = group_signature(&opt_a.graph, &group_a);
-        let reads = std::mem::take(&mut group_a.reads);
-        group_b.reads.clear();
+        // The same anchor read of the same `[12]` tensor in both groups:
+        // only the anchor's input dims — `own_pullback`'s domain — differ.
+        let (opt_a, group_a) = reshape_kernel(2, 6);
+        let (opt_b, group_b) = reshape_kernel(3, 4);
+        let over_output = |group: &KernelGroup| EdgeRead {
+            source: group.output,
+            logical: group.output,
+            member: group.anchor,
+            ..group_a.reads[0].clone()
+        };
+        let (read_a, read_b) = (over_output(&group_a), over_output(&group_b));
+        let dims = |opt: &OptimizedGraph, t: TensorId| opt.graph.tensor(t).shape.clone();
+        assert_eq!(dims(&opt_a, read_a.source), dims(&opt_b, read_b.source));
         assert_ne!(
-            group_signature(&opt_a.graph, &group_a),
-            group_signature(&opt_b.graph, &group_b)
+            read_signature(&opt_a.graph, &group_a, &read_a),
+            read_signature(&opt_b.graph, &group_b, &read_b)
         );
-        // Same group, one read declared over a different space.
-        group_a.reads = reads;
-        assert_eq!(group_signature(&opt_a.graph, &group_a), full);
-        assert_ne!(
-            opt_a.graph.tensor(group_a.output).shape,
-            opt_a.graph.tensor(group_a.reads[0].logical).shape
-        );
-        group_a.reads[0].logical = group_a.output;
-        assert_ne!(group_signature(&opt_a.graph, &group_a), full);
+        // Same read, declared over a different space.
+        let read = &group_a.reads[0];
+        assert_ne!(dims(&opt_a, read.logical), dims(&opt_a, group_a.output));
+        let full = read_signature(&opt_a.graph, &group_a, read);
+        let relogical = EdgeRead { logical: group_a.output, ..read.clone() };
+        assert_ne!(read_signature(&opt_a.graph, &group_a, &relogical), full);
     }
 
     /// Every group's drags and the whole sweep's stats, traced on
@@ -780,7 +706,8 @@ mod tests {
             for config in [SmartMemConfig::full(), SmartMemConfig::dnnfusion_level()] {
                 let opt = SmartMemPipeline::with_config(config).optimize(&graph, &device).unwrap();
                 let serial = trace_on(&opt, 1);
-                assert!(serial.1.unique_groups < opt.groups.len(), "{name} repeats signatures");
+                let streamed = serial.0.iter().flatten().filter(|d| d.is_some()).count();
+                assert!(serial.1.unique_traces < streamed, "{name} repeats signatures");
                 assert!(serial.1.skipped_points > 0, "{name} repeats coordinate sets");
                 for workers in [2, 7] {
                     assert!(trace_on(&opt, workers) == serial, "{name} on {workers} workers");
