@@ -223,7 +223,7 @@ fn main() {
 
     // 2a. What `OptimizedGraph::estimate` costs on those artifacts, one
     // zoo sweep per framework (models one after another; each estimate
-    // traces its distinct groups across the cores). The host time is
+    // traces its distinct reads on the calling thread). The host time is
     // what the sampled trace spends; unique traces, addresses and
     // skipped points say how much work that was, so an estimator change
     // has its "before" here. SmartMem's two counts are deterministic, so

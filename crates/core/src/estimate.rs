@@ -26,7 +26,6 @@
 //! counting, one trace per distinct read — is [`crate::trace`].
 
 use crate::lte::{is_eliminable, op_pullback};
-use crate::par;
 use crate::pipeline::{EdgeRead, KernelGroup, OptimizedGraph};
 use crate::trace::{trace_all, TraceStats};
 use smartmem_index::IndexMap;
@@ -110,7 +109,7 @@ impl OptimizedGraph {
         let pullbacks: Vec<_> = self.groups.iter().map(|g| own_pullback(graph, g)).collect();
         // --- Sampled trace: line drag per read, `None` for a
         // cache-resident operand; one trace per distinct read ----------
-        let traces = trace_all(graph, &self.groups, &pullbacks, device, elem, par::workers());
+        let traces = trace_all(graph, &self.groups, &pullbacks, device, elem);
 
         let line_buffer = device.buffer_cache.line_bytes as u64;
         let tile_texture = (device.texture_tiling.tile_w * device.texture_tiling.tile_h) * 4 * elem;

@@ -22,13 +22,13 @@
 //! along `n`, conv weights along the spatial dims) is skipped: the
 //! counts are set unions, so the repeat cannot move them. Reads with
 //! identical signatures share one trace (transformer blocks repeat
-//! dozens of times), and [`trace_all`] traces the distinct reads across
-//! the host's cores; the result does not depend on how many.
+//! dozens of times), and [`trace_all`] traces the distinct reads on the
+//! calling thread, so an estimate's time does not depend on whether
+//! other cores are free.
 //!
 //! [`OptimizedGraph::estimate`]: crate::OptimizedGraph::estimate
 
 use crate::estimate::resident_bytes;
-use crate::par;
 use crate::pipeline::{EdgeRead, KernelGroup};
 use smartmem_index::IndexMap;
 use smartmem_ir::{Graph, MemoryClass, Op, PhysicalAddress, TensorId};
@@ -228,12 +228,10 @@ impl Traces {
     }
 }
 
-/// Traces every distinct streamed read once, on up to `workers`
-/// threads, each with its own [`LineDragTracer`]; reads with one
-/// signature share a trace. `pullbacks[gi]` is group `gi`'s own
-/// pull-back map (see [`own_pullback`]). Results and stats do not
-/// depend on `workers`: each read signature is traced exactly once, by
-/// whichever worker pulls it, into its own slot.
+/// Traces every distinct streamed read once, with one reused
+/// [`LineDragTracer`]; reads with one signature share a trace.
+/// `pullbacks[gi]` is group `gi`'s own pull-back map (see
+/// [`own_pullback`]).
 ///
 /// [`own_pullback`]: crate::estimate::own_pullback
 pub(crate) fn trace_all(
@@ -242,15 +240,14 @@ pub(crate) fn trace_all(
     pullbacks: &[Option<IndexMap>],
     device: &DeviceConfig,
     elem: u64,
-    workers: usize,
 ) -> Traces {
-    // Per read: the job tracing it, `None` when cache-resident.
-    let mut job_of: HashMap<u64, usize> = HashMap::new();
-    let mut jobs: Vec<(usize, usize)> = Vec::new();
-    let job_refs: Vec<Vec<Option<usize>>> = groups
+    let mut tracer = LineDragTracer::default();
+    let mut stats = TraceStats::default();
+    let mut drag_of: HashMap<u64, f64> = HashMap::new();
+    let drags = groups
         .iter()
-        .enumerate()
-        .map(|(gi, group)| {
+        .zip(pullbacks)
+        .map(|(group, own)| {
             let reads = group.reads.iter().enumerate();
             reads
                 .map(|(ri, read)| {
@@ -258,32 +255,23 @@ pub(crate) fn trace_all(
                     let streamed = bytes > resident_bytes(&read.layout, device);
                     streamed.then(|| {
                         let signature = read_signature(graph, group, read);
-                        *job_of.entry(signature).or_insert_with(|| {
-                            jobs.push((gi, ri));
-                            jobs.len() - 1
+                        *drag_of.entry(signature).or_insert_with(|| {
+                            let (drag, cost) =
+                                tracer.trace_read(graph, group, ri, own.as_ref(), device, elem);
+                            stats.addresses += cost.addresses;
+                            stats.skipped_points += cost.skipped_points;
+                            drag
                         })
                     })
                 })
                 .collect()
         })
         .collect();
-    let traced = par::fan_out(jobs.len(), workers, LineDragTracer::default, |tracer, j| {
-        let (gi, ri) = jobs[j];
-        tracer.trace_read(graph, &groups[gi], ri, pullbacks[gi].as_ref(), device, elem)
-    });
-    let mut stats = TraceStats { unique_traces: jobs.len(), ..TraceStats::default() };
-    for (_, cost) in &traced {
-        stats.addresses += cost.addresses;
-        stats.skipped_points += cost.skipped_points;
-    }
-    let drags = job_refs
-        .into_iter()
-        .map(|reads| reads.into_iter().map(|job| job.map(|j| traced[j].0)).collect())
-        .collect();
+    stats.unique_traces = drag_of.len();
     Traces { drags, stats }
 }
 
-/// The buffers one trace worker reuses across reads.
+/// The buffers a trace reuses across reads.
 #[derive(Default)]
 struct LineDragTracer {
     /// The sample window of the output space a read walks.
@@ -685,33 +673,33 @@ mod tests {
         assert_ne!(read_signature(&opt_a.graph, &group_a, &relogical), full);
     }
 
-    /// Every group's drags and the whole sweep's stats, traced on
-    /// `workers` threads.
-    fn trace_on(opt: &OptimizedGraph, workers: usize) -> (Vec<Vec<Option<f64>>>, TraceStats) {
-        let device = DeviceConfig::snapdragon_8gen2();
-        let pullbacks: Vec<_> = opt.groups.iter().map(|g| own_pullback(&opt.graph, g)).collect();
-        let elem = device.dtype.size_bytes();
-        let traces = trace_all(&opt.graph, &opt.groups, &pullbacks, &device, elem, workers);
-        let drags = (0..opt.groups.len()).map(|gi| traces.drags(gi).to_vec()).collect();
-        (drags, traces.stats)
-    }
-
     #[test]
-    fn worker_count_changes_neither_drags_nor_stats() {
+    fn shared_traces_give_every_group_its_own_drags() {
         let device = DeviceConfig::snapdragon_8gen2();
+        let elem = device.dtype.size_bytes();
         for name in ["Swin", "ResNext", "Pythia"] {
             let graph = smartmem_models::by_name(name).expect("zoo model").graph();
             // The DNNFusion level also traces retained transform kernels
             // through their own pull-backs.
             for config in [SmartMemConfig::full(), SmartMemConfig::dnnfusion_level()] {
                 let opt = SmartMemPipeline::with_config(config).optimize(&graph, &device).unwrap();
-                let serial = trace_on(&opt, 1);
-                let streamed = serial.0.iter().flatten().filter(|d| d.is_some()).count();
-                assert!(serial.1.unique_traces < streamed, "{name} repeats signatures");
-                assert!(serial.1.skipped_points > 0, "{name} repeats coordinate sets");
-                for workers in [2, 7] {
-                    assert!(trace_on(&opt, workers) == serial, "{name} on {workers} workers");
+                let (graph, groups) = (&opt.graph, &opt.groups);
+                let pullbacks: Vec<_> = groups.iter().map(|g| own_pullback(graph, g)).collect();
+                let shared = trace_all(graph, groups, &pullbacks, &device, elem);
+                let mut streamed = 0;
+                for (gi, group) in groups.iter().enumerate() {
+                    let alone = trace_all(
+                        graph,
+                        std::slice::from_ref(group),
+                        &pullbacks[gi..=gi],
+                        &device,
+                        elem,
+                    );
+                    assert!(shared.drags(gi) == alone.drags(0), "{name} group {gi}");
+                    streamed += alone.drags(0).iter().flatten().count();
                 }
+                assert!(shared.stats.unique_traces < streamed, "{name} repeats signatures");
+                assert!(shared.stats.skipped_points > 0, "{name} repeats coordinate sets");
             }
         }
     }
@@ -730,7 +718,7 @@ mod tests {
         group.reads.retain(|r| r.member == group.anchor && r.operand_idx == operand);
         assert_eq!(group.reads.len(), 1);
         let elem = device.dtype.size_bytes();
-        let traces = trace_all(&opt.graph, &[group], &[None], &device, elem, 1);
+        let traces = trace_all(&opt.graph, &[group], &[None], &device, elem);
         assert!(traces.drags(0)[0].is_some(), "the operand is streamed, so traced");
         traces.stats
     }
