@@ -20,9 +20,16 @@
 //! | `cse`                 | duplicate ops with identical operands share one result |
 //! | `const-fold`          | ops whose operands are all initialized weights become weights |
 //!
-//! Every sweep rebuilds the graph through [`GraphBuilder`], so dead
-//! operators (ones whose outputs reach no graph output) and orphaned
-//! weights are dropped as a side effect of any rewrite round.
+//! Every sweep matches first and builds second. Its rule runs over the
+//! live nodes in a dry mode that needs no builder; only when a rule
+//! matches, or when liveness would drop a dead operator (one whose
+//! outputs reach no graph output) or an orphaned weight, is the graph
+//! rebuilt through [`GraphBuilder`]. That is exact: a sweep whose rule
+//! matches nothing and that has nothing to prune would copy every node
+//! verbatim and report no change, so skipping the copy returns the same
+//! `None`. A dry check may over-approximate, never under-approximate:
+//! a build whose rule then declines everywhere changes nothing, and
+//! the sweep still returns `None`.
 //!
 //! Termination: `move-transpose` strictly pushes transposes toward the
 //! outputs and never increases their count; every other rule strictly
@@ -73,6 +80,12 @@ fn live_mask(g: &Graph) -> Vec<bool> {
     node_live
 }
 
+/// Liveness keeps a weight iff something live still reads it or it is
+/// itself a graph output.
+fn weight_kept(g: &Graph, live: &[bool], id: TensorId) -> bool {
+    g.outputs().contains(&id) || g.consumers(id).iter().any(|c| live[c.0 as usize])
+}
+
 /// Incremental copy of an old graph into a fresh [`GraphBuilder`],
 /// tracking the old-tensor → new-tensor mapping.
 struct Rebuild<'g> {
@@ -82,8 +95,6 @@ struct Rebuild<'g> {
     /// Fresh-weight name counter (collision-free against copied names).
     fresh: usize,
     names: HashSet<String>,
-    /// Orphaned weights skipped during the copy (counts as a change).
-    dropped_weights: usize,
 }
 
 impl<'g> Rebuild<'g> {
@@ -91,8 +102,6 @@ impl<'g> Rebuild<'g> {
         let mut b = GraphBuilder::new(old.name());
         let mut map = HashMap::new();
         let mut names = HashSet::new();
-        let mut dropped_weights = 0usize;
-        let is_output: HashSet<TensorId> = old.outputs().iter().copied().collect();
         for (i, t) in old.tensors().iter().enumerate() {
             let id = TensorId(i as u32);
             match t.kind {
@@ -101,12 +110,7 @@ impl<'g> Rebuild<'g> {
                     map.insert(id, b.input(t.name.clone(), t.shape.dims(), t.dtype));
                 }
                 TensorKind::Weight => {
-                    // Keep a weight only if something live still reads it
-                    // (or it is itself a graph output).
-                    let used = is_output.contains(&id)
-                        || old.consumers(id).iter().any(|c| live[c.0 as usize]);
-                    if !used {
-                        dropped_weights += 1;
+                    if !weight_kept(old, live, id) {
                         continue;
                     }
                     names.insert(t.name.clone());
@@ -121,7 +125,7 @@ impl<'g> Rebuild<'g> {
                 TensorKind::Activation => {}
             }
         }
-        Rebuild { old, b, map, fresh: 0, names, dropped_weights }
+        Rebuild { old, b, map, fresh: 0, names }
     }
 
     /// New id of an old tensor. Panics if the producer was skipped
@@ -181,36 +185,44 @@ impl<'g> Rebuild<'g> {
     }
 }
 
-/// Runs one rewrite sweep: walks live nodes in topological order, lets
-/// `decide` either replace a node (returning `true`) or decline
-/// (`false`, node copied verbatim). Nodes in `skip` are dropped outright
-/// (their outputs must have been aliased by an earlier `decide`).
-/// Returns `None` when the sweep changed nothing, so callers can detect
-/// fixpoints exactly.
-fn rewrite_graph(
-    g: &Graph,
+/// Runs one rewrite sweep over the live nodes (`live` is `g`'s
+/// [`live_mask`]) in topological order. `decide(n, Some(rb))` either
+/// replaces a node in `rb` (returning `true`) or declines (`false`, node
+/// copied verbatim). `decide(n, None)` is the dry check: it answers
+/// whether the rule matches `n` and builds nothing; it may say `true`
+/// where the build would decline, never the reverse. The dry check runs
+/// on a clone of `decide`, so a rule's state starts the build clean.
+/// Nodes in `skip` are dropped outright (their outputs must have been
+/// aliased by an earlier `decide`). Returns `None` when the sweep
+/// changed nothing, so callers can detect fixpoints exactly.
+fn rewrite_graph<'g, D>(
+    g: &'g Graph,
+    live: &[bool],
     skip: &HashSet<OpId>,
-    mut decide: impl FnMut(&Node, &mut Rebuild) -> bool,
-) -> Option<Graph> {
-    let live = live_mask(g);
-    let dead = live.iter().filter(|&&l| !l).count();
-    let mut rb = Rebuild::new(g, &live);
-    let mut changed = dead > 0 || rb.dropped_weights > 0 || !skip.is_empty();
-    for n in g.nodes() {
-        if !live[n.id.0 as usize] || skip.contains(&n.id) {
-            continue;
-        }
-        if decide(n, &mut rb) {
+    mut decide: D,
+) -> Option<Graph>
+where
+    D: FnMut(&'g Node, Option<&mut Rebuild<'g>>) -> bool + Clone,
+{
+    let nodes = || g.nodes().iter().filter(|n| live[n.id.0 as usize] && !skip.contains(&n.id));
+    let prunes = live.contains(&false)
+        || g.tensors().iter().enumerate().any(|(i, t)| {
+            t.kind == TensorKind::Weight && !weight_kept(g, live, TensorId(i as u32))
+        });
+    let mut changed = prunes || !skip.is_empty();
+    let mut dry = decide.clone();
+    if !changed && !nodes().any(|n| dry(n, None)) {
+        return None;
+    }
+    let mut rb = Rebuild::new(g, live);
+    for n in nodes() {
+        if decide(n, Some(&mut rb)) {
             changed = true;
         } else {
             rb.emit(n);
         }
     }
-    if changed {
-        Some(rb.finish())
-    } else {
-        None
-    }
+    changed.then(|| rb.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -245,7 +257,7 @@ fn order_preserving(g: &Graph, input: TensorId, perm: &[usize]) -> bool {
 
 /// `remove-identity`: drops ops that provably return their input.
 fn sweep_remove_identity(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &HashSet::new(), |n, rb| {
+    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| {
         let identity = match &n.op {
             Op::Unary { kind: UnaryKind::Identity } => true,
             Op::Reshape { shape } => g.tensor(n.inputs[0]).shape.dims() == shape.as_slice(),
@@ -256,7 +268,7 @@ fn sweep_remove_identity(g: &Graph) -> Option<Graph> {
             Op::Concat { .. } => n.inputs.len() == 1,
             _ => false,
         };
-        if identity {
+        if let (true, Some(rb)) = (identity, rb) {
             let x = rb.lookup(n.inputs[0]);
             rb.alias(n.outputs[0], x);
         }
@@ -267,18 +279,18 @@ fn sweep_remove_identity(g: &Graph) -> Option<Graph> {
 /// `cancel-transpose`: merges back-to-back transposes into one (or into
 /// nothing when they invert each other).
 fn sweep_cancel_transpose(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &HashSet::new(), |n, rb| {
+    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| {
         let Op::Transpose { perm: q } = &n.op else { return false };
         let Some(pid) = g.producer(n.inputs[0]) else { return false };
         let inner = g.node(pid);
         let Op::Transpose { perm: p } = &inner.op else { return false };
+        let Some(rb) = rb else { return true };
         // out[i] = mid[q[i]] and mid[j] = x[p[j]]  ⇒  out[i] = x[p[q[i]]].
         let combined: Vec<usize> = q.iter().map(|&i| p[i]).collect();
+        let x = rb.lookup(inner.inputs[0]);
         if is_identity_perm(&combined) {
-            let x = rb.lookup(inner.inputs[0]);
             rb.alias(n.outputs[0], x);
         } else {
-            let x = rb.lookup(inner.inputs[0]);
             rb.push_mapped(Op::Transpose { perm: combined }, &[x], &n.outputs, n.origin);
         }
         // The inner transpose stays for its other consumers; when this
@@ -290,8 +302,9 @@ fn sweep_cancel_transpose(g: &Graph) -> Option<Graph> {
 /// `absorb-transpose`: turns memory-order-preserving transposes into
 /// reshapes and merges reshape chains.
 fn sweep_absorb_transpose(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &HashSet::new(), |n, rb| match &n.op {
+    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| match &n.op {
         Op::Transpose { perm } if order_preserving(g, n.inputs[0], perm) => {
+            let Some(rb) = rb else { return true };
             let out_dims = g.tensor(n.outputs[0]).shape.dims().to_vec();
             let x = rb.lookup(n.inputs[0]);
             rb.push_mapped(Op::Reshape { shape: out_dims }, &[x], &n.outputs, n.origin);
@@ -301,6 +314,7 @@ fn sweep_absorb_transpose(g: &Graph) -> Option<Graph> {
             let Some(pid) = g.producer(n.inputs[0]) else { return false };
             let inner = g.node(pid);
             let Op::Reshape { .. } = &inner.op else { return false };
+            let Some(rb) = rb else { return true };
             let x = rb.lookup(inner.inputs[0]);
             if g.tensor(inner.inputs[0]).shape.dims() == shape.as_slice() {
                 rb.alias(n.outputs[0], x);
@@ -343,11 +357,10 @@ fn sole_consumer(g: &Graph, live: &[bool], t: TensorId) -> Option<OpId> {
 /// at least as many transposes as it emits.
 fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
     let live = live_mask(g);
-    // Plan first: consumer op id → the transpose nodes it absorbs.
+    // Plan first: consumer op id → the transpose nodes it absorbs, which
+    // the rebuild then skips.
     let mut skip: HashSet<OpId> = HashSet::new();
-    let mut planned: HashSet<OpId> = HashSet::new();
 
-    #[derive(Clone)]
     enum Plan {
         /// Re-emit consumer on the transpose's input, then transpose.
         Unary { t: OpId },
@@ -364,7 +377,7 @@ fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
     };
 
     for n in g.nodes() {
-        if !live[n.id.0 as usize] || planned.contains(&n.id) {
+        if !live[n.id.0 as usize] || skip.contains(&n.id) {
             continue;
         }
         let Op::Transpose { perm } = &n.op else { continue };
@@ -383,7 +396,6 @@ fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
             Op::Unary { kind } if *kind != UnaryKind::Identity => {
                 plans.insert(c, Plan::Unary { t: n.id });
                 skip.insert(n.id);
-                planned.insert(n.id);
             }
             Op::Binary { .. } => {
                 let a = cn.inputs[0];
@@ -410,17 +422,13 @@ fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
                     // Both operands are this same transpose.
                     plans.insert(c, Plan::Pair { t1: n.id, t2: n.id });
                     skip.insert(n.id);
-                    planned.insert(n.id);
                 } else if let Some(oid) = pair {
                     plans.insert(c, Plan::Pair { t1: n.id, t2: oid });
                     skip.insert(n.id);
                     skip.insert(oid);
-                    planned.insert(n.id);
-                    planned.insert(oid);
                 } else if is_scalar(other) {
                     plans.insert(c, Plan::Scalar { t: n.id, scalar_first: a == other });
                     skip.insert(n.id);
-                    planned.insert(n.id);
                 }
             }
             _ => {}
@@ -433,55 +441,30 @@ fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
         return None;
     }
 
-    rewrite_graph(g, &skip, |n, rb| {
+    rewrite_graph(g, &live, &skip, |n, rb| {
         let Some(plan) = plans.get(&n.id) else { return false };
-        match plan.clone() {
-            Plan::Unary { t } => {
-                let tn = g.node(t);
-                let Op::Transpose { perm } = &tn.op else { unreachable!() };
-                let x = rb.lookup(tn.inputs[0]);
-                rb.b.set_origin(n.origin);
-                let u = rb.b.try_push(n.op.clone(), &[x]).expect("moved unary ill-typed");
-                rb.push_mapped(
-                    Op::Transpose { perm: perm.clone() },
-                    &[u[0]],
-                    &n.outputs,
-                    tn.origin,
-                );
-            }
+        let Some(rb) = rb else { return true };
+        // The consumer re-emitted on the transposes' inputs, then the
+        // (first) transpose applied to its result.
+        let (tn, operands) = match *plan {
+            Plan::Unary { t } => (g.node(t), vec![rb.lookup(g.node(t).inputs[0])]),
             Plan::Scalar { t, scalar_first } => {
-                let tn = g.node(t);
-                let Op::Transpose { perm } = &tn.op else { unreachable!() };
-                let x = rb.lookup(tn.inputs[0]);
-                let s = rb.lookup(if scalar_first { n.inputs[0] } else { n.inputs[1] });
-                let operands = if scalar_first { [s, x] } else { [x, s] };
-                rb.b.set_origin(n.origin);
-                let y = rb.b.try_push(n.op.clone(), &operands).expect("moved binary ill-typed");
-                rb.push_mapped(
-                    Op::Transpose { perm: perm.clone() },
-                    &[y[0]],
-                    &n.outputs,
-                    tn.origin,
-                );
+                let x = rb.lookup(g.node(t).inputs[0]);
+                let s = rb.lookup(n.inputs[usize::from(!scalar_first)]);
+                (g.node(t), if scalar_first { vec![s, x] } else { vec![x, s] })
             }
             Plan::Pair { t1, t2 } => {
-                let tn1 = g.node(t1);
-                let tn2 = g.node(t2);
-                let Op::Transpose { perm } = &tn1.op else { unreachable!() };
+                let (tn1, tn2) = (g.node(t1), g.node(t2));
                 let x1 = rb.lookup(tn1.inputs[0]);
                 let x2 = rb.lookup(tn2.inputs[0]);
                 // Preserve operand order of the original binary.
-                let (a, bb) = if n.inputs[0] == tn1.outputs[0] { (x1, x2) } else { (x2, x1) };
-                rb.b.set_origin(n.origin);
-                let y = rb.b.try_push(n.op.clone(), &[a, bb]).expect("moved binary ill-typed");
-                rb.push_mapped(
-                    Op::Transpose { perm: perm.clone() },
-                    &[y[0]],
-                    &n.outputs,
-                    tn1.origin,
-                );
+                (tn1, if n.inputs[0] == tn1.outputs[0] { vec![x1, x2] } else { vec![x2, x1] })
             }
-        }
+        };
+        let Op::Transpose { perm } = &tn.op else { unreachable!() };
+        rb.b.set_origin(n.origin);
+        let y = rb.b.try_push(n.op.clone(), &operands).expect("moved op ill-typed");
+        rb.push_mapped(Op::Transpose { perm: perm.clone() }, &[y[0]], &n.outputs, tn.origin);
         true
     })
 }
@@ -542,9 +525,9 @@ fn sweep_collapse_repeated(g: &Graph) -> Option<Graph> {
         chain.insert(n.id, (pid, combined));
     }
 
-    let mut changed_any = false;
-    let result = rewrite_graph(g, &skip, |n, rb| {
+    rewrite_graph(g, &live, &skip, |n, rb| {
         if let Some(&(inner_id, c)) = chain.get(&n.id) {
+            let Some(rb) = rb else { return true };
             let inner = g.node(inner_id);
             // The inner op's non-constant operand.
             let x_old = *inner
@@ -555,36 +538,26 @@ fn sweep_collapse_repeated(g: &Graph) -> Option<Graph> {
             let x = rb.lookup(x_old);
             let w = rb.fresh_weight(&[1], DType::F32, vec![c]);
             rb.push_mapped(n.op.clone(), &[x, w], &n.outputs, n.origin);
-            changed_any = true;
             return true;
         }
         // Relu∘Relu → inner Relu; Neg∘Neg → the grandparent input.
-        if let Op::Unary { kind } = &n.op {
-            if let Some(pid) = g.producer(n.inputs[0]) {
-                let inner = g.node(pid);
-                if inner.op == (Op::Unary { kind: *kind }) {
-                    match kind {
-                        UnaryKind::Relu => {
-                            let x = rb.lookup(n.inputs[0]);
-                            rb.alias(n.outputs[0], x);
-                            changed_any = true;
-                            return true;
-                        }
-                        UnaryKind::Neg => {
-                            let x = rb.lookup(inner.inputs[0]);
-                            rb.alias(n.outputs[0], x);
-                            changed_any = true;
-                            return true;
-                        }
-                        _ => {}
-                    }
-                }
-            }
+        let Op::Unary { kind } = &n.op else { return false };
+        let Some(pid) = g.producer(n.inputs[0]) else { return false };
+        let inner = g.node(pid);
+        let x = match kind {
+            UnaryKind::Relu => n.inputs[0],
+            UnaryKind::Neg => inner.inputs[0],
+            _ => return false,
+        };
+        if inner.op != n.op {
+            return false;
         }
-        false
-    });
-    let _ = changed_any;
-    result
+        if let Some(rb) = rb {
+            let x = rb.lookup(x);
+            rb.alias(n.outputs[0], x);
+        }
+        true
+    })
 }
 
 /// `cse`: ops with identical operators and identical (remapped) operand
@@ -593,27 +566,33 @@ fn sweep_cse(g: &Graph) -> Option<Graph> {
     // Keyed by remapped operands so chains of duplicates collapse in one
     // sweep; values are the *old* output ids of the first occurrence
     // (resolved through the rebuild map at alias time, after the driver
-    // has emitted that first occurrence).
-    let mut seen: HashMap<(String, Vec<TensorId>), Vec<TensorId>> = HashMap::new();
-    rewrite_graph(g, &HashSet::new(), |n, rb| {
-        let key_inputs: Vec<TensorId> = n.inputs.iter().map(|&t| rb.lookup(t)).collect();
-        let key = (format!("{:?}", n.op), key_inputs);
-        if let Some(prev_old) = seen.get(&key) {
-            for (&o, &p) in n.outputs.iter().zip(prev_old.iter()) {
+    // has emitted that first occurrence). The dry check keys on the old
+    // ids: until the first alias the rebuild map is one-to-one, so they
+    // find the same first duplicate the remapped ids would.
+    let mut seen: HashMap<(&Op, Vec<TensorId>), &[TensorId]> = HashMap::new();
+    rewrite_graph(g, &live_mask(g), &HashSet::new(), move |n, mut rb| {
+        let key =
+            (&n.op, n.inputs.iter().map(|&t| rb.as_ref().map_or(t, |rb| rb.lookup(t))).collect());
+        let Some(&prev_old) = seen.get(&key) else {
+            seen.insert(key, &n.outputs);
+            return false;
+        };
+        if let Some(rb) = rb.as_mut() {
+            for (&o, &p) in n.outputs.iter().zip(prev_old) {
                 let target = rb.lookup(p);
                 rb.alias(o, target);
             }
-            return true;
         }
-        seen.insert(key, n.outputs.clone());
-        false
+        true
     })
 }
 
 /// `const-fold`: an op whose operands are all initialized weights is
 /// evaluated by the reference interpreter and replaced with weights.
+/// The dry check evaluates too, so an op the interpreter refuses never
+/// triggers a rebuild (which could not copy it either).
 fn sweep_const_fold(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &HashSet::new(), |n, rb| {
+    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| {
         let all_const = n.inputs.iter().all(|&t| {
             let info = g.tensor(t);
             info.kind == TensorKind::Weight && info.init.is_some() && info.dtype == DType::F32
@@ -634,6 +613,7 @@ fn sweep_const_fold(g: &Graph) -> Option<Graph> {
             .collect();
         let refs: Vec<&TensorValue> = vals.iter().collect();
         let Ok(outs) = eval_op(&n.op, &refs) else { return false };
+        let Some(rb) = rb else { return true };
         for (&old, v) in n.outputs.iter().zip(outs) {
             let dims = v.shape.dims().to_vec();
             let w = rb.fresh_weight(&dims, DType::F32, v.data);
@@ -773,20 +753,22 @@ impl Pass for StreamlinePass {
         let ops_before = ctx.graph.op_count();
         let t_before = transpose_count(&ctx.graph);
         let mut rounds = 0usize;
+        // Sweeps that rebuilt and replaced the graph.
+        let mut rebuilds = 0usize;
         for _ in 0..MAX_ROUNDS {
-            let mut changed = false;
+            let before = rebuilds;
             for (_name, sweep) in FAMILY {
-                changed |= apply_sweep(ctx, sweep);
+                rebuilds += usize::from(apply_sweep(ctx, sweep));
             }
             rounds += 1;
-            if !changed {
+            if rebuilds == before {
                 break;
             }
         }
         ctx.note(
             "streamline",
             format!(
-                "{rounds} round(s): {} -> {} ops, {} -> {} transposes",
+                "{rounds} round(s), {rebuilds} rebuild(s): {} -> {} ops, {} -> {} transposes",
                 ops_before,
                 ctx.graph.op_count(),
                 t_before,
@@ -936,6 +918,91 @@ mod tests {
         let s = streamline(&g);
         assert_eq!(s.op_count(), 1);
         outputs_agree(&g, &s);
+    }
+
+    /// A sweep whose rule matches nothing must still rebuild when
+    /// liveness prunes: the dry check may not answer "nothing to do".
+    #[test]
+    fn dead_branch_alone_rebuilds() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", &[4], DType::F32);
+        let live = b.unary(x, UnaryKind::Relu);
+        let _dead = b.unary(x, UnaryKind::Gelu);
+        b.output(live);
+        let g = b.finish();
+        let s = sweep_cse(&g).expect("the dead branch is pruned");
+        assert_eq!(s.op_count(), 1);
+    }
+
+    #[test]
+    fn orphaned_weight_alone_rebuilds() {
+        let mut b = GraphBuilder::new("t");
+        let x = b.input("x", &[4], DType::F32);
+        b.weight_init("orphan", &[1], DType::F32, vec![1.0]);
+        let r = b.unary(x, UnaryKind::Relu);
+        b.output(r);
+        let g = b.finish();
+        let s = sweep_cse(&g).expect("the orphaned weight is dropped");
+        assert_eq!(s.op_count(), 1);
+        assert_eq!(s.tensors().len(), g.tensors().len() - 1);
+    }
+
+    /// `g` reassembled through the wire codec with weight `w` reshaped
+    /// to `dims`: shapes the builder would refuse, so the interpreter
+    /// refuses the op that reads `w`.
+    fn with_weight_reshaped(g: &Graph, w: TensorId, dims: &[usize]) -> Graph {
+        use smartmem_ir::wire::{decode_from, encode_to_vec};
+        use smartmem_ir::{Shape, SymAxis, SymDim};
+        let mut tensors = g.tensors().to_vec();
+        tensors[w.0 as usize].shape = Shape::new(dims.to_vec());
+        tensors[w.0 as usize].init = Some(vec![1.0; dims.iter().product()]);
+        let sym = (Vec::<SymDim>::new(), Vec::<SymAxis>::new());
+        let io = (g.inputs().to_vec(), (g.outputs().to_vec(), sym));
+        let parts = ((g.name().to_string(), g.nodes().to_vec()), (tensors, io));
+        decode_from(&encode_to_vec(&parts)).expect("reassembled graph decodes")
+    }
+
+    /// The dry check matches a fold without evaluating it; when the
+    /// interpreter then refuses, the sweep reports no change.
+    #[test]
+    fn refused_fold_leaves_the_graph_unchanged() {
+        let mut b = GraphBuilder::new("t");
+        let w1 = b.weight_init("w1", &[2, 2], DType::F32, vec![1.0, 2.0, 3.0, 4.0]);
+        let w2 = b.weight_init("w2", &[2, 2], DType::F32, vec![5.0, 6.0, 7.0, 8.0]);
+        let x = b.input("x", &[2, 2], DType::F32);
+        let ws = b.binary(w1, w2, BinaryKind::Add);
+        let y = b.binary(x, ws, BinaryKind::Add);
+        b.output(y);
+        let g = with_weight_reshaped(&b.finish(), w2, &[3]);
+        assert!(sweep_const_fold(&g).is_none());
+    }
+
+    /// Streamlines `g`, returning the result and the note's
+    /// `(rounds, rebuilds)`.
+    fn streamline_counted(g: &Graph) -> (Graph, usize, usize) {
+        let dev = smartmem_sim::DeviceConfig::snapdragon_8gen2();
+        let mut ctx = CompileCtx::new("test", g, &dev);
+        StreamlinePass.run(&mut ctx).unwrap();
+        let note = &ctx.diagnostics.iter().find(|d| d.pass == "streamline").unwrap().message;
+        let words: Vec<&str> = note.split_whitespace().collect();
+        assert_eq!((words[1], words[3]), ("round(s),", "rebuild(s):"), "{note}");
+        (ctx.graph, words[0].parse().unwrap(), words[2].parse().unwrap())
+    }
+
+    #[test]
+    fn note_counts_rounds_and_rebuilds() {
+        for entry in smartmem_models::all_models() {
+            let (s, rounds, rebuilds) = streamline_counted(&entry.graph());
+            match entry.name {
+                "ResNext" | "ViT" => assert_eq!((rounds, rebuilds), (1, 0), "{}", entry.name),
+                // Six graph-changing sweeps over four rounds, as on the
+                // always-rebuild driver.
+                "Swin" => assert_eq!((rounds, rebuilds), (4, 6)),
+                _ => {}
+            }
+            let again = streamline_counted(&s);
+            assert_eq!((again.1, again.2), (1, 0), "{}: streamlined graph rebuilt", entry.name);
+        }
     }
 
     #[test]
