@@ -6,7 +6,9 @@
 //! bench with a small median-of-N timing loop. Run with
 //! `cargo bench -p smartmem-bench`.
 
-use smartmem_core::{eliminate, fuse, CompileSession, Framework, SmartMemPipeline};
+use smartmem_core::{
+    eliminate, fuse, CompileCtx, CompileSession, Framework, Pass, SmartMemPipeline, StreamlinePass,
+};
 use smartmem_index::IndexMap;
 use smartmem_models as models;
 use smartmem_sim::{CacheConfig, CacheSim, DeviceConfig};
@@ -76,6 +78,17 @@ fn bench_pipeline() {
         trace.addresses,
         trace.skipped_points
     );
+    // The streamline family over the whole zoo, one model after another:
+    // the graph-level host cost every cold compile pays first.
+    let zoo: Vec<_> = models::all_models().iter().map(|m| m.graph()).collect();
+    let streamline_s = bench("streamline/zoo", || {
+        for g in &zoo {
+            let mut ctx = CompileCtx::new("bench", g, &device);
+            StreamlinePass.run(&mut ctx).unwrap();
+            black_box(ctx.graph);
+        }
+    });
+    println!("  streamline/{:<30} {:>12.2} ms ({} models)", "zoo", streamline_s * 1e3, zoo.len());
     // Per-pass breakdown of one compilation, from the pass manager.
     let timed = SmartMemPipeline::new().optimize_timed(&swin, &device).unwrap();
     for t in &timed.timings {

@@ -16,7 +16,7 @@
 use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
 use smartmem_bench::{parse_bench_args, render_pass_timings, render_table};
-use smartmem_core::{eliminate, CompileSession, Framework, SmartMemPipeline};
+use smartmem_core::{eliminate, CompileOutput, CompileSession, Framework, SmartMemPipeline};
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_models::all_models;
 use smartmem_sim::DeviceConfig;
@@ -38,6 +38,16 @@ fn edit_demo_model(edited: bool) -> Graph {
     }
     b.output(cur);
     b.finish()
+}
+
+/// The streamline note's "N round(s), M rebuild(s)" head: fixpoint
+/// rounds run, and the sweeps among them that rebuilt the graph.
+fn streamline_rounds(out: &CompileOutput) -> &str {
+    out.diagnostics
+        .iter()
+        .find(|d| d.pass == "streamline")
+        .and_then(|d| d.message.split(':').next())
+        .unwrap_or("streamline did not run")
 }
 
 fn main() {
@@ -88,12 +98,13 @@ fn main() {
     println!(
         "\n(LTE memo is warm from here on — `lte` rows below are lookup times; cold vs warm cost is the table above)"
     );
-    let mut swin_smartmem_stats = None;
+    let mut swin_smartmem = None;
     for fw in &frameworks {
         match fw.optimize_timed(&swin, &device) {
             Ok(out) => {
                 if fw.name() == "SmartMem" {
-                    swin_smartmem_stats = Some(out.optimized.stats);
+                    swin_smartmem =
+                        Some((out.optimized.stats, streamline_rounds(&out).to_string()));
                 }
                 print!("{}", render_pass_timings(fw.name(), "Swin-T", &out));
             }
@@ -106,9 +117,9 @@ fn main() {
     // (well inside its ±15% band): a pass change that stops cancelling
     // transposes fails CI even though no wall-clock moved.
     {
-        let s = swin_smartmem_stats.expect("SmartMem compiles Swin-T");
+        let (s, rounds) = swin_smartmem.expect("SmartMem compiles Swin-T");
         println!(
-            "\nstreamline on Swin-T: {} ops removed net, {} transposes cancelled/absorbed",
+            "\nstreamline on Swin-T: {} ops removed net, {} transposes cancelled/absorbed ({rounds})",
             s.streamline_removed_ops, s.streamline_transposes_removed,
         );
         records.push(BenchRecord::new(
@@ -143,12 +154,13 @@ fn main() {
         let left =
             out.optimized.graph.nodes().iter().filter(|n| n.op.mnemonic() == "Transpose").count();
         println!(
-            "\nstreamline on {label}: {} -> {} ops ({} streamlined away, {} transposes removed, {} left)",
+            "\nstreamline on {label}: {} -> {} ops ({} streamlined away, {} transposes removed, {} left; {})",
             s.source_ops,
             out.optimized.graph.op_count(),
             s.streamline_removed_ops,
             s.streamline_transposes_removed,
             left,
+            streamline_rounds(&out),
         );
     }
 
