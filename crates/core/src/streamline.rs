@@ -995,8 +995,8 @@ mod tests {
             let (s, rounds, rebuilds) = streamline_counted(&entry.graph());
             match entry.name {
                 "ResNext" | "ViT" => assert_eq!((rounds, rebuilds), (1, 0), "{}", entry.name),
-                // Six graph-changing sweeps over four rounds, as on the
-                // always-rebuild driver.
+                // Six graph-changing sweeps over four rounds, as when
+                // every sweep rebuilt.
                 "Swin" => assert_eq!((rounds, rebuilds), (4, 6)),
                 _ => {}
             }

@@ -5,8 +5,8 @@
 //!
 //! Each row holds an FNV-1a 64-bit digest of `export_json` of the
 //! streamlined graph plus `(streamline_removed_ops,
-//! streamline_removed_transposes)`. The rows were recorded on the
-//! always-rebuild sweep driver and must not be edited by a change that
+//! streamline_removed_transposes)`. The rows were recorded when every
+//! sweep still rebuilt the graph, and must not be edited by a change that
 //! claims to preserve the rewrites. On a mismatch the test prints the
 //! whole table as computed, in source form, so a deliberate rewrite
 //! change can re-seed it in one paste.
