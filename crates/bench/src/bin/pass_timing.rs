@@ -50,6 +50,12 @@ fn streamline_rounds(out: &CompileOutput) -> &str {
         .unwrap_or("streamline did not run")
 }
 
+/// The tune note: groups tuned, distinct (op, m, n) keys among them,
+/// and configurations the exact sweep evaluated.
+fn tune_work(out: &CompileOutput) -> &str {
+    out.diagnostics.iter().find(|d| d.pass == "tune").map_or("tune did not run", |d| &d.message)
+}
+
 fn main() {
     let args = parse_bench_args();
     assert!(!args.smoke, "pass_timing takes --cache-dir DIR, --json PATH and --import FILE only");
@@ -103,8 +109,11 @@ fn main() {
         match fw.optimize_timed(&swin, &device) {
             Ok(out) => {
                 if fw.name() == "SmartMem" {
-                    swin_smartmem =
-                        Some((out.optimized.stats, streamline_rounds(&out).to_string()));
+                    swin_smartmem = Some((
+                        out.optimized.stats,
+                        streamline_rounds(&out).to_string(),
+                        tune_work(&out).to_string(),
+                    ));
                 }
                 print!("{}", render_pass_timings(fw.name(), "Swin-T", &out));
             }
@@ -112,16 +121,17 @@ fn main() {
         }
     }
 
-    // 1a. Streamline summary on Swin-T. The counters are deterministic
+    // 1a. Streamline and tune summary on Swin-T. The counters are deterministic
     // graph-rewrite counts, so the regression gate pins them exactly
     // (well inside its ±15% band): a pass change that stops cancelling
     // transposes fails CI even though no wall-clock moved.
     {
-        let (s, rounds) = swin_smartmem.expect("SmartMem compiles Swin-T");
+        let (s, rounds, tuned) = swin_smartmem.expect("SmartMem compiles Swin-T");
         println!(
             "\nstreamline on Swin-T: {} ops removed net, {} transposes cancelled/absorbed ({rounds})",
             s.streamline_removed_ops, s.streamline_transposes_removed,
         );
+        println!("tune on Swin-T: {tuned}");
         records.push(BenchRecord::new(
             "pass_timing",
             device.slug(),
@@ -162,6 +172,7 @@ fn main() {
             left,
             streamline_rounds(&out),
         );
+        println!("tune on {label}: {}", tune_work(&out));
     }
 
     // 1c. Incremental recompilation after a one-layer edit. A fresh

@@ -3,7 +3,7 @@
 //! The session-level compilation cache is all-or-nothing: editing one
 //! layer of a model changes the graph fingerprint and repays the whole
 //! pass sequence. But the expensive tail of that sequence — layout
-//! selection and GA tuning — makes its decisions *per kernel group*,
+//! selection and tuning — makes its decisions *per kernel group*,
 //! and a one-layer edit leaves every other group structurally
 //! untouched. This module caches those per-group decisions under a
 //! content fingerprint, so an incremental recompile
@@ -21,7 +21,7 @@
 //!   **id-free**: operator and tensor ids shift when neighboring layers
 //!   are edited, but an unchanged group must keep its fingerprint.
 //! * the device fingerprint and pass-sequence id (a different device or
-//!   tuner configuration must never serve stale decisions), and
+//!   pass configuration must never serve stale decisions), and
 //! * one context digest per refinement pass
 //!   ([`crate::pass::GroupRefine::group_context`]) covering the
 //!   *global* state the pass folds into this group's decisions — e.g.
@@ -138,10 +138,6 @@ impl Decode for GroupDecisions {
 /// utilization, copy counts) — the hash must be identical before and
 /// after refinement, and identical for structurally equal groups of
 /// different models.
-///
-/// Also the per-group seed salt of the GA tuner, which is what makes
-/// tuning results independent of both thread schedule and position in
-/// the model (see [`crate::GaTuner::tune_salted`]).
 pub fn group_content_hash(graph: &Graph, g: &KernelGroup) -> u64 {
     let mut h = DefaultHasher::new();
     let anchor = graph.node(g.anchor);

@@ -22,7 +22,9 @@
 //! 5. **Reduction-dimension layout selection** ([`select_layouts`],
 //!    §3.2.2) with redundant-copy accounting (§4.6).
 //! 6. **2.5D texture mapping** ([`place_texture`], §3.3, Fig. 5) and
-//!    **GA auto-tuning** ([`GaTuner`]).
+//!    **execution-configuration tuning** ([`tune`]): an exact sweep of
+//!    the closed-form utilization objective, where the paper uses
+//!    DNNFusion's genetic algorithm over on-device measurements.
 //! 7. A shared [`OptimizedGraph`] + [`estimate`](OptimizedGraph::estimate)
 //!    pipeline output consumed by the baseline frameworks as well, so
 //!    all Table 7/8 comparisons run through identical machinery.
@@ -67,7 +69,6 @@ mod fusion;
 mod groupcache;
 mod layout_select;
 mod lte;
-mod par;
 mod pass;
 mod persist;
 mod pipeline;
@@ -88,7 +89,7 @@ pub use layout_select::{
 };
 pub use lte::{eliminate, is_eliminable, lte_memo_len, op_pullback, EdgeSource, LteResult};
 pub use pass::{
-    AssembleGroupsPass, CompileCtx, CompileOutput, Diagnostic, FusionPass, GroupRefine,
+    AssembleGroupsPass, CompileCtx, CompileOutput, Diagnostic, FusionPass, GaTuner, GroupRefine,
     LayoutSelectPass, LtePass, Pass, PassManager, PassTiming, TunePass,
 };
 pub use pipeline::{
@@ -106,4 +107,4 @@ pub use session::{
 };
 pub use texture::{fits_texture, place_buffer, place_texture, MAX_TEXTURE_EXTENT};
 pub use trace::TraceStats;
-pub use tune::{base_utilization, utilization, ExecConfig, GaTuner};
+pub use tune::{base_utilization, fitness, tune, utilization, ExecConfig};

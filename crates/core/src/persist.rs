@@ -56,8 +56,9 @@ use std::sync::{Arc, OnceLock};
 const MAGIC: [u8; 4] = *b"SMEM";
 /// Current format version. Bump on any change to the wire encoding of
 /// the persisted types. v3: symbolic-dim metadata on graphs and the
-/// canonical map digest on `EdgeRead`.
-const VERSION: u32 = 3;
+/// canonical map digest on `EdgeRead`. v4: `ExecConfig` drops the
+/// unread reduction-loop tile.
+const VERSION: u32 = 4;
 /// Header length: magic + version + probe + length + checksum.
 const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
 

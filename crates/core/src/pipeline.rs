@@ -8,9 +8,10 @@ use crate::lte::LteResult;
 use crate::streamline::StreamlinePass;
 
 use crate::pass::{
-    AssembleGroupsPass, CompileOutput, FusionPass, LayoutSelectPass, LtePass, PassManager, TunePass,
+    AssembleGroupsPass, CompileOutput, FusionPass, GaTuner, LayoutSelectPass, LtePass, PassManager,
+    TunePass,
 };
-use crate::tune::{ExecConfig, GaTuner};
+use crate::tune::ExecConfig;
 use smartmem_index::IndexMap;
 use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 use smartmem_ir::{Graph, Layout, Op, OpId, OpOrigin, TensorId, UnaryKind};
@@ -423,7 +424,7 @@ pub struct SmartMemConfig {
     pub index_comprehension: bool,
     /// Reduction-dimension-based layout selection (§3.2.2).
     pub layout_selection: bool,
-    /// 2.5D texture mapping (Fig. 5) and GA auto-tuning ("Other opt").
+    /// 2.5D texture mapping (Fig. 5) and execution-config tuning ("Other opt").
     pub texture_and_tuning: bool,
     /// Graph-level streamlining (transpose motion/absorption, CSE,
     /// constant folding) before kernel-level optimization.
@@ -487,7 +488,6 @@ impl Default for SmartMemConfig {
 #[derive(Clone, Debug, Default)]
 pub struct SmartMemPipeline {
     config: SmartMemConfig,
-    tuner: GaTuner,
 }
 
 impl SmartMemPipeline {
@@ -498,7 +498,7 @@ impl SmartMemPipeline {
 
     /// Pipeline with explicit ablation switches.
     pub fn with_config(config: SmartMemConfig) -> Self {
-        SmartMemPipeline { config, tuner: GaTuner::default() }
+        SmartMemPipeline { config }
     }
 
     /// Active configuration.
@@ -529,7 +529,7 @@ impl Framework for SmartMemPipeline {
             .then(FusionPass)
             .then(AssembleGroupsPass)
             .then(LayoutSelectPass { level })
-            .then(TunePass { tuned: cfg.texture_and_tuning, tuner: self.tuner.clone() })
+            .then(TunePass { tuned: cfg.texture_and_tuning, tuner: GaTuner })
     }
 }
 

@@ -132,7 +132,7 @@ pub struct CacheStats {
     /// after a one-layer model edit, `group_misses` counts exactly the
     /// groups the edit changed.
     pub group_hits: usize,
-    /// Kernel groups refined cold (layout selection + GA tuning ran).
+    /// Kernel groups refined cold (layout selection + tuning ran).
     pub group_misses: usize,
     /// Disk-cache payload I/Os failed by an injected
     /// [`smartmem_sim::FaultPlan`] (see

@@ -1,15 +1,20 @@
-//! Auto-tuning of GPU execution configurations with a genetic algorithm
-//! (§3.3 "Other optimizations"; the mechanism is inherited from
-//! DNNFusion).
+//! Tuning of GPU execution configurations (§3.3 "Other
+//! optimizations").
 //!
-//! A configuration fixes workgroup dimensions, tile shape and the
-//! unrolling factor; its quality is summarized as an *achieved
+//! A configuration fixes workgroup dimensions, output tile shape and
+//! the unrolling factor; its quality is summarized as an *achieved
 //! utilization* of peak compute throughput, evaluated analytically from
-//! tile fit (padding waste on the iteration space), occupancy, and
-//! unrolling. The GA is deterministic given a seed.
+//! tile fit (padding waste on the iteration space), occupancy,
+//! unrolling and operand reuse.
+//!
+//! The paper inherits DNNFusion's genetic-algorithm tuner because on a
+//! phone that objective is measured, noisy and expensive to sample.
+//! Here it is a closed-form function of (operator, extents, config), so
+//! [`tune`] maximises it exactly: unroll 4 is best for every operator
+//! and extent, and the remaining (workgroup × tile) plane has only 294
+//! points. The sweep is deterministic and never below what a sampled
+//! search could find.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 use smartmem_ir::Op;
 
@@ -17,16 +22,15 @@ use smartmem_ir::Op;
 const TILES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// Workgroup shapes (threads per axis).
 const WORKGROUPS: [(usize, usize); 6] = [(4, 4), (8, 4), (8, 8), (16, 8), (16, 16), (32, 8)];
-/// Reduction-loop unroll factors.
-const UNROLLS: [usize; 4] = [1, 2, 4, 8];
+/// The unroll factor that maximises [`utilization`] (see its
+/// `unroll_factor` table).
+const BEST_UNROLL: usize = 4;
 
 /// One GPU execution configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ExecConfig {
     /// Output tile `(tile_m, tile_n)` over the last two iteration dims.
     pub tile: (usize, usize),
-    /// Reduction-loop tile.
-    pub tile_k: usize,
     /// Workgroup shape.
     pub workgroup: (usize, usize),
     /// Unroll factor of the innermost loop.
@@ -35,14 +39,13 @@ pub struct ExecConfig {
 
 impl Default for ExecConfig {
     fn default() -> Self {
-        ExecConfig { tile: (8, 8), tile_k: 4, workgroup: (8, 8), unroll: 1 }
+        ExecConfig { tile: (8, 8), workgroup: (8, 8), unroll: 1 }
     }
 }
 
 impl Encode for ExecConfig {
     fn encode(&self, w: &mut Writer) {
         self.tile.encode(w);
-        self.tile_k.encode(w);
         self.workgroup.encode(w);
         self.unroll.encode(w);
     }
@@ -52,7 +55,6 @@ impl Decode for ExecConfig {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(ExecConfig {
             tile: Decode::decode(r)?,
-            tile_k: Decode::decode(r)?,
             workgroup: Decode::decode(r)?,
             unroll: Decode::decode(r)?,
         })
@@ -116,166 +118,43 @@ pub fn utilization(op: &Op, m: usize, n: usize, cfg: &ExecConfig) -> f64 {
         .clamp(0.02, 0.95)
 }
 
-/// Genome: indices into the discrete choice tables.
-#[derive(Clone, Copy, Debug)]
-struct Genome {
-    tile_m: usize,
-    tile_n: usize,
-    tile_k: usize,
-    wg: usize,
-    unroll: usize,
+/// Configurations [`tune`] evaluates per call: the (workgroup × tile)
+/// plane at the fixed unroll factor.
+pub(crate) const SWEEP_CONFIGS: usize = WORKGROUPS.len() * TILES.len() * TILES.len();
+
+/// The tuning objective: [`utilization`] plus a tie-break toward
+/// configurations whose effective tile covers the iteration space.
+///
+/// Equal-utilization configurations can differ by up to 8x in operand
+/// re-streaming (`estimate::operand_passes` re-reads an operand once
+/// per uncovered strip along each axis), so coverage is per axis,
+/// `min(eff_m / m, 1) × min(eff_n / n, 1)`. Its 1e-6 weight is far below
+/// any utilization step, so it never overrides a real utilization
+/// difference.
+pub fn fitness(op: &Op, m: usize, n: usize, cfg: &ExecConfig) -> f64 {
+    let axis = |eff: usize, extent: usize| (eff as f64 / extent.max(1) as f64).min(1.0);
+    let coverage = axis(cfg.tile.0 * cfg.workgroup.0, m) * axis(cfg.tile.1 * cfg.workgroup.1, n);
+    utilization(op, m, n, cfg) + 1e-6 * coverage
 }
 
-impl Genome {
-    fn to_config(self) -> ExecConfig {
-        ExecConfig {
-            tile: (TILES[self.tile_m], TILES[self.tile_n]),
-            tile_k: TILES[self.tile_k],
-            workgroup: WORKGROUPS[self.wg],
-            unroll: UNROLLS[self.unroll],
-        }
-    }
-
-    fn random(rng: &mut StdRng) -> Genome {
-        Genome {
-            tile_m: rng.random_range(0..TILES.len()),
-            tile_n: rng.random_range(0..TILES.len()),
-            tile_k: rng.random_range(0..TILES.len()),
-            wg: rng.random_range(0..WORKGROUPS.len()),
-            unroll: rng.random_range(0..UNROLLS.len()),
-        }
-    }
-
-    fn mutate(mut self, rng: &mut StdRng) -> Genome {
-        match rng.random_range(0..5) {
-            0 => self.tile_m = rng.random_range(0..TILES.len()),
-            1 => self.tile_n = rng.random_range(0..TILES.len()),
-            2 => self.tile_k = rng.random_range(0..TILES.len()),
-            3 => self.wg = rng.random_range(0..WORKGROUPS.len()),
-            _ => self.unroll = rng.random_range(0..UNROLLS.len()),
-        }
-        self
-    }
-
-    fn crossover(a: Genome, b: Genome, rng: &mut StdRng) -> Genome {
-        Genome {
-            tile_m: if rng.random_bool(0.5) { a.tile_m } else { b.tile_m },
-            tile_n: if rng.random_bool(0.5) { a.tile_n } else { b.tile_n },
-            tile_k: if rng.random_bool(0.5) { a.tile_k } else { b.tile_k },
-            wg: if rng.random_bool(0.5) { a.wg } else { b.wg },
-            unroll: if rng.random_bool(0.5) { a.unroll } else { b.unroll },
-        }
-    }
-}
-
-/// Genetic-algorithm tuner for one kernel's execution configuration.
-#[derive(Clone, Debug)]
-pub struct GaTuner {
-    /// Population size per generation.
-    pub population: usize,
-    /// Number of generations.
-    pub generations: usize,
-    /// RNG seed (results are deterministic per seed).
-    pub seed: u64,
-}
-
-impl Default for GaTuner {
-    fn default() -> Self {
-        GaTuner { population: 12, generations: 8, seed: 0x5eed }
-    }
-}
-
-/// Finalizer of the splitmix64 generator: a cheap, high-quality 64-bit
-/// mixer used to derive independent GA seeds from (base seed, salt).
-/// Plain XOR is not enough — two groups whose salts differ in one bit
-/// would explore almost perfectly correlated populations.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
-
-impl GaTuner {
-    /// Tunes a configuration for `op` with iteration extents `(m, n)`;
-    /// returns the best config and its utilization. Equivalent to
-    /// [`GaTuner::tune_salted`] with a zero salt.
-    pub fn tune(&self, op: &Op, m: usize, n: usize) -> (ExecConfig, f64) {
-        self.tune_salted(op, m, n, 0)
-    }
-
-    /// Like [`GaTuner::tune`], but mixes `salt` into the RNG seed.
-    ///
-    /// The incremental compiler salts with the kernel group's content
-    /// hash, which makes the search deterministic per *(seed, op,
-    /// extents, group content)* — independent of where the group sits in
-    /// the model and of which thread tunes it, so parallel and serial
-    /// tuning produce identical configurations and cached decisions
-    /// replay exactly.
-    pub fn tune_salted(&self, op: &Op, m: usize, n: usize, salt: u64) -> (ExecConfig, f64) {
-        let mut rng =
-            StdRng::seed_from_u64(splitmix64(self.seed ^ salt) ^ ((m as u64) << 24) ^ (n as u64));
-        let mut pop: Vec<Genome> = (0..self.population).map(|_| Genome::random(&mut rng)).collect();
-        // Always include the untuned default so tuning can never lose to
-        // it (elitism keeps it alive while it stays best).
-        pop[0] = Genome { tile_m: 3, tile_n: 3, tile_k: 2, wg: 2, unroll: 0 };
-        debug_assert_eq!(pop[0].to_config(), ExecConfig::default());
-        let fitness = |g: &Genome| {
-            let cfg = g.to_config();
-            // Equal-utilization configurations can differ by up to 8x in
-            // operand re-streaming (`estimate::operand_passes` re-reads
-            // weights once per output strip when the effective tile does
-            // not cover the iteration space), so break ties toward full
-            // coverage. The bonus is far below any utilization step, so
-            // it never overrides a real utilization difference.
-            let eff = (cfg.tile.0 * cfg.workgroup.0) as f64 * (cfg.tile.1 * cfg.workgroup.1) as f64;
-            let coverage = (eff / (m.max(1) * n.max(1)) as f64).min(1.0);
-            utilization(op, m, n, &cfg) + 1e-6 * coverage
-        };
-        let mut best = pop[0];
-        let mut best_fit = fitness(&best);
-        for _ in 0..self.generations {
-            let mut scored: Vec<(f64, Genome)> = pop.iter().map(|g| (fitness(g), *g)).collect();
-            scored.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite fitness"));
-            if scored[0].0 > best_fit {
-                best_fit = scored[0].0;
-                best = scored[0].1;
-            }
-            // Elitism: keep top quarter, refill with crossover+mutation.
-            let elite = (self.population / 4).max(1);
-            let mut next: Vec<Genome> = scored.iter().take(elite).map(|(_, g)| *g).collect();
-            while next.len() < self.population {
-                let a = scored[rng.random_range(0..elite.max(2).min(scored.len()))].1;
-                let b = scored[rng.random_range(0..scored.len())].1;
-                let mut child = Genome::crossover(a, b, &mut rng);
-                if rng.random_bool(0.4) {
-                    child = child.mutate(&mut rng);
-                }
-                next.push(child);
-            }
-            pop = next;
-        }
-        let _ = best_fit;
-        // Deterministic polish over the (workgroup, tile) plane: the GA
-        // samples only a fraction of it, and ties there decide whether
-        // the effective tile covers the iteration space (the coverage
-        // bonus above). Keeps the GA's tile_k/unroll choices.
-        let mut best_score = fitness(&best);
-        for wg in 0..WORKGROUPS.len() {
-            for tile_m in 0..TILES.len() {
-                for tile_n in 0..TILES.len() {
-                    let cand = Genome { tile_m, tile_n, wg, ..best };
-                    let score = fitness(&cand);
-                    if score > best_score {
-                        best_score = score;
-                        best = cand;
-                    }
+/// Tunes a configuration for `op` with iteration extents `(m, n)`:
+/// sweeps every (workgroup, tile) pair at the unroll factor that always
+/// maximises [`utilization`], keeps the first configuration of maximal
+/// [`fitness`], and returns it with its utilization.
+pub fn tune(op: &Op, m: usize, n: usize) -> (ExecConfig, f64) {
+    let mut best = (ExecConfig::default(), f64::NEG_INFINITY);
+    for workgroup in WORKGROUPS {
+        for tile_m in TILES {
+            for tile_n in TILES {
+                let cfg = ExecConfig { tile: (tile_m, tile_n), workgroup, unroll: BEST_UNROLL };
+                let fit = fitness(op, m, n, &cfg);
+                if fit > best.1 {
+                    best = (cfg, fit);
                 }
             }
         }
-        let cfg = best.to_config();
-        (cfg, utilization(op, m, n, &cfg))
     }
+    (best.0, utilization(op, m, n, &best.0))
 }
 
 #[cfg(test)]
@@ -304,38 +183,10 @@ mod tests {
 
     #[test]
     fn tuner_beats_or_matches_default() {
-        let tuner = GaTuner::default();
         for &(m, n) in &[(49, 49), (197, 64), (56, 56), (3136, 96)] {
-            let (cfg, fit) = tuner.tune(&matmul(), m, n);
+            let (_, fit) = tune(&matmul(), m, n);
             let default_fit = utilization(&matmul(), m, n, &ExecConfig::default());
             assert!(fit >= default_fit - 1e-9, "tuned {fit} < default {default_fit} for {m}x{n}");
-            let _ = cfg;
-        }
-    }
-
-    #[test]
-    fn tuner_is_deterministic() {
-        let t = GaTuner::default();
-        let (a, fa) = t.tune(&matmul(), 197, 197);
-        let (b, fb) = t.tune(&matmul(), 197, 197);
-        assert_eq!(a, b);
-        assert_eq!(fa, fb);
-    }
-
-    #[test]
-    fn salted_tuning_is_deterministic_and_never_worse_than_default() {
-        let t = GaTuner::default();
-        // Zero salt is the plain entry point.
-        assert_eq!(t.tune(&matmul(), 197, 64), t.tune_salted(&matmul(), 197, 64, 0));
-        for salt in [0u64, 1, 0xdead_beef, u64::MAX] {
-            let (a, fa) = t.tune_salted(&matmul(), 197, 64, salt);
-            let (b, fb) = t.tune_salted(&matmul(), 197, 64, salt);
-            assert_eq!(a, b, "same salt must reproduce the same config");
-            assert_eq!(fa, fb);
-            // The default genome is seeded into every population, so no
-            // salt can lose to the untuned configuration.
-            let default_fit = utilization(&matmul(), 197, 64, &ExecConfig::default());
-            assert!(fa >= default_fit - 1e-9, "salt {salt:#x} lost to default");
         }
     }
 

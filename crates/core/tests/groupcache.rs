@@ -1,14 +1,11 @@
 //! Integration tests of kernel-group-granular incremental compilation:
 //! the incremental path must be byte-identical to the full pipeline for
 //! arbitrary models and cache states, a one-layer edit must re-optimize
-//! only the touched group, parallel tuning must equal the per-group
-//! serial computation, and cached decisions must survive a restart.
+//! only the touched group, every group's tuning must equal a fresh
+//! `tune` of its anchor, and cached decisions must survive a restart.
 
 use proptest::prelude::*;
-use smartmem_core::{
-    group_content_hash, iteration_mn, CompileSession, Framework, GaTuner, GroupCache,
-    SmartMemPipeline,
-};
+use smartmem_core::{iteration_mn, tune, CompileSession, Framework, GroupCache, SmartMemPipeline};
 use smartmem_ir::wire::encode_to_vec;
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_sim::DeviceConfig;
@@ -105,22 +102,19 @@ fn edit_one_layer_re_optimizes_only_touched_groups() {
 }
 
 #[test]
-fn parallel_tuning_matches_per_group_serial_reference() {
-    // The tune pass fans groups out across threads; salting the GA seed
-    // with the group content hash makes the result a pure function of
-    // the group, so a serial per-group rerun must reproduce every
-    // config and utilization bit-for-bit regardless of thread schedule.
+fn tuned_groups_match_tune_per_group() {
+    // The tune pass memoizes per (op, m, n) within one call; the memo
+    // must not change any decision, so every group holds exactly what a
+    // fresh `tune` of its anchor returns.
     let device = DeviceConfig::snapdragon_8gen2();
     let g = blocks_model("serial-ref", &KINDS);
     let out = SmartMemPipeline::new().optimize(&g, &device).unwrap();
-    let tuner = GaTuner::default();
     assert!(out.groups.len() >= KINDS.len());
     for group in &out.groups {
         let node = out.graph.node(group.anchor);
         let (m, n) = iteration_mn(out.graph.tensor(node.outputs[0]).shape.dims());
-        let salt = group_content_hash(&out.graph, group);
-        let (config, util) = tuner.tune_salted(&node.op, m, n, salt);
-        assert_eq!(group.config, config, "parallel tuning diverged from the serial reference");
+        let (config, util) = tune(&node.op, m, n);
+        assert_eq!(group.config, config, "tune pass diverged from tune()");
         assert_eq!(group.utilization, util);
     }
 }
