@@ -121,10 +121,11 @@ fn main() {
         }
     }
 
-    // 1a. Streamline and tune summary on Swin-T. The counters are deterministic
-    // graph-rewrite counts, so the regression gate pins them exactly
-    // (well inside its ±15% band): a pass change that stops cancelling
-    // transposes fails CI even though no wall-clock moved.
+    // 1a. Streamline and tune summary on Swin-T. The streamline
+    // counters are deterministic graph-rewrite counts, so the regression
+    // gate pins them exactly (well inside its ±15% band): a pass change
+    // that stops cancelling transposes fails CI even though no
+    // wall-clock moved.
     {
         let (s, rounds, tuned) = swin_smartmem.expect("SmartMem compiles Swin-T");
         println!(
