@@ -353,6 +353,27 @@ mod tests {
     }
 
     #[test]
+    fn decisions_of_a_zoo_model_encode_to_pinned_bytes() {
+        // The group cache persists these bytes inside every artifact
+        // record: a codec refactor must leave them exactly as pinned.
+        use crate::{persist::fnv1a, Framework, SmartMemPipeline};
+        use smartmem_ir::wire::encode_to_vec;
+        use smartmem_sim::DeviceConfig;
+        let graph = smartmem_models::by_name("Swin").expect("zoo model").graph();
+        let optimized =
+            SmartMemPipeline::new().optimize(&graph, &DeviceConfig::snapdragon_8gen2()).unwrap();
+        let bytes: Vec<u8> = optimized
+            .groups
+            .iter()
+            .flat_map(|g| encode_to_vec(&GroupDecisions::capture(g)))
+            .collect();
+        assert_eq!(
+            (optimized.groups.len(), bytes.len(), fnv1a(&bytes)),
+            (154, 33556, 0x7ddc_61cf_36a2_601c)
+        );
+    }
+
+    #[test]
     fn generation_tracks_insertions_only() {
         let g = two_layer(UnaryKind::Gelu);
         let groups = groups_of(&g);

@@ -84,7 +84,7 @@ fn hasher_probe() -> u64 {
 }
 
 /// FNV-1a over the payload (integrity check; not cryptographic).
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
