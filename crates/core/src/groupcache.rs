@@ -37,7 +37,6 @@
 use crate::pipeline::KernelGroup;
 use crate::session::hash_debug_into;
 use crate::tune::ExecConfig;
-use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 use smartmem_ir::{Graph, Layout};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -105,27 +104,13 @@ impl GroupDecisions {
     }
 }
 
-impl Encode for GroupDecisions {
-    fn encode(&self, w: &mut Writer) {
-        self.output_layout.encode(w);
-        self.read_layouts.encode(w);
-        self.config.encode(w);
-        self.utilization.encode(w);
-        self.extra_copies.encode(w);
-    }
-}
-
-impl Decode for GroupDecisions {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(GroupDecisions {
-            output_layout: Decode::decode(r)?,
-            read_layouts: Decode::decode(r)?,
-            config: Decode::decode(r)?,
-            utilization: Decode::decode(r)?,
-            extra_copies: Decode::decode(r)?,
-        })
-    }
-}
+smartmem_ir::wire_struct!(GroupDecisions {
+    output_layout,
+    read_layouts,
+    config,
+    utilization,
+    extra_copies,
+});
 
 /// Structural content hash of one kernel group.
 ///

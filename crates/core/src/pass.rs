@@ -249,18 +249,7 @@ impl CompileOutput {
     }
 }
 
-impl Encode for Diagnostic {
-    fn encode(&self, w: &mut Writer) {
-        self.pass.encode(w);
-        self.message.encode(w);
-    }
-}
-
-impl Decode for Diagnostic {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Diagnostic { pass: Decode::decode(r)?, message: Decode::decode(r)? })
-    }
-}
+smartmem_ir::wire_struct!(Diagnostic { pass, message });
 
 impl Encode for PassTiming {
     fn encode(&self, w: &mut Writer) {
@@ -282,23 +271,7 @@ impl Decode for PassTiming {
     }
 }
 
-impl Encode for CompileOutput {
-    fn encode(&self, w: &mut Writer) {
-        self.optimized.encode(w);
-        self.timings.encode(w);
-        self.diagnostics.encode(w);
-    }
-}
-
-impl Decode for CompileOutput {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(CompileOutput {
-            optimized: Decode::decode(r)?,
-            timings: Decode::decode(r)?,
-            diagnostics: Decode::decode(r)?,
-        })
-    }
-}
+smartmem_ir::wire_struct!(CompileOutput { optimized, timings, diagnostics });
 
 /// Executes a declarative pass sequence, timing every pass and
 /// snapshotting [`OptStats`] between passes.

@@ -134,111 +134,33 @@ pub struct OptimizedGraph {
     pub mem_model: MemModel,
 }
 
-impl Encode for EdgeRead {
-    fn encode(&self, w: &mut Writer) {
-        self.logical.encode(w);
-        self.source.encode(w);
-        self.map.encode(w);
-        self.member.encode(w);
-        self.operand_idx.encode(w);
-        self.layout.encode(w);
-        self.canon.encode(w);
-    }
-}
+smartmem_ir::wire_struct!(EdgeRead { logical, source, map, member, operand_idx, layout, canon });
 
-impl Decode for EdgeRead {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(EdgeRead {
-            logical: Decode::decode(r)?,
-            source: Decode::decode(r)?,
-            map: Decode::decode(r)?,
-            member: Decode::decode(r)?,
-            operand_idx: Decode::decode(r)?,
-            layout: Decode::decode(r)?,
-            canon: Decode::decode(r)?,
-        })
-    }
-}
+smartmem_ir::wire_struct!(KernelGroup {
+    anchor,
+    members,
+    reads,
+    output,
+    output_layout,
+    class,
+    config,
+    utilization,
+    extra_copies,
+});
 
-impl Encode for KernelGroup {
-    fn encode(&self, w: &mut Writer) {
-        self.anchor.encode(w);
-        self.members.encode(w);
-        self.reads.encode(w);
-        self.output.encode(w);
-        self.output_layout.encode(w);
-        self.class.encode(w);
-        self.config.encode(w);
-        self.utilization.encode(w);
-        self.extra_copies.encode(w);
-    }
-}
+smartmem_ir::wire_struct!(OptStats {
+    source_ops,
+    kernel_count,
+    eliminated_ops,
+    fused_ops,
+    implicit_inserted,
+    redundant_tensors,
+    redundant_bytes_max,
+    streamline_removed_ops,
+    streamline_transposes_removed,
+});
 
-impl Decode for KernelGroup {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(KernelGroup {
-            anchor: Decode::decode(r)?,
-            members: Decode::decode(r)?,
-            reads: Decode::decode(r)?,
-            output: Decode::decode(r)?,
-            output_layout: Decode::decode(r)?,
-            class: Decode::decode(r)?,
-            config: Decode::decode(r)?,
-            utilization: Decode::decode(r)?,
-            extra_copies: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for OptStats {
-    fn encode(&self, w: &mut Writer) {
-        self.source_ops.encode(w);
-        self.kernel_count.encode(w);
-        self.eliminated_ops.encode(w);
-        self.fused_ops.encode(w);
-        self.implicit_inserted.encode(w);
-        self.redundant_tensors.encode(w);
-        self.redundant_bytes_max.encode(w);
-        self.streamline_removed_ops.encode(w);
-        self.streamline_transposes_removed.encode(w);
-    }
-}
-
-impl Decode for OptStats {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OptStats {
-            source_ops: Decode::decode(r)?,
-            kernel_count: Decode::decode(r)?,
-            eliminated_ops: Decode::decode(r)?,
-            fused_ops: Decode::decode(r)?,
-            implicit_inserted: Decode::decode(r)?,
-            redundant_tensors: Decode::decode(r)?,
-            redundant_bytes_max: Decode::decode(r)?,
-            streamline_removed_ops: Decode::decode(r)?,
-            streamline_transposes_removed: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for MemModel {
-    fn encode(&self, w: &mut Writer) {
-        self.pooled.encode(w);
-        self.workspace_factor.encode(w);
-        self.im2col.encode(w);
-        self.dispatch_scale.encode(w);
-    }
-}
-
-impl Decode for MemModel {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(MemModel {
-            pooled: Decode::decode(r)?,
-            workspace_factor: Decode::decode(r)?,
-            im2col: Decode::decode(r)?,
-            dispatch_scale: Decode::decode(r)?,
-        })
-    }
-}
+smartmem_ir::wire_struct!(MemModel { pooled, workspace_factor, im2col, dispatch_scale });
 
 impl Encode for OptimizedGraph {
     fn encode(&self, w: &mut Writer) {
@@ -328,18 +250,7 @@ impl fmt::Display for Unsupported {
 
 impl Error for Unsupported {}
 
-impl Encode for Unsupported {
-    fn encode(&self, w: &mut Writer) {
-        self.framework.encode(w);
-        self.reason.encode(w);
-    }
-}
-
-impl Decode for Unsupported {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Unsupported { framework: Decode::decode(r)?, reason: Decode::decode(r)? })
-    }
-}
+smartmem_ir::wire_struct!(Unsupported { framework, reason });
 
 /// A DNN execution framework: a named pass sequence that optimizes a
 /// graph for a device, plus latency estimation on the shared simulator.

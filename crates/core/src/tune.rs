@@ -15,7 +15,6 @@
 //! points. The sweep is deterministic and never below what a sampled
 //! search could find.
 
-use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 use smartmem_ir::Op;
 
 /// Discrete tile-size choices per dimension.
@@ -43,23 +42,7 @@ impl Default for ExecConfig {
     }
 }
 
-impl Encode for ExecConfig {
-    fn encode(&self, w: &mut Writer) {
-        self.tile.encode(w);
-        self.workgroup.encode(w);
-        self.unroll.encode(w);
-    }
-}
-
-impl Decode for ExecConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(ExecConfig {
-            tile: Decode::decode(r)?,
-            workgroup: Decode::decode(r)?,
-            unroll: Decode::decode(r)?,
-        })
-    }
-}
+smartmem_ir::wire_struct!(ExecConfig { tile, workgroup, unroll });
 
 /// Base achievable utilization per operator kind: compute-dense kernels
 /// can approach peak; memory-shuffling kernels cannot.

@@ -126,24 +126,29 @@ fn req_field<'a>(
     opt_field(obj, key).ok_or(ImportError::MissingField { object, field: key })
 }
 
-fn parse_dtype(s: &str) -> Result<DType, ImportError> {
-    match s {
-        "f16" => Ok(DType::F16),
-        "f32" => Ok(DType::F32),
-        "i32" => Ok(DType::I32),
-        "i8" => Ok(DType::I8),
-        other => Err(ImportError::UnknownDType(other.to_string())),
-    }
+/// Declares the JSON names of a unit-variant enum once: `$parse` maps a
+/// name to its variant (any other name is `$unknown(name)`) and `$name`
+/// maps a variant back to its name.
+macro_rules! json_names {
+    ($ty:ident, $parse:ident, $name:ident, $unknown:expr, { $($v:ident => $s:literal),+ $(,)? }) => {
+        fn $parse(s: &str) -> Result<$ty, ImportError> {
+            match s {
+                $($s => Ok($ty::$v),)+
+                other => Err($unknown(other)),
+            }
+        }
+
+        fn $name(v: $ty) -> &'static str {
+            match v {
+                $($ty::$v => $s,)+
+            }
+        }
+    };
 }
 
-fn dtype_str(d: DType) -> &'static str {
-    match d {
-        DType::F16 => "f16",
-        DType::F32 => "f32",
-        DType::I32 => "i32",
-        DType::I8 => "i8",
-    }
-}
+json_names!(DType, parse_dtype, dtype_str, |s: &str| ImportError::UnknownDType(s.into()), {
+    F16 => "f16", F32 => "f32", I32 => "i32", I8 => "i8",
+});
 
 /// One init value: a finite number (checked after the f32 cast) or one of
 /// the sentinel strings `"nan"` / `"inf"` / `"-inf"` that [`export_json`]
@@ -172,57 +177,24 @@ fn init_value(v: &Json) -> Result<f32, ImportError> {
 // Operator descriptions
 // ---------------------------------------------------------------------------
 
-fn parse_unary_kind(s: &str) -> Result<UnaryKind, ImportError> {
-    Ok(match s {
-        "relu" => UnaryKind::Relu,
-        "gelu" => UnaryKind::Gelu,
-        "silu" => UnaryKind::Silu,
-        "sigmoid" => UnaryKind::Sigmoid,
-        "tanh" => UnaryKind::Tanh,
-        "exp" => UnaryKind::Exp,
-        "sqrt" => UnaryKind::Sqrt,
-        "recip" => UnaryKind::Recip,
-        "neg" => UnaryKind::Neg,
-        "identity" => UnaryKind::Identity,
-        other => return Err(ImportError::UnknownOp(format!("unary:{other}"))),
-    })
+/// An unknown kind of a kinded operator, reported as `"{op}:{kind}"`.
+fn unknown_kind(op: &str) -> impl Fn(&str) -> ImportError + '_ {
+    move |kind| ImportError::UnknownOp(format!("{op}:{kind}"))
 }
 
-fn parse_binary_kind(s: &str) -> Result<BinaryKind, ImportError> {
-    Ok(match s {
-        "add" => BinaryKind::Add,
-        "sub" => BinaryKind::Sub,
-        "mul" => BinaryKind::Mul,
-        "div" => BinaryKind::Div,
-        "max" => BinaryKind::Max,
-        other => return Err(ImportError::UnknownOp(format!("binary:{other}"))),
-    })
-}
-
-pub(crate) fn unary_kind_str(k: UnaryKind) -> &'static str {
-    match k {
-        UnaryKind::Relu => "relu",
-        UnaryKind::Gelu => "gelu",
-        UnaryKind::Silu => "silu",
-        UnaryKind::Sigmoid => "sigmoid",
-        UnaryKind::Tanh => "tanh",
-        UnaryKind::Exp => "exp",
-        UnaryKind::Sqrt => "sqrt",
-        UnaryKind::Recip => "recip",
-        UnaryKind::Neg => "neg",
-        UnaryKind::Identity => "identity",
-    }
-}
-
-pub(crate) fn binary_kind_str(k: BinaryKind) -> &'static str {
-    match k {
-        BinaryKind::Add => "add",
-        BinaryKind::Sub => "sub",
-        BinaryKind::Mul => "mul",
-        BinaryKind::Div => "div",
-        BinaryKind::Max => "max",
-    }
-}
+json_names!(UnaryKind, parse_unary_kind, unary_kind_str, unknown_kind("unary"), {
+    Relu => "relu", Gelu => "gelu", Silu => "silu", Sigmoid => "sigmoid", Tanh => "tanh",
+    Exp => "exp", Sqrt => "sqrt", Recip => "recip", Neg => "neg", Identity => "identity",
+});
+json_names!(BinaryKind, parse_binary_kind, binary_kind_str, unknown_kind("binary"), {
+    Add => "add", Sub => "sub", Mul => "mul", Div => "div", Max => "max",
+});
+json_names!(ReduceKind, parse_reduce_kind, reduce_kind_str, unknown_kind("reduce"), {
+    Sum => "sum", Mean => "mean", Max => "max", Min => "min",
+});
+json_names!(PoolKind, parse_pool_kind, pool_kind_str, unknown_kind("pool2d"), {
+    Max => "max", Avg => "avg",
+});
 
 fn parse_op(kind: &str, obj: &Json) -> Result<Op, ImportError> {
     let op = match kind {
@@ -239,24 +211,14 @@ fn parse_op(kind: &str, obj: &Json) -> Result<Op, ImportError> {
         "instance_norm" => Op::InstanceNorm,
         "softmax" => Op::Softmax { axis: as_usize(req_field(obj, "op", "axis")?, "axis")? },
         "reduce" => Op::Reduce {
-            kind: match as_str(req_field(obj, "op", "reduce")?, "reduce")? {
-                "sum" => ReduceKind::Sum,
-                "mean" => ReduceKind::Mean,
-                "max" => ReduceKind::Max,
-                "min" => ReduceKind::Min,
-                other => return Err(ImportError::UnknownOp(format!("reduce:{other}"))),
-            },
+            kind: parse_reduce_kind(as_str(req_field(obj, "op", "reduce")?, "reduce")?)?,
             axes: usize_vec(req_field(obj, "op", "axes")?, "axes")?,
             keep_dims: opt_or(obj, "keep_dims", as_bool, false)?,
         },
         "pool2d" => {
             let kernel = usize_pair(req_field(obj, "op", "kernel")?, "kernel")?;
             Op::Pool2d {
-                kind: match as_str(req_field(obj, "op", "pool")?, "pool")? {
-                    "max" => PoolKind::Max,
-                    "avg" => PoolKind::Avg,
-                    other => return Err(ImportError::UnknownOp(format!("pool2d:{other}"))),
-                },
+                kind: parse_pool_kind(as_str(req_field(obj, "op", "pool")?, "pool")?)?,
                 kernel,
                 stride: opt_or(obj, "stride", usize_pair, kernel)?,
                 padding: opt_or(obj, "padding", usize_pair, (0, 0))?,
@@ -572,22 +534,14 @@ fn op_attrs(op: &Op) -> String {
         Op::InstanceNorm => String::new(),
         Op::Softmax { axis } => format!(", \"axis\": {axis}"),
         Op::Reduce { kind, axes, keep_dims } => {
-            let k = match kind {
-                ReduceKind::Sum => "sum",
-                ReduceKind::Mean => "mean",
-                ReduceKind::Max => "max",
-                ReduceKind::Min => "min",
-            };
+            let k = reduce_kind_str(*kind);
             format!(
                 ", \"reduce\": \"{k}\", \"axes\": {}, \"keep_dims\": {keep_dims}",
                 usize_list(axes)
             )
         }
         Op::Pool2d { kind, kernel, stride, padding } => {
-            let k = match kind {
-                PoolKind::Max => "max",
-                PoolKind::Avg => "avg",
-            };
+            let k = pool_kind_str(*kind);
             format!(
                 ", \"pool\": \"{k}\", \"kernel\": [{}, {}], \"stride\": [{}, {}], \"padding\": [{}, {}]",
                 kernel.0, kernel.1, stride.0, stride.1, padding.0, padding.1
@@ -772,6 +726,16 @@ mod tests {
     fn unknown_op_is_typed() {
         let src = TINY.replace("\"transpose\"", "\"warp\"");
         assert!(matches!(import_json(&src), Err(ImportError::UnknownOp(k)) if k == "warp"));
+    }
+
+    #[test]
+    fn unknown_kind_names_are_typed() {
+        let op = |k: &str| ImportError::UnknownOp(k.into());
+        assert_eq!(parse_unary_kind("swish").unwrap_err(), op("unary:swish"));
+        assert_eq!(parse_binary_kind("pow").unwrap_err(), op("binary:pow"));
+        assert_eq!(parse_reduce_kind("prod").unwrap_err(), op("reduce:prod"));
+        assert_eq!(parse_pool_kind("lp").unwrap_err(), op("pool2d:lp"));
+        assert_eq!(parse_dtype("bf16"), Err(ImportError::UnknownDType("bf16".into())));
     }
 
     #[test]

@@ -16,6 +16,16 @@
 //! `smartmem-core` wraps every payload in a checksummed, versioned
 //! header and falls back to a cold compile on any mismatch.
 //!
+//! # Adding a persisted type
+//!
+//! Declare its codec with [`wire_struct!`](crate::wire_struct) (fields
+//! in order) or [`wire_enum!`](crate::wire_enum) (explicit tag byte, then
+//! the variant's fields). The field and tag lists *are* the format: any
+//! change to one changes the persisted bytes and needs a bump of the
+//! persist `VERSION` in `smartmem-core`. Write the impl by hand only when
+//! decode must validate what it read (ids, bounds, invariants), as
+//! [`Graph`], `TensorInfo` and `BucketTable` do below.
+//!
 //! # Example
 //!
 //! ```
@@ -86,44 +96,14 @@ impl Writer {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends an `f32` as its IEEE-754 bit pattern.
-    pub fn put_f32(&mut self, v: f32) {
-        self.put_u32(v.to_bits());
     }
 
     /// Appends raw bytes (no length prefix).
@@ -164,29 +144,9 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
     /// Reads a little-endian `u64`.
     pub fn get_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a little-endian `i64`.
-    pub fn get_i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `f64` from its bit pattern.
-    pub fn get_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    /// Reads an `f32` from its bit pattern.
-    pub fn get_f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_bits(self.get_u32()?))
     }
 
     /// Reads a sequence-length prefix, rejecting lengths that could not
@@ -243,80 +203,124 @@ pub fn decode_from<T: Decode>(bytes: &[u8]) -> Result<T, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Primitives
+// Declared codecs
 // ---------------------------------------------------------------------
 
-impl Encode for u8 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(*self);
-    }
+/// Declares the wire codec of a struct as its listed fields in order:
+/// `encode` writes them, `decode` reads them back in the same order into
+/// a struct literal. The list, not the declaration, is the format. Tuple
+/// structs name fields by position (`TensorId { 0 }`).
+///
+/// ```
+/// use smartmem_ir::wire::{decode_from, encode_to_vec};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Tile {
+///     rows: u32,
+///     cols: u32,
+/// }
+/// smartmem_ir::wire_struct!(Tile { cols, rows });
+///
+/// // `cols` first, then `rows`, as listed; no tags, no lengths.
+/// let bytes = encode_to_vec(&Tile { rows: 2, cols: 3 });
+/// assert_eq!(bytes, [3, 0, 0, 0, 2, 0, 0, 0]);
+/// assert_eq!(decode_from::<Tile>(&bytes).unwrap(), Tile { rows: 2, cols: 3 });
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::wire::Encode for $ty {
+            fn encode(&self, w: &mut $crate::wire::Writer) {
+                $($crate::wire::Encode::encode(&self.$field, w);)*
+            }
+        }
+
+        impl $crate::wire::Decode for $ty {
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok($ty { $($field: $crate::wire::Decode::decode(r)?),* })
+            }
+        }
+    };
 }
 
-impl Decode for u8 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_u8()
-    }
+/// Declares the wire codec of an enum as one tag byte, then the
+/// variant's listed fields in order (a unit variant lists none: `V {}`).
+/// Tags are explicit, so reordering the variants cannot change the
+/// bytes. An unknown tag decodes to [`WireError::BadTag`] naming the type.
+///
+/// ```
+/// use smartmem_ir::wire::{decode_from, encode_to_vec, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Fill {
+///     Solid { rgba: u32 },
+///     Empty,
+/// }
+/// smartmem_ir::wire_enum!(Fill { 0 => Empty {}, 7 => Solid { rgba } });
+///
+/// assert_eq!(encode_to_vec(&Fill::Empty), [0]);
+/// assert_eq!(encode_to_vec(&Fill::Solid { rgba: 1 }), [7, 1, 0, 0, 0]);
+/// assert_eq!(decode_from::<Fill>(&[7, 1, 0, 0, 0]).unwrap(), Fill::Solid { rgba: 1 });
+/// assert_eq!(decode_from::<Fill>(&[3]).unwrap_err(), WireError::BadTag { ty: "Fill", tag: 3 });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $($tag:literal => $variant:ident { $($field:ident),* $(,)? }),+ $(,)? }) => {
+        impl $crate::wire::Encode for $ty {
+            fn encode(&self, w: &mut $crate::wire::Writer) {
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        w.put_u8($tag);
+                        $($crate::wire::Encode::encode($field, w);)*
+                    })+
+                }
+            }
+        }
+
+        impl $crate::wire::Decode for $ty {
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> ::core::result::Result<Self, $crate::wire::WireError> {
+                ::core::result::Result::Ok(match r.get_u8()? {
+                    $($tag => $ty::$variant { $($field: $crate::wire::Decode::decode(r)?),* },)+
+                    tag => {
+                        return ::core::result::Result::Err($crate::wire::WireError::BadTag {
+                            ty: ::core::stringify!($ty),
+                            tag,
+                        })
+                    }
+                })
+            }
+        }
+    };
 }
 
-impl Encode for u32 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(*self);
-    }
+/// Fixed-width scalars: their little-endian bytes (floats: their
+/// IEEE-754 bit pattern).
+macro_rules! wire_primitive {
+    ($($ty:ty),*) => {$(
+        impl Encode for $ty {
+            fn encode(&self, w: &mut Writer) {
+                w.put_bytes(&self.to_le_bytes());
+            }
+        }
+
+        impl Decode for $ty {
+            fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                let bytes = r.take(std::mem::size_of::<$ty>())?;
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("take returns exactly the width")))
+            }
+        }
+    )*};
 }
 
-impl Decode for u32 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_u32()
-    }
-}
+wire_primitive!(u8, u32, u64, i64, f32, f64);
 
-impl Encode for u64 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u64(*self);
-    }
-}
-
-impl Decode for u64 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_u64()
-    }
-}
-
-impl Encode for i64 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_i64(*self);
-    }
-}
-
-impl Decode for i64 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_i64()
-    }
-}
-
-impl Encode for f64 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f64(*self);
-    }
-}
-
-impl Decode for f64 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_f64()
-    }
-}
-
-impl Encode for f32 {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f32(*self);
-    }
-}
-
-impl Decode for f32 {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        r.get_f32()
-    }
-}
+// ---------------------------------------------------------------------
+// Hand-written: primitives and containers
+// ---------------------------------------------------------------------
 
 impl Encode for usize {
     fn encode(&self, w: &mut Writer) {
@@ -429,8 +433,44 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 }
 
 // ---------------------------------------------------------------------
-// IR leaf types
+// IR types
 // ---------------------------------------------------------------------
+
+wire_struct!(TensorId { 0 });
+wire_struct!(OpId { 0 });
+wire_enum!(DType { 0 => F16 {}, 1 => F32 {}, 2 => I32 {}, 3 => I8 {} });
+wire_enum!(TensorKind { 0 => Input {}, 1 => Weight {}, 2 => Activation {} });
+wire_enum!(OpOrigin { 0 => Model {}, 1 => Framework {} });
+wire_enum!(UnaryKind {
+    0 => Relu {}, 1 => Gelu {}, 2 => Silu {}, 3 => Sigmoid {}, 4 => Tanh {},
+    5 => Exp {}, 6 => Sqrt {}, 7 => Recip {}, 8 => Neg {}, 9 => Identity {},
+});
+wire_enum!(BinaryKind { 0 => Add {}, 1 => Sub {}, 2 => Mul {}, 3 => Div {}, 4 => Max {} });
+wire_enum!(ReduceKind { 0 => Sum {}, 1 => Mean {}, 2 => Max {}, 3 => Min {} });
+wire_enum!(PoolKind { 0 => Max {}, 1 => Avg {} });
+wire_enum!(Op {
+    0 => Conv2d { stride, padding, groups },
+    1 => MatMul { trans_a, trans_b },
+    2 => LayerNorm { axes },
+    3 => InstanceNorm {},
+    4 => Softmax { axis },
+    5 => Reduce { kind, axes, keep_dims },
+    6 => Pool2d { kind, kernel, stride, padding },
+    7 => Unary { kind },
+    8 => Binary { kind },
+    9 => Concat { axis },
+    10 => Reshape { shape },
+    11 => Transpose { perm },
+    12 => DepthToSpace { block },
+    13 => SpaceToDepth { block },
+    14 => Gather { axis },
+    15 => Slice { axis, start, len },
+    16 => Split { axis, parts },
+});
+wire_struct!(TexturePlacement { height_dims, width_dims, vector_dim });
+wire_struct!(Node { id, op, inputs, outputs, name, origin });
+wire_struct!(SymDim { name, table, value });
+wire_struct!(SymAxis { tensor, axis, dim });
 
 impl Encode for Shape {
     fn encode(&self, w: &mut Writer) {
@@ -441,338 +481,6 @@ impl Encode for Shape {
 impl Decode for Shape {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(Shape::new(Vec::<usize>::decode(r)?))
-    }
-}
-
-impl Encode for DType {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            DType::F16 => 0,
-            DType::F32 => 1,
-            DType::I32 => 2,
-            DType::I8 => 3,
-        });
-    }
-}
-
-impl Decode for DType {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(DType::F16),
-            1 => Ok(DType::F32),
-            2 => Ok(DType::I32),
-            3 => Ok(DType::I8),
-            tag => Err(WireError::BadTag { ty: "DType", tag }),
-        }
-    }
-}
-
-impl Encode for TensorId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.0);
-    }
-}
-
-impl Decode for TensorId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TensorId(r.get_u32()?))
-    }
-}
-
-impl Encode for OpId {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u32(self.0);
-    }
-}
-
-impl Decode for OpId {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(OpId(r.get_u32()?))
-    }
-}
-
-impl Encode for TensorKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            TensorKind::Input => 0,
-            TensorKind::Weight => 1,
-            TensorKind::Activation => 2,
-        });
-    }
-}
-
-impl Decode for TensorKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(TensorKind::Input),
-            1 => Ok(TensorKind::Weight),
-            2 => Ok(TensorKind::Activation),
-            tag => Err(WireError::BadTag { ty: "TensorKind", tag }),
-        }
-    }
-}
-
-impl Encode for OpOrigin {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            OpOrigin::Model => 0,
-            OpOrigin::Framework => 1,
-        });
-    }
-}
-
-impl Decode for OpOrigin {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(OpOrigin::Model),
-            1 => Ok(OpOrigin::Framework),
-            tag => Err(WireError::BadTag { ty: "OpOrigin", tag }),
-        }
-    }
-}
-
-impl Encode for UnaryKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            UnaryKind::Relu => 0,
-            UnaryKind::Gelu => 1,
-            UnaryKind::Silu => 2,
-            UnaryKind::Sigmoid => 3,
-            UnaryKind::Tanh => 4,
-            UnaryKind::Exp => 5,
-            UnaryKind::Sqrt => 6,
-            UnaryKind::Recip => 7,
-            UnaryKind::Neg => 8,
-            UnaryKind::Identity => 9,
-        });
-    }
-}
-
-impl Decode for UnaryKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => UnaryKind::Relu,
-            1 => UnaryKind::Gelu,
-            2 => UnaryKind::Silu,
-            3 => UnaryKind::Sigmoid,
-            4 => UnaryKind::Tanh,
-            5 => UnaryKind::Exp,
-            6 => UnaryKind::Sqrt,
-            7 => UnaryKind::Recip,
-            8 => UnaryKind::Neg,
-            9 => UnaryKind::Identity,
-            tag => return Err(WireError::BadTag { ty: "UnaryKind", tag }),
-        })
-    }
-}
-
-impl Encode for BinaryKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            BinaryKind::Add => 0,
-            BinaryKind::Sub => 1,
-            BinaryKind::Mul => 2,
-            BinaryKind::Div => 3,
-            BinaryKind::Max => 4,
-        });
-    }
-}
-
-impl Decode for BinaryKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => BinaryKind::Add,
-            1 => BinaryKind::Sub,
-            2 => BinaryKind::Mul,
-            3 => BinaryKind::Div,
-            4 => BinaryKind::Max,
-            tag => return Err(WireError::BadTag { ty: "BinaryKind", tag }),
-        })
-    }
-}
-
-impl Encode for ReduceKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            ReduceKind::Sum => 0,
-            ReduceKind::Mean => 1,
-            ReduceKind::Max => 2,
-            ReduceKind::Min => 3,
-        });
-    }
-}
-
-impl Decode for ReduceKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => ReduceKind::Sum,
-            1 => ReduceKind::Mean,
-            2 => ReduceKind::Max,
-            3 => ReduceKind::Min,
-            tag => return Err(WireError::BadTag { ty: "ReduceKind", tag }),
-        })
-    }
-}
-
-impl Encode for PoolKind {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            PoolKind::Max => 0,
-            PoolKind::Avg => 1,
-        });
-    }
-}
-
-impl Decode for PoolKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(PoolKind::Max),
-            1 => Ok(PoolKind::Avg),
-            tag => Err(WireError::BadTag { ty: "PoolKind", tag }),
-        }
-    }
-}
-
-impl Encode for Op {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            Op::Conv2d { stride, padding, groups } => {
-                w.put_u8(0);
-                stride.encode(w);
-                padding.encode(w);
-                groups.encode(w);
-            }
-            Op::MatMul { trans_a, trans_b } => {
-                w.put_u8(1);
-                trans_a.encode(w);
-                trans_b.encode(w);
-            }
-            Op::LayerNorm { axes } => {
-                w.put_u8(2);
-                axes.encode(w);
-            }
-            Op::InstanceNorm => w.put_u8(3),
-            Op::Softmax { axis } => {
-                w.put_u8(4);
-                axis.encode(w);
-            }
-            Op::Reduce { kind, axes, keep_dims } => {
-                w.put_u8(5);
-                kind.encode(w);
-                axes.encode(w);
-                keep_dims.encode(w);
-            }
-            Op::Pool2d { kind, kernel, stride, padding } => {
-                w.put_u8(6);
-                kind.encode(w);
-                kernel.encode(w);
-                stride.encode(w);
-                padding.encode(w);
-            }
-            Op::Unary { kind } => {
-                w.put_u8(7);
-                kind.encode(w);
-            }
-            Op::Binary { kind } => {
-                w.put_u8(8);
-                kind.encode(w);
-            }
-            Op::Concat { axis } => {
-                w.put_u8(9);
-                axis.encode(w);
-            }
-            Op::Reshape { shape } => {
-                w.put_u8(10);
-                shape.encode(w);
-            }
-            Op::Transpose { perm } => {
-                w.put_u8(11);
-                perm.encode(w);
-            }
-            Op::DepthToSpace { block } => {
-                w.put_u8(12);
-                block.encode(w);
-            }
-            Op::SpaceToDepth { block } => {
-                w.put_u8(13);
-                block.encode(w);
-            }
-            Op::Gather { axis } => {
-                w.put_u8(14);
-                axis.encode(w);
-            }
-            Op::Slice { axis, start, len } => {
-                w.put_u8(15);
-                axis.encode(w);
-                start.encode(w);
-                len.encode(w);
-            }
-            Op::Split { axis, parts } => {
-                w.put_u8(16);
-                axis.encode(w);
-                parts.encode(w);
-            }
-        }
-    }
-}
-
-impl Decode for Op {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(match r.get_u8()? {
-            0 => Op::Conv2d {
-                stride: Decode::decode(r)?,
-                padding: Decode::decode(r)?,
-                groups: Decode::decode(r)?,
-            },
-            1 => Op::MatMul { trans_a: Decode::decode(r)?, trans_b: Decode::decode(r)? },
-            2 => Op::LayerNorm { axes: Decode::decode(r)? },
-            3 => Op::InstanceNorm,
-            4 => Op::Softmax { axis: Decode::decode(r)? },
-            5 => Op::Reduce {
-                kind: Decode::decode(r)?,
-                axes: Decode::decode(r)?,
-                keep_dims: Decode::decode(r)?,
-            },
-            6 => Op::Pool2d {
-                kind: Decode::decode(r)?,
-                kernel: Decode::decode(r)?,
-                stride: Decode::decode(r)?,
-                padding: Decode::decode(r)?,
-            },
-            7 => Op::Unary { kind: Decode::decode(r)? },
-            8 => Op::Binary { kind: Decode::decode(r)? },
-            9 => Op::Concat { axis: Decode::decode(r)? },
-            10 => Op::Reshape { shape: Decode::decode(r)? },
-            11 => Op::Transpose { perm: Decode::decode(r)? },
-            12 => Op::DepthToSpace { block: Decode::decode(r)? },
-            13 => Op::SpaceToDepth { block: Decode::decode(r)? },
-            14 => Op::Gather { axis: Decode::decode(r)? },
-            15 => Op::Slice {
-                axis: Decode::decode(r)?,
-                start: Decode::decode(r)?,
-                len: Decode::decode(r)?,
-            },
-            16 => Op::Split { axis: Decode::decode(r)?, parts: Decode::decode(r)? },
-            tag => return Err(WireError::BadTag { ty: "Op", tag }),
-        })
-    }
-}
-
-impl Encode for TexturePlacement {
-    fn encode(&self, w: &mut Writer) {
-        self.height_dims.encode(w);
-        self.width_dims.encode(w);
-        self.vector_dim.encode(w);
-    }
-}
-
-impl Decode for TexturePlacement {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(TexturePlacement {
-            height_dims: Decode::decode(r)?,
-            width_dims: Decode::decode(r)?,
-            vector_dim: Decode::decode(r)?,
-        })
     }
 }
 
@@ -803,7 +511,7 @@ impl Decode for Layout {
 }
 
 // ---------------------------------------------------------------------
-// Graph
+// Graph: decoders that validate
 // ---------------------------------------------------------------------
 
 impl Encode for TensorInfo {
@@ -842,30 +550,6 @@ impl Decode for TensorInfo {
     }
 }
 
-impl Encode for Node {
-    fn encode(&self, w: &mut Writer) {
-        self.id.encode(w);
-        self.op.encode(w);
-        self.inputs.encode(w);
-        self.outputs.encode(w);
-        self.name.encode(w);
-        self.origin.encode(w);
-    }
-}
-
-impl Decode for Node {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Node {
-            id: Decode::decode(r)?,
-            op: Decode::decode(r)?,
-            inputs: Decode::decode(r)?,
-            outputs: Decode::decode(r)?,
-            name: Decode::decode(r)?,
-            origin: Decode::decode(r)?,
-        })
-    }
-}
-
 impl Encode for BucketTable {
     fn encode(&self, w: &mut Writer) {
         self.buckets().to_vec().encode(w);
@@ -876,42 +560,6 @@ impl Decode for BucketTable {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let buckets = Vec::<usize>::decode(r)?;
         BucketTable::new(buckets).map_err(|e| WireError::Invalid(format!("bucket table: {e}")))
-    }
-}
-
-impl Encode for SymDim {
-    fn encode(&self, w: &mut Writer) {
-        self.name.encode(w);
-        self.table.encode(w);
-        self.value.encode(w);
-    }
-}
-
-impl Decode for SymDim {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SymDim {
-            name: Decode::decode(r)?,
-            table: Decode::decode(r)?,
-            value: Decode::decode(r)?,
-        })
-    }
-}
-
-impl Encode for SymAxis {
-    fn encode(&self, w: &mut Writer) {
-        self.tensor.encode(w);
-        self.axis.encode(w);
-        self.dim.encode(w);
-    }
-}
-
-impl Decode for SymAxis {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(SymAxis {
-            tensor: Decode::decode(r)?,
-            axis: Decode::decode(r)?,
-            dim: Decode::decode(r)?,
-        })
     }
 }
 
@@ -1088,10 +736,21 @@ mod tests {
 
     #[test]
     fn bad_tags_error() {
-        let err = decode_from::<DType>(&[99]).unwrap_err();
-        assert_eq!(err, WireError::BadTag { ty: "DType", tag: 99 });
-        let err = decode_from::<Op>(&[200]).unwrap_err();
-        assert_eq!(err, WireError::BadTag { ty: "Op", tag: 200 });
+        fn bad<T: Decode + fmt::Debug>(tag: u8) -> WireError {
+            decode_from::<T>(&[tag]).unwrap_err()
+        }
+        let tag = |ty, tag| WireError::BadTag { ty, tag };
+        // One tag past the last variant of every declared enum in this
+        // crate, reported under the type name the decoders always used.
+        assert_eq!(bad::<DType>(4), tag("DType", 4));
+        assert_eq!(bad::<TensorKind>(3), tag("TensorKind", 3));
+        assert_eq!(bad::<OpOrigin>(2), tag("OpOrigin", 2));
+        assert_eq!(bad::<UnaryKind>(10), tag("UnaryKind", 10));
+        assert_eq!(bad::<BinaryKind>(5), tag("BinaryKind", 5));
+        assert_eq!(bad::<ReduceKind>(4), tag("ReduceKind", 4));
+        assert_eq!(bad::<PoolKind>(2), tag("PoolKind", 2));
+        assert_eq!(bad::<Op>(17), tag("Op", 17));
+        assert_eq!(bad::<Op>(200), tag("Op", 200));
     }
 
     #[test]

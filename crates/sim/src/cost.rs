@@ -19,7 +19,6 @@
 //!   kernel (§3.2.1).
 
 use crate::device::DeviceConfig;
-use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 
 /// Which Table 1 latency bucket a kernel belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -32,26 +31,11 @@ pub enum LatencyClass {
     ImplicitTransform,
 }
 
-impl Encode for LatencyClass {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            LatencyClass::Compute => 0,
-            LatencyClass::ExplicitTransform => 1,
-            LatencyClass::ImplicitTransform => 2,
-        });
-    }
-}
-
-impl Decode for LatencyClass {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        match r.get_u8()? {
-            0 => Ok(LatencyClass::Compute),
-            1 => Ok(LatencyClass::ExplicitTransform),
-            2 => Ok(LatencyClass::ImplicitTransform),
-            tag => Err(WireError::BadTag { ty: "LatencyClass", tag }),
-        }
-    }
-}
+smartmem_ir::wire_enum!(LatencyClass {
+    0 => Compute {},
+    1 => ExplicitTransform {},
+    2 => ImplicitTransform {},
+});
 
 /// Work description of one kernel, produced by the graph estimators.
 #[derive(Clone, Copy, Debug)]

@@ -2,7 +2,6 @@
 
 use crate::cache::CacheConfig;
 use crate::memory::{AfbcConfig, TextureTiling};
-use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 use smartmem_ir::DType;
 
 /// Memory-system capabilities of one execution platform.
@@ -72,38 +71,6 @@ impl DeviceCaps {
     /// for AFBC to compress.
     pub fn with_afbc(self, enabled: bool) -> Self {
         DeviceCaps { afbc: (enabled && self.texture_path).then(AfbcConfig::mali_default), ..self }
-    }
-}
-
-impl Encode for DeviceCaps {
-    fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.texture_path as u8);
-        match &self.afbc {
-            None => w.put_u8(0),
-            Some(a) => {
-                w.put_u8(1);
-                a.encode(w);
-            }
-        }
-        w.put_u8(self.unified_memory as u8);
-        w.put_u64(self.max_texture_extent);
-    }
-}
-
-impl Decode for DeviceCaps {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let texture_path = bool::decode(r)?;
-        let afbc = match r.get_u8()? {
-            0 => None,
-            1 => Some(AfbcConfig::decode(r)?),
-            tag => return Err(WireError::BadTag { ty: "DeviceCaps.afbc", tag }),
-        };
-        let unified_memory = bool::decode(r)?;
-        let max_texture_extent = r.get_u64()?;
-        if afbc.is_some() && !texture_path {
-            return Err(WireError::Invalid("AFBC requires a texture path".into()));
-        }
-        Ok(DeviceCaps { texture_path, afbc, unified_memory, max_texture_extent })
     }
 }
 
@@ -465,21 +432,6 @@ mod tests {
             assert!(ridge(&npu) > 2.0 * ridge(&gpu), "{} ridge", gpu.name);
         }
         assert!(npu.buffer_cache.line_bytes >= 256, "NPU uses wide memory lines");
-    }
-
-    #[test]
-    fn caps_wire_roundtrip() {
-        use smartmem_ir::wire::{decode_from, encode_to_vec};
-        for caps in [
-            DeviceCaps::mobile_gpu(),
-            DeviceCaps::mali_afbc(),
-            DeviceCaps::unified_no_texture(),
-            DeviceCaps::discrete_gpu(),
-            DeviceCaps::server_npu(),
-        ] {
-            let back: DeviceCaps = decode_from(&encode_to_vec(&caps)).unwrap();
-            assert_eq!(back, caps);
-        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::cache::{CacheConfig, CacheSim};
 use crate::device::DeviceConfig;
-use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 use smartmem_ir::PhysicalAddress;
 
 /// Arm Frame Buffer Compression on the texture path (Mali GPUs).
@@ -55,31 +54,6 @@ impl AfbcConfig {
         let ratio = self.compression_ratio.max(1.0);
         let meta_fraction = self.metadata_bytes as f64 / self.superblock_payload_bytes(elem_bytes);
         1.0 / (1.0 / ratio + meta_fraction)
-    }
-}
-
-impl Encode for AfbcConfig {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f64(self.compression_ratio);
-        w.put_u64(self.superblock_texels);
-        w.put_u64(self.metadata_bytes);
-    }
-}
-
-impl Decode for AfbcConfig {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let compression_ratio = f64::decode(r)?;
-        let superblock_texels = r.get_u64()?;
-        let metadata_bytes = r.get_u64()?;
-        if !compression_ratio.is_finite() || compression_ratio < 1.0 {
-            return Err(WireError::Invalid(format!(
-                "AFBC compression ratio {compression_ratio} must be finite and >= 1"
-            )));
-        }
-        if superblock_texels == 0 {
-            return Err(WireError::Invalid("AFBC superblock must be non-empty".into()));
-        }
-        Ok(AfbcConfig { compression_ratio, superblock_texels, metadata_bytes })
     }
 }
 
@@ -319,17 +293,6 @@ mod tests {
             assert!(bytes <= prev, "ratio {ratio} raised traffic {bytes} > {prev}");
             prev = bytes;
         }
-    }
-
-    #[test]
-    fn afbc_wire_roundtrip() {
-        use smartmem_ir::wire::{decode_from, encode_to_vec};
-        let afbc = AfbcConfig::mali_default();
-        let back: AfbcConfig = decode_from(&encode_to_vec(&afbc)).unwrap();
-        assert_eq!(back, afbc);
-        // A ratio below 1 must be rejected, not silently accepted.
-        let bad = AfbcConfig { compression_ratio: 0.5, ..afbc };
-        assert!(decode_from::<AfbcConfig>(&encode_to_vec(&bad)).is_err());
     }
 
     #[test]

@@ -1,15 +1,11 @@
-//! Property tests for the AFBC bandwidth model and the device
-//! capability descriptor.
+//! Property tests for the AFBC bandwidth model.
 //!
 //! The load-bearing invariant: lossless framebuffer compression can
 //! only ever *help* a memory-bound kernel — more compression never
 //! produces more DRAM traffic, a lower roofline, or a slower kernel.
-//! And because compiled artifacts are cached per device fingerprint,
-//! `DeviceCaps` must survive the wire codec bit-exactly.
 
 use proptest::prelude::*;
-use smartmem_ir::wire::{decode_from, encode_to_vec};
-use smartmem_sim::{roofline_gmacs, AfbcConfig, DeviceCaps, DeviceConfig, KernelProfile};
+use smartmem_sim::{roofline_gmacs, AfbcConfig, DeviceConfig, KernelProfile};
 
 fn mali_with_ratio(ratio: f64) -> DeviceConfig {
     let mut d = DeviceConfig::mali_g710();
@@ -84,45 +80,4 @@ proptest! {
         prop_assert!(afbc.bandwidth_gain(elem) >= 1.0 / 1.5);
     }
 
-    /// Capability descriptors round-trip the wire codec bit-exactly —
-    /// cache artifacts are keyed per device, so a lossy encode would
-    /// silently alias distinct devices.
-    #[test]
-    fn device_caps_wire_roundtrip(
-        flags in 0u32..8,
-        ratio_centi in 100u64..500,
-        superblock_choice in 3u32..6,
-        metadata in 0u64..64,
-        extent in 0u64..65536,
-    ) {
-        let (texture, afbc_on, unified) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
-        let caps = DeviceCaps {
-            texture_path: texture,
-            afbc: (texture && afbc_on).then(|| AfbcConfig {
-                compression_ratio: ratio_centi as f64 / 100.0,
-                superblock_texels: 1 << superblock_choice, // 8, 16 or 32
-                metadata_bytes: metadata,
-            }),
-            unified_memory: unified,
-            max_texture_extent: extent,
-        };
-        let back: DeviceCaps = decode_from(&encode_to_vec(&caps)).unwrap();
-        prop_assert_eq!(back, caps);
-    }
-}
-
-#[test]
-fn every_preset_caps_roundtrips() {
-    for device in [
-        DeviceConfig::snapdragon_8gen2(),
-        DeviceConfig::snapdragon_835(),
-        DeviceConfig::dimensity_700(),
-        DeviceConfig::mali_g710(),
-        DeviceConfig::apple_m1(),
-        DeviceConfig::server_npu(),
-        DeviceConfig::tesla_v100(),
-    ] {
-        let back: DeviceCaps = decode_from(&encode_to_vec(&device.caps)).unwrap();
-        assert_eq!(back, device.caps, "{}", device.name);
-    }
 }
