@@ -35,7 +35,6 @@
 //! sources change.
 
 use crate::pipeline::KernelGroup;
-use crate::session::hash_debug_into;
 use crate::tune::ExecConfig;
 use smartmem_ir::{Graph, Layout};
 use std::collections::hash_map::DefaultHasher;
@@ -126,20 +125,20 @@ smartmem_ir::wire_struct!(GroupDecisions {
 pub fn group_content_hash(graph: &Graph, g: &KernelGroup) -> u64 {
     let mut h = DefaultHasher::new();
     let anchor = graph.node(g.anchor);
-    hash_debug_into(&mut h, &graph.padded_op(&anchor.op));
-    hash_debug_into(&mut h, &anchor.origin);
+    graph.padded_op(&anchor.op).hash(&mut h);
+    anchor.origin.hash(&mut h);
     graph.padded_dims(anchor.outputs[0]).hash(&mut h);
     g.members.len().hash(&mut h);
     for &m in &g.members {
         let node = graph.node(m);
-        hash_debug_into(&mut h, &graph.padded_op(&node.op));
-        hash_debug_into(&mut h, &node.origin);
+        graph.padded_op(&node.op).hash(&mut h);
+        node.origin.hash(&mut h);
     }
     let out = graph.tensor(g.output);
     graph.padded_dims(g.output).hash(&mut h);
-    hash_debug_into(&mut h, &out.dtype);
-    hash_debug_into(&mut h, &out.kind);
-    hash_debug_into(&mut h, &g.class);
+    out.dtype.hash(&mut h);
+    out.kind.hash(&mut h);
+    g.class.hash(&mut h);
     g.reads.len().hash(&mut h);
     for r in &g.reads {
         // The reading member's identity, as its position within the
@@ -158,8 +157,8 @@ pub fn group_content_hash(graph: &Graph, g: &KernelGroup) -> u64 {
         }
         let src = graph.tensor(r.source);
         graph.padded_dims(r.source).hash(&mut h);
-        hash_debug_into(&mut h, &src.dtype);
-        hash_debug_into(&mut h, &src.kind);
+        src.dtype.hash(&mut h);
+        src.kind.hash(&mut h);
     }
     h.finish()
 }

@@ -98,11 +98,11 @@ pub fn op_pullback(
 /// Transformer graphs repeat structurally identical blocks dozens of
 /// times, so identical compositions recur with identical upstream maps;
 /// hashing the upstream map (structural hash of its expressions) is far
-/// cheaper than re-running composition + strength reduction. Everything
-/// streams into the hasher — no clones, no transient `String`s — so a
-/// memo probe costs one tree walk. Keying on the 64-bit digest accepts
-/// the same negligible collision odds as the session cache's graph
-/// fingerprints.
+/// cheaper than re-running composition + strength reduction. The
+/// operator hashes through its derived `Hash` and the map through its
+/// structural digest, so a memo probe allocates nothing and costs one
+/// tree walk. Keying on the 64-bit digest accepts the same negligible
+/// collision odds as the session cache's graph fingerprints.
 fn compose_fingerprint(
     upstream: Option<&IndexMap>,
     op: &Op,
@@ -119,7 +119,7 @@ fn compose_fingerprint(
             m.hash(&mut h);
         }
     }
-    crate::session::hash_debug_into(&mut h, op);
+    op.hash(&mut h);
     in_shape.hash(&mut h);
     out_shape.hash(&mut h);
     output_idx.hash(&mut h);

@@ -30,54 +30,37 @@ use crate::groupcache::GroupCache;
 use crate::pass::CompileOutput;
 use crate::persist::{ArtifactKey, DiskCache};
 use crate::pipeline::{Framework, Unsupported};
+use smartmem_ir::wire::encode_to_vec;
 use smartmem_ir::Graph;
 use smartmem_sim::DeviceConfig;
 use smartmem_telemetry::Counter;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Streams a value's Debug rendering straight into `h`, avoiding the
-/// transient String a `format!`-then-hash would allocate (graphs render
-/// to hundreds of KB). Shared by the session's content fingerprints and
-/// the LTE pass's composition memo.
-pub(crate) fn hash_debug_into(h: &mut DefaultHasher, value: &dyn fmt::Debug) {
-    struct HashWriter<'a>(&'a mut DefaultHasher);
-    impl fmt::Write for HashWriter<'_> {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0.write(s.as_bytes());
-            Ok(())
-        }
-    }
-    write!(HashWriter(h), "{value:?}").expect("Debug formatting is infallible");
-}
-
-/// 64-bit digest of a value's Debug rendering.
-fn debug_hash(value: &dyn fmt::Debug) -> u64 {
+/// Content hash of a graph: the [`smartmem_ir::wire`] encoding (name,
+/// nodes with operator attributes and origins, tensors with shapes,
+/// dtypes, kinds and initializers, io, symbolic bindings) streamed into
+/// the hasher. The persisted format is the one definition of a graph's
+/// content, so two graphs with equal fingerprints optimize identically
+/// under every deterministic pass sequence, and a decoded graph keeps
+/// its fingerprint.
+pub fn graph_fingerprint(graph: &Graph) -> u64 {
     let mut h = DefaultHasher::new();
-    hash_debug_into(&mut h, value);
+    h.write(&encode_to_vec(graph));
     h.finish()
 }
 
-/// Content hash of a graph (structure, shapes, dtypes, operator
-/// attributes, origins). Two graphs with equal fingerprints optimize
-/// identically under every deterministic pass sequence.
-///
-/// The IR's Debug rendering covers every semantic field (tensors,
-/// shapes, dtypes, kinds, nodes, operator attributes, edges), which
-/// makes it a faithful — if unglamorous — content witness.
-pub fn graph_fingerprint(graph: &Graph) -> u64 {
-    debug_hash(graph)
-}
-
-/// Content hash of a device configuration.
+/// Content hash of a device configuration (every field, capabilities
+/// included, through [`DeviceConfig`]'s `Hash`).
 pub fn device_fingerprint(device: &DeviceConfig) -> u64 {
-    debug_hash(device)
+    let mut h = DefaultHasher::new();
+    device.hash(&mut h);
+    h.finish()
 }
 
 /// Result of one compilation job (shared on cache hits).
@@ -90,7 +73,7 @@ struct CacheKey {
     sequence: u64,
     /// [`Graph::sym_bucket`] — `0` for static graphs, a digest of the
     /// bound shape buckets for symbolic ones. Redundant with the graph
-    /// fingerprint (the Debug rendering covers the bound values) but
+    /// fingerprint (the wire encoding covers the bound values) but
     /// explicit, so the per-bucket artifacts of a bucketed decode model
     /// can never alias each other.
     bucket: u64,
@@ -566,11 +549,6 @@ impl CompileSession {
         }
     }
 
-    /// Number of kernel groups with cached refinement decisions.
-    pub fn group_cache_len(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Number of cached compilations (in-flight entries excluded).
     pub fn len(&self) -> usize {
         self.cache
@@ -638,9 +616,8 @@ mod tests {
             .compile(&SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level()), &g, &device)
             .unwrap();
         session.compile(&SmartMemPipeline::new(), &g, &DeviceConfig::snapdragon_835()).unwrap();
-        // Same structure under a different graph name still hits: the
-        // name is part of the Debug rendering, so it does not — keep the
-        // expectation explicit.
+        // Same structure under a different graph name misses: the name
+        // is part of the graph's wire encoding, so it is part of the key.
         session.compile(&SmartMemPipeline::new(), &toy("other"), &device).unwrap();
         let stats = session.stats();
         assert_eq!((stats.hits, stats.misses, stats.disk_hits), (0, 4, 0));

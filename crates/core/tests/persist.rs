@@ -1,14 +1,19 @@
 //! Integration tests of the persistent compilation cache: round-trip
 //! identity for randomized graphs, warm restarts served entirely from
-//! disk, and the corrupt/stale fallbacks (a damaged cache may cost a
-//! cold compile, but never correctness and never a panic).
+//! disk, the corrupt/stale fallbacks (a damaged cache may cost a cold
+//! compile, but never correctness and never a panic), and the content
+//! fingerprints the cache keys are made of.
 
 use proptest::prelude::*;
 use smartmem_core::{
-    graph_fingerprint, CompileSession, Framework, PassManager, SmartMemPipeline, Unsupported,
+    device_fingerprint, graph_fingerprint, CompileSession, Framework, PassManager,
+    SmartMemPipeline, Unsupported,
 };
 use smartmem_ir::wire::{decode_from, encode_to_vec};
-use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
+use smartmem_ir::{
+    BucketTable, DType, Graph, GraphBuilder, Node, Op, Shape, TensorId, TensorInfo, TensorKind,
+    UnaryKind,
+};
 use smartmem_sim::DeviceConfig;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -317,4 +322,166 @@ proptest! {
             decode_from(&encode_to_vec(&out)).expect("artifact roundtrip");
         prop_assert_eq!(format!("{:?}", out), format!("{:?}", back));
     }
+}
+
+// ---------------------------------------------------------------------
+// Fingerprint sensitivity: the cache keys must see every field a graph
+// or device carries.
+// ---------------------------------------------------------------------
+
+/// A graph taken apart into editable vectors. [`Parts::assemble`]
+/// replays them through a `GraphBuilder` in tensor-id order, which
+/// reproduces an unedited graph exactly (ids, names, origins and
+/// consumer order), so an edit to the parts is the only difference.
+#[derive(Clone)]
+struct Parts {
+    name: String,
+    nodes: Vec<Node>,
+    tensors: Vec<TensorInfo>,
+    outputs: Vec<TensorId>,
+}
+
+impl Parts {
+    fn of(g: &Graph) -> Self {
+        Parts {
+            name: g.name().to_string(),
+            nodes: g.nodes().to_vec(),
+            tensors: g.tensors().to_vec(),
+            outputs: g.outputs().to_vec(),
+        }
+    }
+
+    fn assemble(&self) -> Graph {
+        let mut b = GraphBuilder::new(self.name.as_str());
+        for (i, t) in self.tensors.iter().enumerate() {
+            let id = TensorId(i as u32);
+            match (t.producer, t.kind, &t.init) {
+                (Some(p), ..) => {
+                    let n = &self.nodes[p.0 as usize];
+                    if n.outputs[0] == id {
+                        b.set_origin(n.origin);
+                        let outs = b.try_push(n.op.clone(), &n.inputs).expect("edit infers");
+                        assert_eq!(outs, n.outputs);
+                    }
+                }
+                (None, TensorKind::Input, _) => {
+                    assert_eq!(b.input("", t.shape.dims(), t.dtype), id);
+                }
+                (None, _, Some(init)) => {
+                    assert_eq!(b.weight_init("", t.shape.dims(), t.dtype, init.clone()), id);
+                }
+                (None, ..) => assert_eq!(b.weight("", t.shape.dims(), t.dtype), id),
+            }
+            b.set_tensor_name(id, t.name.as_str());
+        }
+        for &o in &self.outputs {
+            b.output(o);
+        }
+        b.finish()
+    }
+}
+
+/// Each single mutation of a zoo graph changes its fingerprint; building
+/// or reassembling the same graph does not.
+#[test]
+fn graph_fingerprint_sees_every_single_mutation() {
+    let entry = smartmem_models::by_name("ViT").expect("ViT is in the zoo");
+    let zoo = entry.graph();
+    let base = graph_fingerprint(&zoo);
+    assert_eq!(graph_fingerprint(&entry.graph()), base, "rebuilt zoo graph");
+    let parts = Parts::of(&zoo);
+    assert_eq!(graph_fingerprint(&parts.assemble()), base, "reassembled zoo graph");
+
+    let edit = |f: &dyn Fn(&mut Parts)| {
+        let mut p = parts.clone();
+        f(&mut p);
+        p.assemble()
+    };
+    // A 1-D weight broadcast into a binary operator: shrinking it to one
+    // element leaves every inferred shape unchanged.
+    let bias = parts
+        .tensors
+        .iter()
+        .position(|t| t.kind == TensorKind::Weight && t.shape.dims().len() == 1)
+        .expect("zoo model has a bias weight");
+    let numel = parts.tensors[bias].shape.numel() as usize;
+    let with_init = |init: Vec<f32>| edit(&|p| p.tensors[bias].init = Some(init.clone()));
+    let zero_init = with_init(vec![0.0; numel]);
+    let mut one_value = vec![0.0; numel];
+    one_value[numel / 2] = 1.0;
+    let mutations = [
+        (
+            "op attribute",
+            edit(&|p| {
+                let gelu = Op::Unary { kind: UnaryKind::Gelu };
+                let n = p.nodes.iter_mut().find(|n| n.op == gelu).expect("zoo model has a GELU");
+                n.op = Op::Unary { kind: UnaryKind::Relu };
+            }),
+        ),
+        ("shape extent", edit(&|p| p.tensors[bias].shape = Shape::new(vec![1]))),
+        ("dtype", edit(&|p| p.tensors[bias].dtype = DType::F32)),
+        (
+            "edge",
+            edit(&|p| {
+                let shape = |t: TensorId| p.tensors[t.0 as usize].shape.clone();
+                let add = p
+                    .nodes
+                    .iter()
+                    .position(|n| {
+                        matches!(n.op, Op::Binary { .. })
+                            && n.inputs[0] != n.inputs[1]
+                            && shape(n.inputs[0]) == shape(n.inputs[1])
+                    })
+                    .expect("zoo model has a residual add");
+                let n = &mut p.nodes[add];
+                n.inputs[1] = n.inputs[0];
+            }),
+        ),
+        ("tensor name", edit(&|p| p.tensors[bias].name.push('\''))),
+        ("weight init present", zero_init.clone()),
+    ];
+    for (what, g) in &mutations {
+        assert_ne!(graph_fingerprint(g), base, "{what} left the fingerprint unchanged");
+    }
+    assert_ne!(
+        graph_fingerprint(&with_init(one_value)),
+        graph_fingerprint(&zero_init),
+        "one init value left the fingerprint unchanged"
+    );
+
+    // 3072 is ViT's MLP width: the one extent the zoo graph can bind
+    // symbolically. Binding it, and then moving one bucket of its
+    // table, must each change the key.
+    let bind = |ceiling: usize| {
+        let table = BucketTable::new(vec![3072, ceiling]).expect("valid table");
+        graph_fingerprint(&zoo.clone().with_sym_dim("hidden", &table, 3072).expect("binds"))
+    };
+    assert_ne!(bind(4 * 3072), base, "a sym binding left the fingerprint unchanged");
+    assert_ne!(bind(4 * 3072), bind(2 * 3072), "one bucket value left the fingerprint unchanged");
+}
+
+/// Every device preset keys apart, and so do the AFBC toggle and one
+/// bandwidth change.
+#[test]
+fn device_fingerprint_separates_presets_and_knobs() {
+    let presets = [
+        DeviceConfig::snapdragon_8gen2(),
+        DeviceConfig::snapdragon_835(),
+        DeviceConfig::dimensity_700(),
+        DeviceConfig::mali_g710(),
+        DeviceConfig::apple_m1(),
+        DeviceConfig::server_npu(),
+        DeviceConfig::tesla_v100(),
+    ];
+    let mut faster = DeviceConfig::snapdragon_8gen2();
+    faster.global_bw_gbps += 1.0;
+    let knobs = [
+        DeviceConfig::mali_g710().with_afbc(false),
+        DeviceConfig::snapdragon_8gen2().with_afbc(true),
+        faster,
+    ];
+    let keys: Vec<u64> = presets.iter().chain(&knobs).map(device_fingerprint).collect();
+    let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
+    assert_eq!(distinct.len(), keys.len(), "colliding device fingerprints: {keys:x?}");
+    assert_eq!(device_fingerprint(&DeviceConfig::mali_g710()), keys[3], "same config, same key");
 }

@@ -552,7 +552,7 @@ impl Decode for TensorInfo {
 
 impl Encode for BucketTable {
     fn encode(&self, w: &mut Writer) {
-        self.buckets().to_vec().encode(w);
+        self.buckets().encode(w);
     }
 }
 
@@ -570,8 +570,8 @@ impl Encode for Graph {
         self.tensors().encode(w);
         self.inputs().encode(w);
         self.outputs().encode(w);
-        self.sym_dims().to_vec().encode(w);
-        self.sym_axes().to_vec().encode(w);
+        self.sym_dims().encode(w);
+        self.sym_axes().encode(w);
     }
 }
 

@@ -6,7 +6,7 @@
 //! Yes" for 2.5D texture memory).
 
 /// Geometry of a simulated cache.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -48,11 +48,6 @@ impl CacheSim {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.config
     }
 
     /// Performs one access to `line_key`, returning `true` on hit.

@@ -3,6 +3,7 @@
 use crate::cache::CacheConfig;
 use crate::memory::{AfbcConfig, TextureTiling};
 use smartmem_ir::DType;
+use std::hash::{Hash, Hasher};
 
 /// Memory-system capabilities of one execution platform.
 ///
@@ -11,7 +12,7 @@ use smartmem_ir::DType;
 /// constants in [`DeviceConfig`], and every capability combination the
 /// optimizer supports is already handled. See the device-capability
 /// table in `docs/ARCHITECTURE.md`.
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Hash, Debug)]
 pub struct DeviceCaps {
     /// Whether the device exposes a performance-relevant 2.5D texture
     /// path for compute kernels (Adreno/Mali image reads). When false,
@@ -113,6 +114,44 @@ pub struct DeviceConfig {
     /// Evaluation element type (`F16` on mobile, `F32` on desktop —
     /// §4.1).
     pub dtype: DType,
+}
+
+// The compile caches key on this hash (`f64` fields through `to_bits`);
+// destructuring makes a new field a compile error here until it is
+// hashed.
+impl Hash for DeviceConfig {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let DeviceConfig {
+            name,
+            peak_tmacs,
+            global_bw_gbps,
+            texture_bw_gbps,
+            caps,
+            kernel_launch_us,
+            memory_gb,
+            buffer_cache,
+            texture_cache,
+            texture_tiling,
+            index_ops_per_sec,
+            dtype,
+        } = self;
+        name.hash(h);
+        caps.hash(h);
+        buffer_cache.hash(h);
+        texture_cache.hash(h);
+        texture_tiling.hash(h);
+        dtype.hash(h);
+        for x in [
+            peak_tmacs,
+            global_bw_gbps,
+            texture_bw_gbps,
+            kernel_launch_us,
+            memory_gb,
+            index_ops_per_sec,
+        ] {
+            x.to_bits().hash(h);
+        }
+    }
 }
 
 impl DeviceConfig {

@@ -152,7 +152,6 @@ pub struct FaultPlan {
     seed: u64,
     rates: FaultRates,
     stall: Duration,
-    skew: Duration,
     injected: [AtomicU64; 6],
     streams: Mutex<HashMap<(usize, usize), u64>>,
 }
@@ -175,7 +174,6 @@ impl FaultPlan {
             seed,
             rates,
             stall: DEFAULT_STALL,
-            skew: DEFAULT_SKEW,
             injected: Default::default(),
             streams: Mutex::new(HashMap::new()),
         }
@@ -190,12 +188,6 @@ impl FaultPlan {
     /// Set the sleep injected by [`FaultKind::DeviceStall`].
     pub fn with_stall(mut self, stall: Duration) -> Self {
         self.stall = stall;
-        self
-    }
-
-    /// Set the deadline tightening injected by [`FaultKind::ClockSkew`].
-    pub fn with_skew(mut self, skew: Duration) -> Self {
-        self.skew = skew;
         self
     }
 
@@ -221,7 +213,7 @@ impl FaultPlan {
 
     /// Injected deadline tightening.
     pub fn skew(&self) -> Duration {
-        self.skew
+        DEFAULT_SKEW
     }
 
     /// Pure probe: would `kind` fire for the request identified by

@@ -4,6 +4,7 @@
 use crate::cache::{CacheConfig, CacheSim};
 use crate::device::DeviceConfig;
 use smartmem_ir::PhysicalAddress;
+use std::hash::{Hash, Hasher};
 
 /// Arm Frame Buffer Compression on the texture path (Mali GPUs).
 ///
@@ -57,12 +58,23 @@ impl AfbcConfig {
     }
 }
 
+// `f64` fields hash through `to_bits`; destructuring makes a new field
+// a compile error here until it is hashed.
+impl Hash for AfbcConfig {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        let AfbcConfig { compression_ratio, superblock_texels, metadata_bytes } = *self;
+        compression_ratio.to_bits().hash(h);
+        superblock_texels.hash(h);
+        metadata_bytes.hash(h);
+    }
+}
+
 /// 2-D tile shape (in texels) of one texture-cache line.
 ///
 /// Texture caches exploit 2-D spatial locality (Table 2): a line holds a
 /// small rectangle of texels rather than a 1-D run, so accesses along
 /// *either* axis of the texture hit the same line.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TextureTiling {
     /// Tile width in texels.
     pub tile_w: u64,
@@ -179,21 +191,6 @@ impl MemorySim {
     /// Miss ratio of the buffer cache.
     pub fn buffer_miss_ratio(&self) -> f64 {
         self.buffer_cache.miss_ratio()
-    }
-
-    /// Miss ratio of the texture cache.
-    pub fn texture_miss_ratio(&self) -> f64 {
-        self.texture_cache.miss_ratio()
-    }
-
-    /// Buffer-cache line size in bytes.
-    pub fn buffer_line_bytes(&self) -> u64 {
-        self.buffer_line
-    }
-
-    /// Texture-cache line (tile) size in bytes.
-    pub fn texture_line_bytes(&self) -> u64 {
-        self.texture_cache.config().line_bytes as u64
     }
 
     /// Clears caches and counters.
