@@ -50,17 +50,6 @@ impl FusePolicy {
             max_group: 3,
         }
     }
-
-    /// TVM-style rule-based fusion of injective epilogues.
-    pub fn injective() -> Self {
-        FusePolicy {
-            fuse_unary: true,
-            fuse_binary: false,
-            fuse_reshape: true,
-            anchors_only: false,
-            max_group: 6,
-        }
-    }
 }
 
 /// Groups operators under a baseline fusion policy (the counterpart of

@@ -23,9 +23,9 @@ use smartmem_sim::DeviceConfig;
 use std::time::Instant;
 
 /// A 12-block MLP stack with a distinct width per block (so every
-/// kernel group is structurally distinct — no intra-model dedup), used
-/// to demonstrate incremental recompilation: `edited != 0` swaps one
-/// mid-stack activation, which invalidates exactly one group.
+/// kernel group tunes a distinct `(op, m, n)` key), used to time the
+/// edit-recompile loop: `edited` swaps one mid-stack activation, which
+/// fuses into its matmul and so adds no new key.
 fn edit_demo_model(edited: bool) -> Graph {
     let widths = [64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240];
     let mut b = GraphBuilder::new("edit-demo");
@@ -176,11 +176,10 @@ fn main() {
         println!("tune on {label}: {}", tune_work(&out));
     }
 
-    // 1c. Incremental recompilation after a one-layer edit. A fresh
-    // session compiles the 12-block demo model cold, then a variant
-    // with one activation changed: the per-group decision cache replays
-    // layout + tuning for the 10 untouched groups and refines only the
-    // edited one, so the second compile costs a fraction of the first.
+    // 1c. Recompilation after a one-layer edit. A fresh session
+    // compiles the 12-block demo model cold, then a variant with one
+    // activation changed: the whole pipeline reruns, but the session's
+    // tune memo serves every group, so no tuning sweep runs again.
     {
         let session = CompileSession::new();
         let fw = SmartMemPipeline::new();
@@ -188,11 +187,11 @@ fn main() {
         session.compile(&fw, &edit_demo_model(false), &device).expect("cold compile");
         let cold_ms = start.elapsed().as_secs_f64() * 1e3;
         let start = Instant::now();
-        session.compile(&fw, &edit_demo_model(true), &device).expect("incremental compile");
+        session.compile(&fw, &edit_demo_model(true), &device).expect("edited compile");
         let incr_ms = start.elapsed().as_secs_f64() * 1e3;
         let stats = session.stats();
         println!(
-            "\nedit-one-layer recompile: cold {cold_ms:.2} ms, incremental {incr_ms:.2} ms ({} group hits / {} group misses)",
+            "\nedit-one-layer recompile: cold {cold_ms:.2} ms, edited {incr_ms:.2} ms ({} tune memo hits / {} sweeps)",
             stats.group_hits, stats.group_misses,
         );
         records.push(BenchRecord::new("pass_timing", device.slug(), "compile_cold_ms", cold_ms));
@@ -304,7 +303,7 @@ fn main() {
     let warm = warm_start.elapsed();
     let stats = session.stats();
     println!(
-        "\nzoo x frameworks: cold {:.0} ms, warm {:.1} ms ({} cached compilations, {} hits / {} misses, {} disk hits; {} group hits / {} group misses)",
+        "\nzoo x frameworks: cold {:.0} ms, warm {:.1} ms ({} cached compilations, {} hits / {} misses, {} disk hits; {} tune memo hits / {} sweeps)",
         cold.as_secs_f64() * 1e3,
         warm.as_secs_f64() * 1e3,
         session.len(),

@@ -136,6 +136,77 @@ mod tests {
         assert_eq!(classify(&Op::Split { axis: 0, parts: 2 }), OpClass::ILI_FIXED);
     }
 
+    /// One instance of every `Op` variant. The exhaustive match makes a
+    /// new variant a compile error here until it is listed.
+    fn every_op() -> Vec<Op> {
+        use smartmem_ir::{BinaryKind, PoolKind, ReduceKind, UnaryKind};
+        let ops = vec![
+            Op::Conv2d { stride: (1, 1), padding: (0, 0), groups: 1 },
+            Op::MatMul { trans_a: false, trans_b: true },
+            Op::LayerNorm { axes: vec![3] },
+            Op::InstanceNorm,
+            Op::Softmax { axis: 3 },
+            Op::Reduce { kind: ReduceKind::Sum, axes: vec![1], keep_dims: false },
+            Op::Pool2d { kind: PoolKind::Max, kernel: (2, 2), stride: (2, 2), padding: (0, 0) },
+            Op::Unary { kind: UnaryKind::Relu },
+            Op::Binary { kind: BinaryKind::Add },
+            Op::Concat { axis: 0 },
+            Op::Reshape { shape: vec![2, 8] },
+            Op::Transpose { perm: vec![1, 0] },
+            Op::DepthToSpace { block: 2 },
+            Op::SpaceToDepth { block: 2 },
+            Op::Gather { axis: 0 },
+            Op::Slice { axis: 0, start: 0, len: 1 },
+            Op::Split { axis: 0, parts: 2 },
+        ];
+        let variant = |op: &Op| match op {
+            Op::Conv2d { .. } => 0,
+            Op::MatMul { .. } => 1,
+            Op::LayerNorm { .. } => 2,
+            Op::InstanceNorm => 3,
+            Op::Softmax { .. } => 4,
+            Op::Reduce { .. } => 5,
+            Op::Pool2d { .. } => 6,
+            Op::Unary { .. } => 7,
+            Op::Binary { .. } => 8,
+            Op::Concat { .. } => 9,
+            Op::Reshape { .. } => 10,
+            Op::Transpose { .. } => 11,
+            Op::DepthToSpace { .. } => 12,
+            Op::SpaceToDepth { .. } => 13,
+            Op::Gather { .. } => 14,
+            Op::Slice { .. } => 15,
+            Op::Split { .. } => 16,
+        };
+        assert!(ops.iter().map(variant).eq(0..17), "one instance per variant, in order");
+        ops
+    }
+
+    #[test]
+    fn taxonomy_agrees_with_the_passes() {
+        // No pass calls `classify`; these relations keep it describing
+        // what LTE, the op categories and layout selection actually do.
+        use crate::lte::is_eliminable;
+        use crate::reduction::reduction_dims;
+        let shape = smartmem_ir::Shape::new(vec![2, 4, 8, 8]);
+        for op in every_op() {
+            let class = classify(&op);
+            assert_eq!(
+                is_eliminable(&op),
+                class.output == OutputKind::Fixed && !matches!(op, Op::Gather { .. }),
+                "LTE eliminates exactly the Fixed ops but Gather: {op:?}"
+            );
+            assert_eq!(
+                op.is_layout_transform(),
+                class == OpClass::ILD_FIXED,
+                "layout transforms are exactly ILD & Fixed: {op:?}"
+            );
+            if (0..3).any(|i| !reduction_dims(&op, i, &shape).is_empty()) {
+                assert_eq!(class, OpClass::ILD_VARIABLE, "a reducing op is ILD & Variable: {op:?}");
+            }
+        }
+    }
+
     #[test]
     fn complexity_ordering() {
         assert!(OpClass::ILD_VARIABLE.complexity() > OpClass::ILI_VARIABLE.complexity());

@@ -147,12 +147,9 @@ fn k_of(level: SelectionLevel) -> usize {
 /// The *global* half of layout selection: per-tensor requirement lists,
 /// primary layouts, redundant-copy layouts, and the resulting
 /// statistics. Computed once over all groups ([`plan_layouts`]), then
-/// applied to each group independently ([`apply_group_layouts`]) — the
-/// split is what lets the incremental compiler reuse cached decisions
-/// for unchanged groups while still reporting exact whole-model
-/// redundancy statistics.
+/// applied to each group ([`apply_group_layouts`]).
 #[derive(Clone, Debug)]
-pub(crate) struct LayoutPlan {
+struct LayoutPlan {
     level: SelectionLevel,
     /// Ordered, distinct reduction-dimension requirements per
     /// materialized tensor (the cross-group coupling of §3.2.2).
@@ -163,14 +160,14 @@ pub(crate) struct LayoutPlan {
     /// Copy count charged to the tensor's producing group.
     extra_copies_of: HashMap<TensorId, usize>,
     /// Whole-model redundancy statistics (§4.6).
-    pub(crate) stats: RedundancyStats,
+    stats: RedundancyStats,
 }
 
 /// Computes the global layout plan over all groups (steps 1–2 of
 /// §3.2.2): collect requirements, pick primary layouts, and provision
 /// redundant copies for requirements beyond the first *k* (weights are
 /// pre-packed offline and never need runtime copies).
-pub(crate) fn plan_layouts(
+fn plan_layouts(
     graph: &Graph,
     groups: &[KernelGroup],
     device: &DeviceConfig,
@@ -235,28 +232,11 @@ pub(crate) fn plan_layouts(
     LayoutPlan { level, reqs_of, primary, copies, extra_copies_of, stats }
 }
 
-/// Digest of everything a single group's layout decisions depend on
-/// *beyond its own content*: the full requirement lists of its output
-/// and of each tensor it reads. Two compilations in which these digests
-/// (and the group content hashes) agree make identical layout decisions
-/// for the group, so the digest is part of the group's cache key.
-pub(crate) fn group_layout_context(plan: &LayoutPlan, g: &KernelGroup) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    (plan.level as u8).hash(&mut h);
-    plan.reqs_of.get(&g.output).hash(&mut h);
-    for r in &g.reads {
-        plan.reqs_of.get(&r.source).hash(&mut h);
-    }
-    h.finish()
-}
-
 /// Applies the plan to one group (step 3 of §3.2.2): sets the output
 /// layout, points every read at the primary layout or the redundant
 /// copy satisfying its requirement, and charges the group for copies of
 /// its output tensor.
-pub(crate) fn apply_group_layouts(
+fn apply_group_layouts(
     plan: &LayoutPlan,
     graph: &Graph,
     g: &mut KernelGroup,
@@ -298,9 +278,8 @@ pub(crate) fn apply_group_layouts(
     }
 }
 
-/// Chooses layouts for every read and every group output; returns the
-/// redundant-copy statistics. Equivalent to `plan_layouts` (the global
-/// planning steps) followed by `apply_group_layouts` on every group.
+/// Chooses layouts for every read and every group output (§3.2.2);
+/// returns the redundant-copy statistics.
 pub fn select_layouts(
     graph: &Graph,
     groups: &mut [KernelGroup],
@@ -312,26 +291,6 @@ pub fn select_layouts(
         apply_group_layouts(&plan, graph, g, device);
     }
     plan.stats
-}
-
-/// Layout for a decode-serving KV-cache tensor, chosen once per
-/// (model, device, bucket) by the serving tier.
-///
-/// Attention reads the cache two ways in every decode step: `QKᵀ`
-/// reduces over the head dimension (the innermost axis of a
-/// `[batch·heads, seq, head_dim]` cache) and the attention-weighted `V`
-/// product reduces over the sequence axis. Running the standard
-/// reduction-dimension selection at `k = 2` combines both requirements
-/// in a single layout on 2.5D texture memory — no redundant copy — and
-/// degrades to a sequence-major buffer on buffer-only devices. Pass the
-/// **ceiling-padded** dims ([`Graph::padded_dims`]) so the choice is
-/// valid for every bucket the cache will ever be grown to.
-pub fn kv_cache_layout(padded_dims: &[usize], device: &DeviceConfig) -> Layout {
-    let rank = padded_dims.len();
-    if rank < 2 {
-        return layout_for(padded_dims, &[], device, SelectionLevel::ReductionK2);
-    }
-    layout_for(padded_dims, &[rank - 1, rank - 2], device, SelectionLevel::ReductionK2)
 }
 
 #[cfg(test)]
@@ -462,21 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn kv_cache_layout_tracks_device_capabilities() {
-        // [batch·heads, seq(ceiling), head_dim] for the Pythia decode
-        // configuration: 4 heads, 128-token ceiling, 48-wide heads.
-        let dims = [4, 128, 48];
-        let tex = kv_cache_layout(&dims, &DeviceConfig::snapdragon_8gen2());
-        assert_eq!(tex.memory_class(), MemoryClass::Texture2p5D);
-        assert!(tex.validate(3).is_ok());
-        let buf = kv_cache_layout(&dims, &DeviceConfig::tesla_v100());
-        assert_eq!(buf.memory_class(), MemoryClass::Buffer1D);
-        // Deterministic: the per-bucket serving cache may re-ask freely.
-        assert_eq!(tex, kv_cache_layout(&dims, &DeviceConfig::snapdragon_8gen2()));
-    }
-
-    #[test]
-    fn symbolic_layout_plans_are_bucket_invariant() {
+    fn symbolic_layout_selection_is_bucket_invariant() {
         use smartmem_ir::BucketTable;
         let table = BucketTable::new(vec![32, 64, 128]).unwrap();
         let build = |seq: usize| {

@@ -6,13 +6,17 @@
 //! `smartmem-ir` graph representation and the `smartmem-sim` device
 //! model:
 //!
-//! 1. **Operator classification** ([`classify`], Tables 3–4): every
-//!    operator lands in one of four quadrants of (input-layout
-//!    dependence × output-layout customizability).
-//! 2. **Combination rules** ([`combine_action`], Tables 5–6): pairwise
-//!    producer→consumer actions — keep both, try fuse, eliminate
-//!    first/second/both — plus the resulting class and layout-search
-//!    policy.
+//! 1. **Operator classification** ([`classify`], Tables 3–4) documents
+//!    the taxonomy the passes below hard-code: every operator lands in
+//!    one of four quadrants of (input-layout dependence × output-layout
+//!    customizability). No pass calls it; a unit test keeps it agreeing
+//!    with what LTE eliminates, which ops count as layout transforms,
+//!    and which ops have reduction dimensions.
+//! 2. **Combination rules** ([`combine_action`], Tables 5–6) document
+//!    the paper's pairwise producer→consumer actions — keep both, try
+//!    fuse, eliminate first/second/both — plus the resulting class and
+//!    layout-search policy. No pass calls them either: LTE and fusion
+//!    apply the same decisions operator by operator.
 //! 3. **Layout Transformation Elimination** ([`eliminate`], §3.2.1):
 //!    `Reshape`/`Transpose`/`DepthToSpace`/`SpaceToDepth`/`Slice`/
 //!    `Split` chains become composed, strength-reduced index maps on the
@@ -66,7 +70,6 @@ mod classify;
 mod combine;
 mod estimate;
 mod fusion;
-mod groupcache;
 mod layout_select;
 mod lte;
 mod pass;
@@ -83,13 +86,10 @@ pub use classify::{classify, InputDep, OpClass, OutputKind};
 pub use combine::{combine_action, result_class, search_policy, CombineAction, SearchPolicy};
 pub use estimate::{GroupReport, ModelReport};
 pub use fusion::{fuse, GroupDraft};
-pub use groupcache::{group_content_hash, GroupCache, GroupCacheStats, GroupDecisions};
-pub use layout_select::{
-    kv_cache_layout, required_dims, select_layouts, RedundancyStats, SelectionLevel,
-};
+pub use layout_select::{required_dims, select_layouts, RedundancyStats, SelectionLevel};
 pub use lte::{eliminate, is_eliminable, lte_memo_len, op_pullback, EdgeSource, LteResult};
 pub use pass::{
-    AssembleGroupsPass, CompileCtx, CompileOutput, Diagnostic, FusionPass, GaTuner, GroupRefine,
+    AssembleGroupsPass, CompileCtx, CompileOutput, Diagnostic, FusionPass, GaTuner,
     LayoutSelectPass, LtePass, Pass, PassManager, PassTiming, TunePass,
 };
 pub use pipeline::{

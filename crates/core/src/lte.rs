@@ -33,8 +33,9 @@ pub struct EdgeSource {
     /// Structural digest of the *canonical* composed map — the same
     /// composition evaluated at ceiling-padded extents — for graphs with
     /// symbolic dimensions (`None` on static graphs). Two buckets of the
-    /// same model produce identical canonical digests, which is what
-    /// lets the group cache treat a bucket change as a near-no-op.
+    /// same model produce identical canonical digests. Nothing reads it
+    /// any more; it stays because `EdgeRead` persists it, and goes with
+    /// the next persist `VERSION` bump.
     pub canon: Option<u64>,
 }
 

@@ -18,23 +18,19 @@
 //! layouts, utilization finalization) over the same trait.
 
 use crate::fusion::{fuse, GroupDraft};
-use crate::groupcache::{group_content_hash, GroupCache, GroupDecisions};
-use crate::layout_select::{
-    apply_group_layouts, group_layout_context, plan_layouts, LayoutPlan, RedundancyStats,
-    SelectionLevel,
-};
+use crate::layout_select::{select_layouts, RedundancyStats, SelectionLevel};
 use crate::lte::{eliminate, LteResult};
 use crate::pipeline::{
     assemble_groups, iteration_mn, KernelGroup, MemModel, OptStats, OptimizedGraph, Unsupported,
 };
-use crate::session::device_fingerprint;
-use crate::tune::{tune, utilization, ExecConfig, SWEEP_CONFIGS};
+use crate::tune::{utilization, ExecConfig, TuneMemo, SWEEP_CONFIGS};
 use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
-use smartmem_ir::{Graph, Op};
+use smartmem_ir::Graph;
 use smartmem_sim::DeviceConfig;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Shared state threaded through a pass sequence.
@@ -78,10 +74,9 @@ pub struct CompileCtx {
     pub mem_model: MemModel,
     /// Structured diagnostics accumulated by the passes.
     pub diagnostics: Vec<Diagnostic>,
-    /// Global layout plan, staged by [`LayoutSelectPass`]'s
-    /// [`GroupRefine::group_context`] and consumed by its
-    /// [`GroupRefine::refine`].
-    pub(crate) layout_plan: Option<LayoutPlan>,
+    /// Where [`TunePass`] gets its sweeps: fresh per context, or the
+    /// memo of the [`crate::CompileSession`] running the sequence.
+    pub(crate) tune_memo: Arc<TuneMemo>,
 }
 
 impl CompileCtx {
@@ -101,7 +96,7 @@ impl CompileCtx {
             streamline_removed_transposes: 0,
             mem_model: MemModel::default(),
             diagnostics: Vec::new(),
-            layout_plan: None,
+            tune_memo: Arc::default(),
         }
     }
 
@@ -169,54 +164,6 @@ pub trait Pass: Send + Sync {
     /// Returns [`Unsupported`] when the framework cannot compile the
     /// model (operator-support gaps).
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported>;
-
-    /// The pass's per-group refinement view, when it has one.
-    ///
-    /// A pass that works group-by-group (layout selection, tuning)
-    /// returns `Some(self)` so [`PassManager::run_incremental`] can
-    /// replay cached decisions for unchanged groups and re-run the pass
-    /// only on the groups a model edit actually touched. Graph-rewriting
-    /// passes keep the default `None`, which makes the manager run the
-    /// whole sequence in full, as [`PassManager::run_on`] does.
-    fn as_group_refine(&self) -> Option<&dyn GroupRefine> {
-        None
-    }
-}
-
-/// Per-kernel-group refinement interface of a [`Pass`].
-///
-/// The contract that makes incremental compilation sound:
-///
-/// 1. `refine(ctx, which)` must write **only** the decision fields of
-///    the groups at `which` (layouts, config, utilization, copy
-///    counts — exactly what [`GroupDecisions`] captures), and those
-///    decisions may depend only on the group's own content, the device,
-///    the pass configuration, and global state summarized by
-///    `group_context`.
-/// 2. `group_context` returns one digest per group covering **all**
-///    cross-group state the pass folds into that group's decisions. Two
-///    compilations agreeing on (group content hash, device, sequence
-///    id, context digest) must produce identical decisions for the
-///    group.
-/// 3. The pass's [`Pass::run`] must be equivalent to
-///    `group_context` + `refine` over all groups — the provided
-///    implementations delegate exactly that way, so the full and
-///    incremental paths cannot drift apart.
-pub trait GroupRefine {
-    /// Digests of the global context each group's decisions depend on
-    /// (parallel to `ctx.groups`). Also the place to stage whole-model
-    /// state for `refine` (e.g. the layout plan) and to emit
-    /// diagnostics that describe global properties, so hit-heavy
-    /// incremental compiles still report them.
-    fn group_context(&self, ctx: &mut CompileCtx) -> Vec<u64>;
-
-    /// Refines the groups at indices `which` (into `ctx.groups`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Unsupported`] when the framework cannot compile the
-    /// model.
-    fn refine(&self, ctx: &mut CompileCtx, which: &[usize]) -> Result<(), Unsupported>;
 }
 
 /// Wall-clock timing and statistics snapshot of one executed pass.
@@ -348,129 +295,31 @@ impl PassManager {
         graph: &Graph,
         device: &DeviceConfig,
     ) -> Result<CompileOutput, Unsupported> {
-        self.drive(graph, device, None)
+        self.run_memoized(graph, device, Arc::default())
     }
 
-    /// Runs the sequence with kernel-group-granular reuse of refinement
-    /// decisions.
-    ///
-    /// The passes up to the first [`GroupRefine`]-capable pass run in
-    /// full (they are the cheap, structural part of the pipeline:
-    /// elimination, fusion, group assembly). For the refinement suffix
-    /// — layout selection and tuning, which dominate compile time —
-    /// each group is fingerprinted by its content hash combined with
-    /// the device fingerprint, the sequence id, and the per-pass
-    /// context digests; groups whose fingerprints are in `cache` get
-    /// their cached [`GroupDecisions`] replayed, and only the rest are
-    /// refined (and their fresh decisions cached). Editing one layer of
-    /// a model therefore re-optimizes only the touched groups.
-    ///
-    /// Sequences whose refinable passes do not form a suffix (every
-    /// baseline ends with uniform-layout / utilization passes) run
-    /// every pass in full, exactly as [`PassManager::run_on`] does; the
-    /// result is identical either way — see the `GroupRefine` contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Unsupported`] raised by a pass.
-    pub fn run_incremental(
+    /// [`PassManager::run_on`] with [`TunePass`] sweeping through
+    /// `tune_memo`, the one pass driver. The memo only saves sweeps:
+    /// the output is the same whatever it already holds.
+    pub(crate) fn run_memoized(
         &self,
         graph: &Graph,
         device: &DeviceConfig,
-        cache: &GroupCache,
+        tune_memo: Arc<TuneMemo>,
     ) -> Result<CompileOutput, Unsupported> {
-        self.drive(graph, device, Some(cache))
-    }
-
-    /// The one pass driver behind [`PassManager::run_on`] and
-    /// [`PassManager::run_incremental`].
-    fn drive(
-        &self,
-        graph: &Graph,
-        device: &DeviceConfig,
-        cache: Option<&GroupCache>,
-    ) -> Result<CompileOutput, Unsupported> {
-        // Passes from `first` on are refined per group through `cache`.
-        // Without a cache, or when the refinable passes do not form a
-        // suffix, that range is empty and every pass runs in full.
-        let first = cache
-            .and_then(|_| self.passes.iter().position(|p| p.as_group_refine().is_some()))
-            .filter(|&f| self.passes[f..].iter().all(|p| p.as_group_refine().is_some()))
-            .unwrap_or(self.passes.len());
         let mut ctx = CompileCtx::new(self.framework.clone(), graph, device);
         ctx.mem_model = self.mem_model;
+        ctx.tune_memo = tune_memo;
         let mut timings = Vec::with_capacity(self.passes.len());
-        let mut record = |pass: &dyn Pass, duration: Duration, ctx: &CompileCtx| {
-            timings.push(PassTiming {
-                pass: pass.name().to_string(),
-                duration,
-                stats: ctx.stats(),
-            });
-        };
-        for pass in &self.passes[..first] {
+        for pass in &self.passes {
             let start = Instant::now();
             pass.run(&mut ctx)?;
-            record(pass.as_ref(), start.elapsed(), &ctx);
+            timings.push(PassTiming {
+                pass: pass.name().to_string(),
+                duration: start.elapsed(),
+                stats: ctx.stats(),
+            });
         }
-
-        if let Some(cache) = cache.filter(|_| first < self.passes.len()) {
-            let refiners: Vec<(&dyn Pass, &dyn GroupRefine)> = self.passes[first..]
-                .iter()
-                .map(|p| (p.as_ref(), p.as_group_refine().expect("suffix checked")))
-                .collect();
-            // Per-group fingerprints: content ⊕ device ⊕ sequence ⊕ the
-            // context digest of every refinement pass.
-            let device_fp = device_fingerprint(&ctx.device);
-            let seq = self.sequence_id();
-            let mut fps: Vec<DefaultHasher> = ctx
-                .groups
-                .iter()
-                .map(|g| {
-                    let mut h = DefaultHasher::new();
-                    group_content_hash(&ctx.graph, g).hash(&mut h);
-                    device_fp.hash(&mut h);
-                    seq.hash(&mut h);
-                    h
-                })
-                .collect();
-            let mut context_time = Vec::with_capacity(refiners.len());
-            for (_, refine) in &refiners {
-                let start = Instant::now();
-                let digests = refine.group_context(&mut ctx);
-                context_time.push(start.elapsed());
-                debug_assert_eq!(digests.len(), fps.len(), "one context digest per group");
-                for (h, d) in fps.iter_mut().zip(digests) {
-                    d.hash(h);
-                }
-            }
-            let fps: Vec<u64> = fps.into_iter().map(|h| h.finish()).collect();
-
-            // Replay cached decisions; collect the groups that must be
-            // refined cold. An unusable cached entry (fingerprint
-            // collision) is a miss.
-            let mut missed = Vec::new();
-            let mut hit = 0usize;
-            for (i, fp) in fps.iter().enumerate() {
-                match cache.lookup(*fp) {
-                    Some(d) if d.apply(&ctx.graph, &mut ctx.groups[i]) => hit += 1,
-                    _ => missed.push(i),
-                }
-            }
-
-            // Refine the misses with the original pass order and record
-            // one timing entry per refinement pass, context time
-            // included.
-            for ((pass, refine), context) in refiners.into_iter().zip(context_time) {
-                let start = Instant::now();
-                refine.refine(&mut ctx, &missed)?;
-                record(pass, context + start.elapsed(), &ctx);
-            }
-            for &i in &missed {
-                cache.insert(fps[i], GroupDecisions::capture(&ctx.groups[i]));
-            }
-            cache.count(hit, missed.len());
-        }
-
         let stats = ctx.stats();
         Ok(CompileOutput {
             optimized: OptimizedGraph {
@@ -594,28 +443,7 @@ impl Pass for LayoutSelectPass {
     }
 
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported> {
-        // run ≡ group_context + refine-everything, by construction: the
-        // incremental path reuses these exact pieces.
-        self.group_context(ctx);
-        let all: Vec<usize> = (0..ctx.groups.len()).collect();
-        self.refine(ctx, &all)
-    }
-
-    fn as_group_refine(&self) -> Option<&dyn GroupRefine> {
-        Some(self)
-    }
-}
-
-impl GroupRefine for LayoutSelectPass {
-    fn group_context(&self, ctx: &mut CompileCtx) -> Vec<u64> {
-        // The global half of §3.2.2 — requirement collection, primary
-        // layouts, redundant-copy provisioning — is cheap (no search)
-        // and runs on every compile, which keeps the whole-model
-        // redundancy statistics exact even when every group is a cache
-        // hit. Only the per-group application is skipped for hits.
-        let plan = plan_layouts(&ctx.graph, &ctx.groups, &ctx.device, self.level);
-        let digests = ctx.groups.iter().map(|g| group_layout_context(&plan, g)).collect();
-        ctx.redundancy = plan.stats;
+        ctx.redundancy = select_layouts(&ctx.graph, &mut ctx.groups, &ctx.device, self.level);
         if ctx.redundancy.tensors > 0 {
             let (tensors, max_bytes) = (ctx.redundancy.tensors, ctx.redundancy.max_bytes);
             ctx.note(
@@ -623,25 +451,13 @@ impl GroupRefine for LayoutSelectPass {
                 format!("{tensors} tensors need redundant copies (max {max_bytes} bytes)"),
             );
         }
-        ctx.layout_plan = Some(plan);
-        digests
-    }
-
-    fn refine(&self, ctx: &mut CompileCtx, which: &[usize]) -> Result<(), Unsupported> {
-        let plan = match ctx.layout_plan.take() {
-            Some(p) => p,
-            None => plan_layouts(&ctx.graph, &ctx.groups, &ctx.device, self.level),
-        };
-        for &i in which {
-            apply_group_layouts(&plan, &ctx.graph, &mut ctx.groups[i], &ctx.device);
-        }
-        ctx.layout_plan = Some(plan);
         Ok(())
     }
 }
 
-/// Execution-configuration tuning: the exact sweep of [`tune`] when
-/// `tuned`, detuned DNNFusion-era defaults otherwise.
+/// Execution-configuration tuning: the exact sweep of
+/// [`tune`](fn@crate::tune) when `tuned`, detuned DNNFusion-era defaults
+/// otherwise.
 #[derive(Clone, Debug)]
 pub struct TunePass {
     /// Tune each group (otherwise untuned defaults with the
@@ -652,9 +468,10 @@ pub struct TunePass {
 }
 
 /// Knob-free placeholder left where the genetic-algorithm tuner's
-/// population, generation and seed settings used to live: [`tune`] has
-/// no settings. It remains only because the repository benchmark
-/// (`benchmark/src/ledger.rs`) builds `TunePass` by struct literal.
+/// population, generation and seed settings used to live:
+/// [`tune`](fn@crate::tune) has no settings. It remains only because the
+/// repository benchmark (`benchmark/src/ledger.rs`) builds `TunePass` by
+/// struct literal.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GaTuner;
 
@@ -668,32 +485,15 @@ impl Pass for TunePass {
     }
 
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported> {
-        let all: Vec<usize> = (0..ctx.groups.len()).collect();
-        self.refine(ctx, &all)
-    }
-
-    fn as_group_refine(&self) -> Option<&dyn GroupRefine> {
-        Some(self)
-    }
-}
-
-impl GroupRefine for TunePass {
-    fn group_context(&self, ctx: &mut CompileCtx) -> Vec<u64> {
-        // Tuning looks at nothing outside the group: the result is a
-        // function of the anchor's operator and iteration extents.
-        vec![0; ctx.groups.len()]
-    }
-
-    fn refine(&self, ctx: &mut CompileCtx, which: &[usize]) -> Result<(), Unsupported> {
-        // Groups repeat (op, m, n) heavily within a model, so each
-        // distinct key is swept once per call.
-        let mut memo: HashMap<(Op, usize, usize), (ExecConfig, f64)> = HashMap::new();
-        for &i in which {
-            let g = &mut ctx.groups[i];
+        // Groups repeat (op, m, n) heavily within a model; the memo
+        // sweeps each distinct key once.
+        let mut keys = HashSet::new();
+        for g in &mut ctx.groups {
             let node = ctx.graph.node(g.anchor);
             let (m, n) = iteration_mn(ctx.graph.tensor(node.outputs[0]).shape.dims());
             (g.config, g.utilization) = if self.tuned {
-                *memo.entry((node.op.clone(), m, n)).or_insert_with(|| tune(&node.op, m, n))
+                keys.insert((&node.op, m, n));
+                ctx.tune_memo.tune(&node.op, m, n)
             } else {
                 // DNNFusion's transform kernels in particular were not
                 // layout-aware.
@@ -703,7 +503,8 @@ impl GroupRefine for TunePass {
             };
         }
         if self.tuned {
-            let (groups, keys) = (which.len(), memo.len());
+            // This compile's work, whatever the memo already held.
+            let (groups, keys) = (ctx.groups.len(), keys.len());
             ctx.note(
                 self.name(),
                 format!(
@@ -794,12 +595,79 @@ mod tests {
         // Swin's 154 groups repeat 37 (op, m, n) keys.
         let full = "154 group(s), 37 distinct (op, m, n), 10878 configs";
         assert_eq!(note(passes.run_on(&swin, &device).unwrap()), full);
-        // Incrementally, the note counts only the groups tuned cold: all
-        // of them first, none on a rerun that replays every group.
-        let cache = GroupCache::new();
-        assert_eq!(note(passes.run_incremental(&swin, &device, &cache).unwrap()), full);
-        let warm = passes.run_incremental(&swin, &device, &cache).unwrap();
-        assert_eq!(note(warm), "0 group(s), 0 distinct (op, m, n), 0 configs");
+        // Through a shared memo the note still counts this compile's
+        // work: the warm rerun sweeps nothing but reports the same note.
+        let memo = Arc::new(TuneMemo::default());
+        let cold = note(passes.run_memoized(&swin, &device, Arc::clone(&memo)).unwrap());
+        let warm = note(passes.run_memoized(&swin, &device, Arc::clone(&memo)).unwrap());
+        assert_eq!((cold.as_str(), warm.as_str()), (full, full));
+        assert_eq!(memo.counts(), (2 * 154 - 37, 37));
+    }
+
+    #[test]
+    fn hand_driven_ctx_matches_run_on() {
+        // Callers may run the passes over `CompileCtx::new` themselves
+        // (the repository benchmark's per-pass ledger does); the fresh
+        // memo each context carries must give `run_on`'s result.
+        use crate::streamline::StreamlinePass;
+        let device = DeviceConfig::snapdragon_8gen2();
+        let swin = smartmem_models::swin_tiny(1);
+        let passes: Vec<Box<dyn Pass>> = vec![
+            Box::new(StreamlinePass),
+            Box::new(LtePass { enabled: true, index_comprehension: true }),
+            Box::new(FusionPass),
+            Box::new(AssembleGroupsPass),
+            Box::new(LayoutSelectPass { level: SelectionLevel::ReductionK2 }),
+            Box::new(TunePass { tuned: true, tuner: GaTuner }),
+        ];
+        let mut ctx = CompileCtx::new("SmartMem", &swin, &device);
+        for pass in &passes {
+            pass.run(&mut ctx).unwrap();
+        }
+        let out = SmartMemPipeline::new().passes().run_on(&swin, &device).unwrap();
+        assert_eq!(ctx.diagnostics, out.diagnostics);
+        assert_eq!(ctx.stats(), out.optimized.stats);
+        let decisions = |groups: &[KernelGroup]| -> Vec<(ExecConfig, u64)> {
+            groups.iter().map(|g| (g.config, g.utilization.to_bits())).collect()
+        };
+        assert_eq!(decisions(&ctx.groups), decisions(&out.optimized.groups));
+    }
+
+    #[test]
+    fn layout_select_notes_redundant_copies() {
+        // One matmul output reduced along both of its dims: k = 1 needs
+        // a redundant copy and says so; k = 2 combines both and is quiet.
+        let mut b = GraphBuilder::new("fig4");
+        let x = b.input("x", &[64, 96], DType::F16);
+        let w = b.weight("w", &[96, 128], DType::F16);
+        let mm = b.matmul(x, w);
+        let r0 = b.reduce(mm, smartmem_ir::ReduceKind::Sum, vec![0], false);
+        let r1 = b.reduce(mm, smartmem_ir::ReduceKind::Sum, vec![1], false);
+        b.output(r0);
+        b.output(r1);
+        let g = b.finish();
+        let device = DeviceConfig::snapdragon_8gen2();
+        let select = |level| {
+            let out = PassManager::new("fig4")
+                .then(LtePass { enabled: true, index_comprehension: true })
+                .then(FusionPass)
+                .then(AssembleGroupsPass)
+                .then(LayoutSelectPass { level })
+                .run_on(&g, &device)
+                .unwrap();
+            let notes: Vec<String> = out
+                .diagnostics
+                .into_iter()
+                .filter(|d| d.pass == "layout-select")
+                .map(|d| d.message)
+                .collect();
+            (out.optimized.stats.redundant_tensors, notes)
+        };
+        assert_eq!(
+            select(SelectionLevel::ReductionK1),
+            (1, vec!["1 tensors need redundant copies (max 16384 bytes)".to_string()])
+        );
+        assert_eq!(select(SelectionLevel::ReductionK2), (0, Vec::new()));
     }
 
     #[test]

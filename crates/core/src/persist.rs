@@ -20,7 +20,7 @@
 //!                               (fingerprints would no longer match)
 //! length   u64 LE               payload byte count
 //! checksum u64 LE               FNV-1a over the payload
-//! payload  wire-encoded value   CompileOutput / group decisions
+//! payload  wire-encoded value   a CompileOutput or the refusal
 //! ```
 //!
 //! Every safeguard fails *open*: a missing, truncated, corrupted,
@@ -31,18 +31,13 @@
 //! and crashed processes can never leave a half-written artifact under
 //! a valid name.
 //!
-//! Alongside the artifacts, the cache persists the per-kernel-group
-//! decision cache (`group-cache.smem`, see the `groupcache` module) so
-//! a restarted process replays layout and tuning decisions even for
-//! models it has never compiled — as long as individual kernel groups
-//! match. The side file uses the same header/probe format as the
-//! artifacts and is only rewritten when its generation counter moved
-//! since the last save.
+//! Artifacts are the only files the cache reads: anything else in the
+//! directory, such as the per-kernel-group decision file older builds
+//! wrote beside the artifacts, is never opened.
 
-use crate::groupcache::{GroupCache, GroupDecisions};
 use crate::pass::CompileOutput;
 use crate::pipeline::Unsupported;
-use smartmem_ir::wire::{decode_from, encode_to_vec, Decode, Encode, Reader, WireError, Writer};
+use smartmem_ir::wire::{Decode, Encode, Reader, WireError, Writer};
 use smartmem_sim::{FaultKind, FaultPlan};
 use std::collections::hash_map::DefaultHasher;
 use std::fs;
@@ -66,10 +61,10 @@ const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
 /// optimizer's build fingerprint. Two invalidation triggers share this
 /// header field:
 ///
-/// * Cache keys and group fingerprints are `DefaultHasher` digests,
-///   which the std library does not guarantee stable across releases —
-///   hashing the sentinel turns "the hasher changed under us" from
-///   silent key mismatches into an explicit whole-file invalidation.
+/// * Cache keys are `DefaultHasher` digests, which the std library does
+///   not guarantee stable across releases — hashing the sentinel turns
+///   "the hasher changed under us" from silent key mismatches into an
+///   explicit whole-file invalidation.
 /// * `SMARTMEM_BUILD_FINGERPRINT` (emitted by this crate's build
 ///   script) digests every optimizer source file. Cache keys only
 ///   cover pass names + parameters, so without this a rebuilt binary
@@ -84,7 +79,7 @@ fn hasher_probe() -> u64 {
 }
 
 /// FNV-1a over the payload (integrity check; not cryptographic).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -144,11 +139,6 @@ pub(crate) struct ArtifactKey {
 #[derive(Debug)]
 pub(crate) struct DiskCache {
     dir: PathBuf,
-    /// Per-group decision cache generation at the last save — skips
-    /// rewriting the file when nothing changed since. A generation
-    /// counter, not a length: lengths only proxy change while insertion
-    /// is the sole mutation, and silently go stale the day it is not.
-    groups_saved_gen: AtomicU64,
     /// Unique temp-file suffix counter (plus the pid) for atomic writes.
     tmp_seq: AtomicUsize,
     /// Optional chaos-test fault oracle: when set, payload reads and
@@ -173,7 +163,6 @@ impl DiskCache {
         fs::create_dir_all(dir)?;
         Ok(DiskCache {
             dir: dir.to_path_buf(),
-            groups_saved_gen: AtomicU64::new(0),
             tmp_seq: AtomicUsize::new(0),
             faults: OnceLock::new(),
             disk_faults: AtomicU64::new(0),
@@ -212,10 +201,6 @@ impl DiskCache {
             "art-{:016x}-{:016x}-{:016x}-{:016x}.smem",
             key.graph, key.device, key.sequence, key.bucket
         ))
-    }
-
-    fn groups_path(&self) -> PathBuf {
-        self.dir.join("group-cache.smem")
     }
 
     /// Number of artifact files currently on disk (diagnostics only).
@@ -303,37 +288,5 @@ impl DiskCache {
     /// disk.
     pub(crate) fn store(&self, key: &ArtifactKey, result: Result<&CompileOutput, &Unsupported>) {
         self.write_payload(&self.artifact_path(key), &encode_result(result));
-    }
-
-    /// Imports the persisted per-group decision cache into `groups` and
-    /// records the post-import generation as saved (re-writing what was
-    /// just read would be a wasted file churn).
-    pub(crate) fn load_groups(&self, groups: &GroupCache) {
-        if let Some(payload) = self.read_payload(&self.groups_path()) {
-            if let Ok(entries) = decode_from::<Vec<(u64, GroupDecisions)>>(&payload) {
-                groups.import(entries);
-            }
-        }
-        self.groups_saved_gen.store(groups.generation(), Ordering::Relaxed);
-    }
-
-    /// Persists `groups` when it changed by more than `slack`
-    /// generations since the last save (`0` = any change).
-    pub(crate) fn save_groups_if_grown_by(&self, groups: &GroupCache, slack: u64) {
-        let generation = groups.generation();
-        let saved = self.groups_saved_gen.load(Ordering::Relaxed);
-        if generation.saturating_sub(saved) <= slack {
-            return;
-        }
-        self.save_groups(groups);
-    }
-
-    /// Persists `groups` when it changed since the last save.
-    pub(crate) fn save_groups(&self, groups: &GroupCache) {
-        let generation = groups.generation();
-        if self.groups_saved_gen.swap(generation, Ordering::Relaxed) == generation {
-            return;
-        }
-        self.write_payload(&self.groups_path(), &encode_to_vec(&groups.export()));
     }
 }

@@ -37,9 +37,8 @@ pub struct EdgeRead {
     /// Physical layout the read uses (set by layout selection).
     pub layout: Layout,
     /// Canonical (bucket-invariant) digest of the composed map for
-    /// graphs with symbolic dimensions; `None` on static graphs. Group
-    /// content hashing prefers this over the concrete map so
-    /// structurally identical groups hash identically across buckets.
+    /// graphs with symbolic dimensions; `None` on static graphs. Unread;
+    /// persisted until the next persist `VERSION` bump drops it.
     pub canon: Option<u64>,
 }
 

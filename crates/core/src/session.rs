@@ -21,19 +21,25 @@
 //! cold compiles write through, and a restarted process is cache-hot
 //! from its first request.
 //!
+//! Beneath both levels, every compilation a session runs tunes through
+//! one shared memo keyed by the exact inputs of
+//! [`tune`](fn@crate::tune), so an edited model or a neighbouring shape
+//! bucket sweeps only the `(op, m, n)` keys the session has not tuned
+//! yet. The memo cannot change an artifact: a session compile always
+//! equals a fresh [`PassManager::run_on`](crate::PassManager::run_on).
+//!
 //! [`CompileSession::compile_batch`] fans a framework×model job matrix
 //! out over `std::thread::scope` workers (the container has no rayon;
 //! a scoped work-stealing loop over an atomic cursor gives the same
 //! embarrassingly-parallel behaviour for the 20-model zoo).
 
-use crate::groupcache::GroupCache;
 use crate::pass::CompileOutput;
 use crate::persist::{ArtifactKey, DiskCache};
 use crate::pipeline::{Framework, Unsupported};
+use crate::tune::TuneMemo;
 use smartmem_ir::wire::encode_to_vec;
 use smartmem_ir::Graph;
 use smartmem_sim::DeviceConfig;
-use smartmem_telemetry::Counter;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -108,14 +114,14 @@ pub struct CacheStats {
     /// [`Unsupported`] refusals) count here but — like every error — in
     /// neither `hits` nor `misses`.
     pub disk_hits: usize,
-    /// Kernel groups whose layout/tuning decisions were replayed from
-    /// the per-group decision cache during cold compiles (incremental
-    /// compilation). A whole-artifact cache hit touches no groups, so
-    /// these counters move only when the pass sequence actually runs:
-    /// after a one-layer model edit, `group_misses` counts exactly the
-    /// groups the edit changed.
+    /// Tuned kernel groups whose execution configuration the session's
+    /// tune memo served: their `(op, m, n)` key was already swept by an
+    /// earlier group of this session. A whole-artifact cache hit tunes
+    /// no groups, so both group counters move only when the pass
+    /// sequence runs a tuned [`crate::TunePass`].
     pub group_hits: usize,
-    /// Kernel groups refined cold (layout selection + tuning ran).
+    /// Tuned kernel groups whose `(op, m, n)` key was swept: exactly
+    /// the distinct keys the session has tuned.
     pub group_misses: usize,
     /// Disk-cache payload I/Os failed by an injected
     /// [`smartmem_sim::FaultPlan`] (see
@@ -124,47 +130,6 @@ pub struct CacheStats {
     /// write silently lost one artifact. Always zero outside chaos
     /// tests.
     pub disk_faults: usize,
-}
-
-/// Handles into [`smartmem_telemetry::global`] the session publishes
-/// its cache activity through — resolved once at session construction
-/// so the request path never takes the registry lock. The counters are
-/// process-cumulative (every session adds into them); per-session
-/// figures stay available through [`CompileSession::stats`].
-struct CacheTelemetry {
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-    disk_hits: Arc<Counter>,
-    group_hits: Arc<Counter>,
-    group_misses: Arc<Counter>,
-}
-
-impl Default for CacheTelemetry {
-    fn default() -> Self {
-        let registry = smartmem_telemetry::global();
-        CacheTelemetry {
-            hits: registry.counter("compile.cache_hits"),
-            misses: registry.counter("compile.cache_misses"),
-            disk_hits: registry.counter("compile.disk_hits"),
-            group_hits: registry.counter("compile.group_hits"),
-            group_misses: registry.counter("compile.group_misses"),
-        }
-    }
-}
-
-/// Publishes one cold compile's per-pass wall-clock timings into the
-/// global registry (`compile.pass.<name>_ns` histograms plus the
-/// sequence total). Cold compiles are rare, so the registry lookups
-/// here are off every hot path.
-fn publish_pass_timings(output: &CompileOutput) {
-    let registry = smartmem_telemetry::global();
-    let mut total: u64 = 0;
-    for t in &output.timings {
-        let ns = u64::try_from(t.duration.as_nanos()).unwrap_or(u64::MAX);
-        total = total.saturating_add(ns);
-        registry.histogram(&format!("compile.pass.{}_ns", t.pass)).record(ns);
-    }
-    registry.histogram("compile.cold_ns").record(total);
 }
 
 /// A pending cold compilation other threads can wait on.
@@ -258,19 +223,11 @@ impl Drop for FlightGuard<'_> {
 pub struct CompileSession {
     cache: Mutex<HashMap<CacheKey, Slot>>,
     persist: Option<DiskCache>,
-    /// Per-kernel-group refinement decisions, shared by every
-    /// compilation in the session (see the `groupcache` module): cold
-    /// compiles of edited or neighboring models replay layout/tuning
-    /// decisions for every structurally unchanged group.
-    groups: GroupCache,
+    /// The tune sweeps of every compilation in the session.
+    tune_memo: Arc<TuneMemo>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     disk_hits: AtomicUsize,
-    telemetry: CacheTelemetry,
-    /// Group-cache (hits, misses) already published to the global
-    /// counters. Deltas are taken under this mutex so concurrent cold
-    /// compiles never publish each other's work twice.
-    groups_published: Mutex<(usize, usize)>,
 }
 
 impl CompileSession {
@@ -294,14 +251,7 @@ impl CompileSession {
     ///
     /// Returns the I/O error when the directory cannot be created.
     pub fn with_cache_dir(dir: impl AsRef<Path>) -> io::Result<Self> {
-        let mut session = CompileSession::new();
-        let disk = DiskCache::open(dir.as_ref())?;
-        // Seed the per-group decision cache from earlier sessions, so
-        // even the very first compile of an *edited* model replays the
-        // unchanged groups' decisions.
-        disk.load_groups(&session.groups);
-        session.persist = Some(disk);
-        Ok(session)
+        Ok(CompileSession { persist: Some(DiskCache::open(dir.as_ref())?), ..Self::default() })
     }
 
     /// The persistent cache directory, if this session has one.
@@ -379,7 +329,6 @@ impl CompileSession {
             match cache.get(&key) {
                 Some(Slot::Ready(hit)) => {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.hits.incr();
                     return (Ok(Arc::clone(hit)), true);
                 }
                 Some(Slot::InFlight(flight)) => {
@@ -393,7 +342,6 @@ impl CompileSession {
                     let served = result.is_ok();
                     if served {
                         self.hits.fetch_add(1, Ordering::Relaxed);
-                        self.telemetry.hits.incr();
                     }
                     return (result, served);
                 }
@@ -423,8 +371,6 @@ impl CompileSession {
                     let output = Arc::new(output);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.hits.incr();
-                    self.telemetry.disk_hits.incr();
                     self.cache
                         .lock()
                         .expect("cache lock")
@@ -435,7 +381,6 @@ impl CompileSession {
                 Some(Err(e)) => {
                     guard.armed = false;
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.telemetry.disk_hits.incr();
                     self.cache.lock().expect("cache lock").remove(&key);
                     flight.fill(Err(e.clone()));
                     return (Err(e), false);
@@ -443,14 +388,9 @@ impl CompileSession {
                 None => {}
             }
         }
-        let result = manager.run_incremental(graph, device, &self.groups).map(Arc::new);
+        let result = manager.run_memoized(graph, device, Arc::clone(&self.tune_memo)).map(Arc::new);
         guard.armed = false;
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.telemetry.misses.incr();
-        self.publish_group_deltas();
-        if let Ok(output) = &result {
-            publish_pass_timings(output);
-        }
         {
             let mut cache = self.cache.lock().expect("cache lock");
             match &result {
@@ -464,7 +404,6 @@ impl CompileSession {
         }
         if let Some(disk) = &self.persist {
             disk.store(&key.artifact(), result.as_deref());
-            disk.save_groups_if_grown_by(&self.groups, 8);
         }
         flight.fill(result.clone());
         (result, false)
@@ -525,26 +464,15 @@ impl CompileSession {
         results
     }
 
-    /// Adds the group-cache activity since the last publication into
-    /// the global counters. The watermark mutex makes each unit of work
-    /// publish exactly once no matter how cold compiles interleave.
-    fn publish_group_deltas(&self) {
-        let mut published = self.groups_published.lock().expect("group watermark lock");
-        let now = self.groups.stats();
-        self.telemetry.group_hits.add((now.hits.saturating_sub(published.0)) as u64);
-        self.telemetry.group_misses.add((now.misses.saturating_sub(published.1)) as u64);
-        *published = (published.0.max(now.hits), published.1.max(now.misses));
-    }
-
     /// Hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
-        let groups = self.groups.stats();
+        let (group_hits, group_misses) = self.tune_memo.counts();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            group_hits: groups.hits,
-            group_misses: groups.misses,
+            group_hits,
+            group_misses,
             disk_faults: self.persist.as_ref().map_or(0, |d| d.disk_fault_count() as usize),
         }
     }
@@ -562,17 +490,6 @@ impl CompileSession {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl Drop for CompileSession {
-    /// Final exact save of the per-group decision cache: intermediate
-    /// write-throughs only persist it after meaningful growth
-    /// (amortization), so the tail entries land here.
-    fn drop(&mut self) {
-        if let Some(disk) = &self.persist {
-            disk.save_groups(&self.groups);
-        }
     }
 }
 
@@ -708,64 +625,26 @@ mod tests {
     }
 
     #[test]
-    fn cold_compiles_publish_global_telemetry() {
-        let registry = smartmem_telemetry::global();
-        // Other tests in this binary compile concurrently, so assert
-        // deltas as lower bounds.
-        let misses_before = registry.counter("compile.cache_misses").get();
-        let hits_before = registry.counter("compile.cache_hits").get();
-        let cold_before = registry.histogram("compile.cold_ns").snapshot().count;
+    fn memo_counts_move_only_on_tuned_runs() {
         let session = CompileSession::new();
         let device = DeviceConfig::snapdragon_8gen2();
+        let g = toy("memo");
+        // The DNNFusion level runs `TunePass` untuned: no memo traffic.
+        let dnnf = SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level());
+        session.compile(&dnnf, &g, &device).unwrap();
+        assert_eq!((session.stats().group_hits, session.stats().group_misses), (0, 0));
         let fw = SmartMemPipeline::new();
-        let g = toy("telemetry");
+        let out = session.compile(&fw, &g, &device).unwrap();
+        let groups = out.optimized.groups.len();
+        let counted = session.stats();
+        assert_eq!(counted.group_hits + counted.group_misses, groups);
+        // A whole-artifact hit tunes nothing.
         session.compile(&fw, &g, &device).unwrap();
-        session.compile(&fw, &g, &device).unwrap();
-        assert!(registry.counter("compile.cache_misses").get() > misses_before);
-        assert!(registry.counter("compile.cache_hits").get() > hits_before);
-        assert!(registry.histogram("compile.cold_ns").snapshot().count > cold_before);
-        let flat = smartmem_telemetry::flatten(&registry.snapshot());
-        assert!(
-            flat.iter().any(|(n, _)| n.starts_with("compile.pass.") && n.ends_with("_ns.count")),
-            "per-pass timing histograms flatten for the bench exporter"
+        let after = session.stats();
+        assert_eq!(
+            (after.group_hits, after.group_misses),
+            (counted.group_hits, counted.group_misses)
         );
-    }
-
-    #[test]
-    fn bucket_change_replays_every_group() {
-        use smartmem_ir::BucketTable;
-        // The tentpole contract of shape bucketing: a symbolic model
-        // compiled at a second bucket is a whole-artifact miss (the
-        // padded iteration space really differs) but a *group-cache
-        // near-no-op* — every kernel group's content hash, layout
-        // context and tuning context are ceiling-padded and therefore
-        // bucket-invariant, so all of them replay. Exact counts, not
-        // bounds: one regressed group would hide in a `>=`.
-        let table = BucketTable::new(vec![32, 64, 128]).unwrap();
-        let build = |seq: usize| {
-            let mut b = GraphBuilder::new("sym-decode");
-            let x = b.input("x", &[1, seq, 32], DType::F16);
-            let w = b.weight("w", &[32, 32], DType::F16);
-            let mm = b.matmul(x, w);
-            let t = b.transpose(mm, &[0, 2, 1]);
-            let sm = b.softmax(t, 2);
-            let mm2 = b.matmul(sm, mm);
-            b.output(mm2);
-            b.finish().with_sym_dim("seq", &table, seq).unwrap()
-        };
-        let session = CompileSession::new();
-        let device = DeviceConfig::snapdragon_8gen2();
-        let fw = SmartMemPipeline::new();
-        session.compile(&fw, &build(48), &device).unwrap(); // bucket 64
-        let cold = session.stats();
-        assert_eq!(cold.group_hits, 0, "first bucket compiles cold");
-        let groups = cold.group_misses;
-        assert!(groups > 0, "the model must produce kernel groups");
-        session.compile(&fw, &build(100), &device).unwrap(); // bucket 128
-        let stats = session.stats();
-        assert_eq!(stats.misses, 2, "each bucket owns one artifact");
-        assert_eq!(stats.group_hits, groups, "every shared group replays across the bucket change");
-        assert_eq!(stats.group_misses, groups, "no group re-refines at the new bucket");
     }
 
     #[test]

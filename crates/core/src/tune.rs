@@ -14,8 +14,15 @@
 //! and extent, and the remaining (workgroup × tile) plane has only 294
 //! points. The sweep is deterministic and never below what a sampled
 //! search could find.
+//!
+//! A [`crate::CompileSession`] sweeps each distinct `(op, m, n)` once
+//! through a session-owned memo; since [`tune`] is a pure function of
+//! that key, the memo changes no decision, only how often it is made.
 
 use smartmem_ir::Op;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// Discrete tile-size choices per dimension.
 const TILES: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
@@ -140,6 +147,47 @@ pub fn tune(op: &Op, m: usize, n: usize) -> (ExecConfig, f64) {
     (best.0, utilization(op, m, n, &best.0))
 }
 
+/// Memo of [`tune`] results keyed by its exact inputs, with hit/miss
+/// counts. The sweep runs under the lock, so each key is swept once per
+/// memo and the counts are exact however compilations interleave.
+#[derive(Debug, Default)]
+pub(crate) struct TuneMemo {
+    state: Mutex<MemoState>,
+}
+
+#[derive(Debug, Default)]
+struct MemoState {
+    sweeps: HashMap<(Op, usize, usize), (ExecConfig, f64)>,
+    hits: usize,
+    misses: usize,
+}
+
+impl TuneMemo {
+    /// [`tune`]`(op, m, n)`, swept on the first request for the key and
+    /// served from the memo after that.
+    pub(crate) fn tune(&self, op: &Op, m: usize, n: usize) -> (ExecConfig, f64) {
+        let mut state = self.state.lock().expect("tune memo lock");
+        let state = &mut *state;
+        match state.sweeps.entry((op.clone(), m, n)) {
+            Entry::Occupied(hit) => {
+                state.hits += 1;
+                *hit.get()
+            }
+            Entry::Vacant(slot) => {
+                state.misses += 1;
+                *slot.insert(tune(op, m, n))
+            }
+        }
+    }
+
+    /// `(hits, misses)` so far: lookups the memo served, and lookups
+    /// that swept a new key.
+    pub(crate) fn counts(&self) -> (usize, usize) {
+        let state = self.state.lock().expect("tune memo lock");
+        (state.hits, state.misses)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +219,16 @@ mod tests {
             let default_fit = utilization(&matmul(), m, n, &ExecConfig::default());
             assert!(fit >= default_fit - 1e-9, "tuned {fit} < default {default_fit} for {m}x{n}");
         }
+    }
+
+    #[test]
+    fn memo_sweeps_each_key_once() {
+        let memo = TuneMemo::default();
+        let op = matmul();
+        assert_eq!(memo.tune(&op, 49, 49), tune(&op, 49, 49));
+        assert_eq!(memo.tune(&op, 49, 49), tune(&op, 49, 49));
+        memo.tune(&op, 56, 56);
+        assert_eq!(memo.counts(), (1, 2));
     }
 
     #[test]

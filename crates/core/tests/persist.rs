@@ -38,8 +38,7 @@ impl ScratchDir {
         &self.0
     }
 
-    /// The artifact files currently in the directory (the group-cache
-    /// side file excluded).
+    /// The artifact files currently in the directory.
     fn artifacts(&self) -> Vec<PathBuf> {
         let mut files: Vec<PathBuf> = std::fs::read_dir(&self.0)
             .expect("cache dir exists")

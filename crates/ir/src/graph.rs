@@ -318,9 +318,9 @@ impl Graph {
     }
 
     /// The tensor's dims with every symbolic axis raised to its bucket
-    /// ceiling — identical to the logical dims for static graphs. The
-    /// optimizer hashes and plans over these, which is what makes
-    /// group-cache and LTE-memo entries bucket-invariant.
+    /// ceiling — identical to the logical dims for static graphs. Layout
+    /// selection plans over these, so its decisions are the same at
+    /// every bucket; tuning reads the bound dims instead.
     pub fn padded_dims(&self, t: TensorId) -> Vec<usize> {
         let mut dims = self.tensor(t).shape.dims().to_vec();
         for a in &self.sym_axes {
@@ -334,7 +334,7 @@ impl Graph {
     /// 64-bit fingerprint of the bound buckets: 0 for static graphs,
     /// otherwise a nonzero hash of every `(name, bucket)` binding. The
     /// compile session keys artifacts by this — one artifact per
-    /// bucket, shared group cache across them.
+    /// bucket.
     pub fn sym_bucket(&self) -> u64 {
         if self.sym_dims.is_empty() {
             return 0;

@@ -11,10 +11,10 @@
 //! [`Graph::with_sym_dim`](crate::Graph::with_sym_dim), which records
 //! every tensor axis carrying the bound extent and validates that the
 //! graph stays shape-consistent when all of them are raised to the
-//! table ceiling. Downstream, the optimizer hashes and plans over
+//! table ceiling. Downstream, the optimizer plans layouts over
 //! *ceiling-padded* dims (see
-//! [`Graph::padded_dims`](crate::Graph::padded_dims)), which is what
-//! makes group-cache and LTE-memo entries shared across buckets.
+//! [`Graph::padded_dims`](crate::Graph::padded_dims)), so every bucket
+//! of a model makes the same layout decisions.
 
 use crate::error::IrError;
 

@@ -37,8 +37,8 @@ mod trace;
 
 pub use chrome::{parse_chrome, render_chrome};
 pub use metrics::{
-    flatten, global, Counter, Gauge, Histogram, HistogramSnapshot, Metric, MetricValue,
-    MetricsSnapshot, Registry, HISTOGRAM_BUCKETS,
+    flatten, Counter, Gauge, Histogram, HistogramSnapshot, Metric, MetricValue, MetricsSnapshot,
+    Registry, HISTOGRAM_BUCKETS,
 };
 pub use ring::RingBuffer;
 pub use summary::{summarize, PhaseStat, TraceSummary, REQUEST_SPAN, SLOWEST_SPANS};
@@ -48,7 +48,7 @@ use std::sync::Arc;
 
 /// One handle bundling the two telemetry halves, for components (the
 /// server) that own their observability so tests stay isolated from
-/// each other and from [`global()`].
+/// each other.
 ///
 /// ```
 /// use smartmem_telemetry::Telemetry;

@@ -1,4 +1,4 @@
-//! The process-wide metrics layer: counters, gauges, log-bucketed
+//! The metrics layer: counters, gauges, log-bucketed
 //! histograms, and the named [`Registry`] they live in.
 //!
 //! Everything here is updatable from any thread without a lock on the
@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Monotonically increasing event count.
 #[derive(Debug, Default)]
@@ -335,15 +335,6 @@ impl Registry {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// The process-wide registry, for layers with no natural owner to hand
-/// them one (the compilation session publishes its cache and pass
-/// timings here). Components with a lifecycle of their own (a server)
-/// should own a [`Registry`] instead so tests stay isolated.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
 }
 
 #[cfg(test)]
