@@ -58,7 +58,6 @@ fn tune_work(out: &CompileOutput) -> &str {
 
 fn main() {
     let args = parse_bench_args();
-    assert!(!args.smoke, "pass_timing takes --cache-dir DIR, --json PATH and --import FILE only");
     let cache_dir = args.cache_dir;
     let device = DeviceConfig::snapdragon_8gen2();
     let frameworks = all_mobile_frameworks();

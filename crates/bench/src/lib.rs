@@ -1,19 +1,18 @@
 //! # smartmem-bench
 //!
 //! The harness that regenerates every table and figure of the SmartMem
-//! paper's evaluation (see `DESIGN.md` for the experiment index). Each
-//! table/figure has a dedicated binary (`cargo run -p smartmem-bench
-//! --release --bin table8`), all built on the helpers here.
+//! paper's evaluation: [`paper`] holds each published number as a
+//! checked row, and the `repro` bin prints them
+//! (`cargo run -p smartmem-bench --release --bin repro -- all`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod paper;
 pub mod serve_harness;
 
-use smartmem_core::{CompileOutput, Framework, ModelReport, OptStats, Unsupported};
-use smartmem_ir::Graph;
-use smartmem_sim::DeviceConfig;
+use smartmem_core::{CompileOutput, OptStats};
 
 /// Renders an ASCII table with right-aligned columns.
 pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -45,32 +44,6 @@ pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> Stri
         out.push('\n');
     }
     out
-}
-
-/// Result of running one framework on one model.
-pub type RunResult = Result<ModelReport, Unsupported>;
-
-/// Runs `framework` on `graph`, returning the report or the
-/// unsupported/OOM error.
-pub fn run_one(framework: &dyn Framework, graph: &Graph, device: &DeviceConfig) -> RunResult {
-    framework.run(graph, device)
-}
-
-/// Formats a latency cell ("–" for unsupported models, as in the
-/// paper's tables).
-pub fn latency_cell(r: &RunResult) -> String {
-    match r {
-        Ok(rep) => format!("{:.1}", rep.latency_ms),
-        Err(_) => "–".to_string(),
-    }
-}
-
-/// Formats a speed (GMACS) cell.
-pub fn speed_cell(r: &RunResult) -> String {
-    match r {
-        Ok(rep) => format!("{:.0}", rep.gmacs),
-        Err(_) => "–".to_string(),
-    }
 }
 
 /// Geometric mean of a list of ratios.
@@ -121,24 +94,8 @@ pub fn render_pass_timings(framework: &str, model: &str, output: &CompileOutput)
     )
 }
 
-/// Parses a command line that accepts only `--cache-dir DIR` (the
-/// shared flag of the table/figure binaries; `serve_bench` has its own
-/// richer parser), panicking on anything else.
-///
-/// # Panics
-///
-/// Panics on an unknown flag or a missing value — the right behaviour
-/// for a bench binary, where a typo should fail loudly.
-pub fn parse_cache_dir_arg() -> Option<std::path::PathBuf> {
-    let args = parse_bench_args();
-    assert!(
-        args.json.is_none() && !args.smoke && args.import.is_none(),
-        "this binary only takes --cache-dir DIR"
-    );
-    args.cache_dir
-}
-
-/// The shared command line of the table/figure binaries.
+/// The command line of `pass_timing` (`serve_bench` and `repro` have
+/// their own parsers).
 #[derive(Clone, Debug, Default)]
 pub struct BenchArgs {
     /// `--cache-dir DIR`: persistent compilation-artifact cache.
@@ -146,19 +103,18 @@ pub struct BenchArgs {
     /// `--json PATH`: write the bench's numbers as a flat JSON record
     /// array (see [`json`]) for CI artifacts and the `bench_diff` gate.
     pub json: Option<std::path::PathBuf>,
-    /// `--smoke`: CI-sized subset.
-    pub smoke: bool,
     /// `--import PATH`: run on a graph imported from a JSON file
     /// (`smartmem_ir::import`) instead of / in addition to the built-in
-    /// zoo. Only `pass_timing` honours it today.
+    /// zoo.
     pub import: Option<std::path::PathBuf>,
 }
 
-/// Parses `--cache-dir DIR`, `--json PATH`, `--import PATH` and `--smoke`.
+/// Parses `--cache-dir DIR`, `--json PATH` and `--import PATH`.
 ///
 /// # Panics
 ///
-/// Panics on an unknown flag or a missing value.
+/// Panics on an unknown flag or a missing value — the right behaviour
+/// for a bench binary, where a typo should fail loudly.
 pub fn parse_bench_args() -> BenchArgs {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut args = argv.iter();
@@ -171,14 +127,11 @@ pub fn parse_bench_args() -> BenchArgs {
             "--json" => {
                 out.json = Some(args.next().expect("--json needs a value").into());
             }
-            "--smoke" => out.smoke = true,
             "--import" => {
                 out.import = Some(args.next().expect("--import needs a value").into());
             }
             other => {
-                panic!(
-                    "unknown flag {other} (takes --cache-dir DIR, --json PATH, --import PATH, --smoke)"
-                )
+                panic!("unknown flag {other} (takes --cache-dir DIR, --json PATH, --import PATH)")
             }
         }
     }

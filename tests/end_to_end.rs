@@ -124,7 +124,7 @@ fn memory_counters_favour_smartmem() {
     // both models, and more cache misses on the ConvNet. (On CSwin our
     // reproduction's mapped convolution reads keep some residual line
     // drag, so the miss advantage there is weaker than the paper's —
-    // recorded as a deviation in EXPERIMENTS.md.)
+    // recorded as a deviation in docs/DEVIATIONS.md.)
     let device = device();
     let ours_r = SmartMemPipeline::new().run(&models::resnext50(1), &device).unwrap();
     let dnnf_r = DnnFusionFramework::new().run(&models::resnext50(1), &device).unwrap();
