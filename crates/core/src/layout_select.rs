@@ -144,10 +144,9 @@ fn k_of(level: SelectionLevel) -> usize {
     }
 }
 
-/// The *global* half of layout selection: per-tensor requirement lists,
-/// primary layouts, redundant-copy layouts, and the resulting
-/// statistics. Computed once over all groups ([`plan_layouts`]), then
-/// applied to each group ([`apply_group_layouts`]).
+/// The *global* half of layout selection: per-tensor requirement lists
+/// and primary layouts. Computed once over all groups ([`plan_layouts`]),
+/// then applied to each group ([`apply_group_layouts`]).
 #[derive(Clone, Debug)]
 struct LayoutPlan {
     level: SelectionLevel,
@@ -155,18 +154,13 @@ struct LayoutPlan {
     /// materialized tensor (the cross-group coupling of §3.2.2).
     reqs_of: HashMap<TensorId, Vec<usize>>,
     primary: HashMap<TensorId, Layout>,
-    /// Redundant copies per over-constrained tensor: (req dim, layout).
-    copies: HashMap<TensorId, Vec<(usize, Layout)>>,
-    /// Copy count charged to the tensor's producing group.
-    extra_copies_of: HashMap<TensorId, usize>,
-    /// Whole-model redundancy statistics (§4.6).
-    stats: RedundancyStats,
 }
 
 /// Computes the global layout plan over all groups (steps 1–2 of
-/// §3.2.2): collect requirements, pick primary layouts, and provision
-/// redundant copies for requirements beyond the first *k* (weights are
-/// pre-packed offline and never need runtime copies).
+/// §3.2.2): collect requirements and pick primary layouts. A primary
+/// layout combines a tensor's first *k* requirements; a read whose own
+/// requirement is not among them gets a redundant copy
+/// ([`apply_group_layouts`]).
 fn plan_layouts(
     graph: &Graph,
     groups: &[KernelGroup],
@@ -187,14 +181,7 @@ fn plan_layouts(
         }
     }
 
-    // 2. Primary layout per tensor; extra copies for requirements
-    //    beyond the first k.
-    let elem = device.dtype.size_bytes();
-    let mut primary: HashMap<TensorId, Layout> = HashMap::new();
-    let mut copies: HashMap<TensorId, Vec<(usize, Layout)>> = HashMap::new();
-    let mut extra_copies_of: HashMap<TensorId, usize> = HashMap::new();
-    let mut stats = RedundancyStats::default();
-
+    // 2. Primary layout per tensor.
     let all_tensors: Vec<TensorId> = {
         let mut v: Vec<TensorId> = groups.iter().map(|g| g.output).collect();
         v.extend(groups.iter().flat_map(|g| g.reads.iter().map(|r| r.source)));
@@ -202,40 +189,24 @@ fn plan_layouts(
         v.dedup();
         v
     };
-
-    for &t in &all_tensors {
-        let info = graph.tensor(t);
-        // Plan over ceiling-padded dims: on symbolic graphs every bucket
-        // then makes identical (dim-index-based) layout decisions, and
-        // texture-fit checks at the ceiling are conservative for every
-        // smaller bucket. Static graphs pad to their concrete dims.
-        let dims = graph.padded_dims(t);
-        let reqs = reqs_of.get(&t).cloned().unwrap_or_default();
-        primary.insert(t, layout_for(&dims, &reqs, device, level));
-        let k = k_of(level);
-        if info.kind == TensorKind::Weight {
-            // Offline pre-packing: each consumer can have its own layout
-            // at zero runtime cost; model as per-read layouts below.
-            continue;
-        }
-        if reqs.len() > k && level != SelectionLevel::Default {
-            let extra: Vec<(usize, Layout)> =
-                reqs[k..].iter().map(|&d| (d, layout_for(&dims, &[d], device, level))).collect();
-            let bytes = info.shape.numel() * elem;
-            stats.tensors += 1;
-            stats.max_bytes = stats.max_bytes.max(bytes);
-            stats.total_extra_bytes += bytes * extra.len() as u64;
-            extra_copies_of.insert(t, extra.len());
-            copies.insert(t, extra);
-        }
-    }
-    LayoutPlan { level, reqs_of, primary, copies, extra_copies_of, stats }
+    // Plan over ceiling-padded dims: on symbolic graphs every bucket
+    // then makes identical (dim-index-based) layout decisions, and
+    // texture-fit checks at the ceiling are conservative for every
+    // smaller bucket. Static graphs pad to their concrete dims.
+    let primary = all_tensors
+        .into_iter()
+        .map(|t| {
+            let reqs = reqs_of.get(&t).map_or(&[][..], Vec::as_slice);
+            (t, layout_for(&graph.padded_dims(t), reqs, device, level))
+        })
+        .collect();
+    LayoutPlan { level, reqs_of, primary }
 }
 
 /// Applies the plan to one group (step 3 of §3.2.2): sets the output
-/// layout, points every read at the primary layout or the redundant
-/// copy satisfying its requirement, and charges the group for copies of
-/// its output tensor.
+/// layout and points every read at the primary layout, or at a redundant
+/// copy laid out for the read's own requirement when the primary does
+/// not satisfy it. Weights are pre-packed per consumer offline.
 fn apply_group_layouts(
     plan: &LayoutPlan,
     graph: &Graph,
@@ -243,43 +214,27 @@ fn apply_group_layouts(
     device: &DeviceConfig,
 ) {
     let level = plan.level;
-    g.output_layout = plan
-        .primary
-        .get(&g.output)
-        .cloned()
-        .unwrap_or_else(|| layout_for(&graph.padded_dims(g.output), &[], device, level));
-    g.extra_copies = plan.extra_copies_of.get(&g.output).copied().unwrap_or(0);
-    // Avoid borrowing issues: compute requirements first.
-    let reqs: Vec<Vec<usize>> = g.reads.iter().map(|r| required_dims(graph, r)).collect();
-    for (r, req) in g.reads.iter_mut().zip(reqs) {
-        let info = graph.tensor(r.source);
+    g.output_layout = plan.primary[&g.output].clone();
+    for r in g.reads.iter_mut() {
+        let req = required_dims(graph, r);
         let dims = graph.padded_dims(r.source);
-        if info.kind == TensorKind::Weight && level != SelectionLevel::Default {
-            // Pre-packed per consumer.
+        if graph.tensor(r.source).kind == TensorKind::Weight && level != SelectionLevel::Default {
             r.layout = layout_for(&dims, &req, device, level);
             continue;
         }
-        let prim =
-            plan.primary.get(&r.source).cloned().unwrap_or_else(|| Layout::row_major(dims.len()));
-        let mut chosen = prim.clone();
-        if let (Some(&want), Some(extra)) = (req.first(), plan.copies.get(&r.source)) {
-            let satisfied_by_primary = {
-                let all = plan.reqs_of.get(&r.source).cloned().unwrap_or_default();
-                let k = k_of(level);
-                all.iter().take(k).any(|&d| d == want)
-            };
-            if !satisfied_by_primary {
-                if let Some((_, l)) = extra.iter().find(|(d, _)| *d == want) {
-                    chosen = l.clone();
-                }
-            }
-        }
-        r.layout = chosen;
+        let combined =
+            plan.reqs_of.get(&r.source).map_or(&[][..], |all| &all[..all.len().min(k_of(level))]);
+        r.layout = match req.first() {
+            Some(want) if !combined.contains(want) => layout_for(&dims, &[*want], device, level),
+            _ => plan.primary[&r.source].clone(),
+        };
     }
 }
 
-/// Chooses layouts for every read and every group output (§3.2.2);
-/// returns the redundant-copy statistics.
+/// Chooses layouts for every read and every group output (§3.2.2), then
+/// charges each producer one redundant copy per distinct layout, other
+/// than the primary, that its output's activation reads were assigned;
+/// returns the redundant-copy statistics (§4.6).
 pub fn select_layouts(
     graph: &Graph,
     groups: &mut [KernelGroup],
@@ -290,7 +245,29 @@ pub fn select_layouts(
     for g in groups.iter_mut() {
         apply_group_layouts(&plan, graph, g, device);
     }
-    plan.stats
+    let mut copies: HashMap<TensorId, Vec<&Layout>> = HashMap::new();
+    for r in groups.iter().flat_map(|g| &g.reads) {
+        let is_weight = graph.tensor(r.source).kind == TensorKind::Weight;
+        if !is_weight && r.layout != plan.primary[&r.source] {
+            let layouts = copies.entry(r.source).or_default();
+            if !layouts.contains(&&r.layout) {
+                layouts.push(&r.layout);
+            }
+        }
+    }
+    let count_of: HashMap<TensorId, usize> =
+        copies.into_iter().map(|(t, l)| (t, l.len())).collect();
+    let mut stats = RedundancyStats::default();
+    for (&t, &n) in &count_of {
+        let bytes = graph.tensor(t).shape.numel() * device.dtype.size_bytes();
+        stats.tensors += 1;
+        stats.max_bytes = stats.max_bytes.max(bytes);
+        stats.total_extra_bytes += bytes * n as u64;
+    }
+    for g in groups.iter_mut() {
+        g.extra_copies = count_of.get(&g.output).copied().unwrap_or(0);
+    }
+    stats
 }
 
 #[cfg(test)]
