@@ -2,7 +2,7 @@
 //! policies, framework-inserted relayout rewriting, layout styles and
 //! utilization finalization.
 
-use smartmem_core::{assemble_groups, eliminate, GroupDraft, KernelGroup, LteResult};
+use smartmem_core::{GroupDraft, KernelGroup, LteResult};
 use smartmem_ir::{
     Graph, GraphBuilder, Layout, Node, Op, OpOrigin, TensorId, TensorKind, UnaryKind,
 };
@@ -116,18 +116,6 @@ pub fn fuse_with_policy(graph: &Graph, lte: &LteResult, policy: FusePolicy) -> V
     groups
 }
 
-/// Where a baseline framework inserts implicit relayout operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RelayoutRule {
-    /// No implicit transformations.
-    None,
-    /// Convert at every boundary between the conv-friendly packed layout
-    /// and the generic layout (MNN's `NC4HW4` behaviour): before a
-    /// conv-family op whose producer is not conv-family, and before a
-    /// non-conv-family op whose producer is conv-family.
-    ConvBoundary,
-}
-
 fn conv_family(op: &Op) -> bool {
     matches!(
         op,
@@ -139,13 +127,13 @@ fn conv_family(op: &Op) -> bool {
     )
 }
 
-/// Rebuilds `graph` inserting framework-origin `Identity` relayout
-/// operators per `rule`; returns the rewritten graph and the number of
-/// inserted operators.
-pub fn insert_relayouts(graph: &Graph, rule: RelayoutRule) -> (Graph, usize) {
-    if rule == RelayoutRule::None {
-        return (graph.clone(), 0);
-    }
+/// Rebuilds `graph` inserting a framework-origin `Identity` relayout
+/// operator at every boundary between the conv-friendly packed layout
+/// and the generic layout (MNN's `NC4HW4` behaviour): before a
+/// conv-family op whose producer is not conv-family, and before a
+/// non-conv-family op whose producer is conv-family. Returns the
+/// rewritten graph and the number of inserted operators.
+pub fn insert_relayouts(graph: &Graph) -> (Graph, usize) {
     let mut b = GraphBuilder::new(graph.name().to_string());
     let mut remap: HashMap<TensorId, TensorId> = HashMap::new();
     // Re-create inputs and weights first.
@@ -276,10 +264,11 @@ pub fn finalize_utilization(
 
 /// Builds groups for a baseline: no elimination, policy fusion,
 /// assembled through the shared machinery.
-pub fn baseline_groups(graph: &Graph, policy: FusePolicy) -> Vec<KernelGroup> {
-    let lte = eliminate(graph, false, false);
+#[cfg(test)]
+pub(crate) fn baseline_groups(graph: &Graph, policy: FusePolicy) -> Vec<KernelGroup> {
+    let lte = smartmem_core::eliminate(graph, false, false);
     let drafts = fuse_with_policy(graph, &lte, policy);
-    assemble_groups(graph, &lte, &drafts)
+    smartmem_core::assemble_groups(graph, &lte, &drafts)
 }
 
 /// Operator-support scan: does the graph contain operators that only
@@ -337,7 +326,7 @@ mod tests {
     #[test]
     fn relayout_insertion_at_conv_boundaries() {
         let g = conv_mix();
-        let (rewritten, inserted) = insert_relayouts(&g, RelayoutRule::ConvBoundary);
+        let (rewritten, inserted) = insert_relayouts(&g);
         // relu -> reshape crosses from conv-family to generic on a 4D
         // tensor: one conversion.
         assert_eq!(inserted, 1);
@@ -347,14 +336,6 @@ mod tests {
         let framework_ops =
             rewritten.nodes().iter().filter(|n| n.origin == OpOrigin::Framework).count();
         assert_eq!(framework_ops, 1);
-    }
-
-    #[test]
-    fn relayout_none_is_identity() {
-        let g = conv_mix();
-        let (rewritten, inserted) = insert_relayouts(&g, RelayoutRule::None);
-        assert_eq!(inserted, 0);
-        assert_eq!(rewritten.op_count(), g.op_count());
     }
 
     #[test]

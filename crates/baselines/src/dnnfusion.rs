@@ -3,7 +3,7 @@
 //! but no layout-transformation elimination and no reduction-dimension
 //! layout selection.
 
-use smartmem_core::{Framework, MemModel, PassManager, SmartMemConfig, SmartMemPipeline};
+use smartmem_core::{Framework, MemModel, PassManager, SmartMemLevel, SmartMemPipeline};
 
 /// DNNFusion (PLDI'21). Shares SmartMem's fusion machinery with every
 /// SmartMem-specific optimization disabled: explicit `Reshape`/
@@ -17,9 +17,7 @@ pub struct DnnFusionFramework {
 impl DnnFusionFramework {
     /// Creates the pipeline.
     pub fn new() -> Self {
-        DnnFusionFramework {
-            inner: SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level()),
-        }
+        DnnFusionFramework { inner: SmartMemPipeline::at(SmartMemLevel::DnnFusion) }
     }
 }
 

@@ -49,9 +49,8 @@ mod tflite;
 mod tvm;
 
 pub use common::{
-    assign_layouts_uniform, baseline_groups, finalize_utilization, fuse_with_policy,
-    has_selection_ops, has_transformer_ops, insert_relayouts, FusePolicy, LayoutStyle,
-    RelayoutRule,
+    assign_layouts_uniform, finalize_utilization, fuse_with_policy, has_selection_ops,
+    has_transformer_ops, insert_relayouts, FusePolicy, LayoutStyle,
 };
 pub use dnnfusion::DnnFusionFramework;
 pub use inductor::TorchInductorFramework;

@@ -2,7 +2,7 @@
 //! layouts with implicit conversions at conv/generic boundaries, and a
 //! memory pool with substantial per-op workspaces.
 
-use crate::common::{FusePolicy, LayoutStyle, RelayoutRule};
+use crate::common::{FusePolicy, LayoutStyle};
 use crate::passes::{PolicyFusionPass, RelayoutPass, UniformLayoutPass, UtilizationPass};
 use smartmem_core::{AssembleGroupsPass, Framework, LtePass, MemModel, PassManager};
 use smartmem_ir::Op;
@@ -52,7 +52,7 @@ impl Framework for MnnFramework {
                 im2col: true,
                 dispatch_scale: 1.0,
             })
-            .then(RelayoutPass { rule: RelayoutRule::ConvBoundary })
+            .then(RelayoutPass)
             .then(LtePass::disabled())
             .then(PolicyFusionPass { policy: FusePolicy::fixed_patterns() })
             .then(AssembleGroupsPass)

@@ -10,7 +10,7 @@
 
 use crate::common::{
     assign_layouts_uniform, finalize_utilization, fuse_with_policy, insert_relayouts, FusePolicy,
-    LayoutStyle, RelayoutRule,
+    LayoutStyle,
 };
 use smartmem_core::{CompileCtx, Pass, Unsupported};
 use smartmem_ir::{Graph, Op};
@@ -46,24 +46,18 @@ impl Pass for SupportPass {
 }
 
 /// Rewrites the graph inserting framework-origin relayout operators
-/// (implicit transformations) per [`RelayoutRule`].
+/// (implicit transformations) at conv-layout boundaries
+/// ([`insert_relayouts`]).
 #[derive(Clone, Copy, Debug)]
-pub struct RelayoutPass {
-    /// Where conversions are inserted.
-    pub rule: RelayoutRule,
-}
+pub struct RelayoutPass;
 
 impl Pass for RelayoutPass {
     fn name(&self) -> &'static str {
         "insert-relayouts"
     }
 
-    fn params(&self) -> String {
-        format!("{self:?}")
-    }
-
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported> {
-        let (rewritten, inserted) = insert_relayouts(&ctx.graph, self.rule);
+        let (rewritten, inserted) = insert_relayouts(&ctx.graph);
         if inserted > 0 {
             ctx.note(self.name(), format!("inserted {inserted} implicit relayout operators"));
         }
@@ -204,7 +198,7 @@ mod tests {
         let g = conv_mix();
         let device = DeviceConfig::snapdragon_8gen2();
         let out = PassManager::new("check")
-            .then(RelayoutPass { rule: RelayoutRule::ConvBoundary })
+            .then(RelayoutPass)
             .then(LtePass::disabled())
             .then(PolicyFusionPass { policy: FusePolicy::none() })
             .then(AssembleGroupsPass)

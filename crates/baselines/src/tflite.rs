@@ -2,9 +2,7 @@
 //! NHWC-flavoured relayouts at conv boundaries, and narrow operator
 //! support on the GPU delegate.
 
-use crate::common::{
-    has_selection_ops, has_transformer_ops, FusePolicy, LayoutStyle, RelayoutRule,
-};
+use crate::common::{has_selection_ops, has_transformer_ops, FusePolicy, LayoutStyle};
 use crate::passes::{
     PolicyFusionPass, RelayoutPass, SupportPass, UniformLayoutPass, UtilizationPass,
 };
@@ -56,7 +54,7 @@ impl Framework for TfLiteFramework {
                 dispatch_scale: 1.0,
             })
             .then(SupportPass { tag: "tflite", check: tflite_unsupported })
-            .then(RelayoutPass { rule: RelayoutRule::ConvBoundary })
+            .then(RelayoutPass)
             .then(LtePass::disabled())
             .then(PolicyFusionPass { policy: FusePolicy::fixed_patterns() })
             .then(AssembleGroupsPass)

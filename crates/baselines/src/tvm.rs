@@ -4,7 +4,7 @@
 //! for the 166× ConvNext gap: "TVM lacking an efficient layout design
 //! for a reduction operator GroupConvolution").
 
-use crate::common::{FusePolicy, LayoutStyle, RelayoutRule};
+use crate::common::{FusePolicy, LayoutStyle};
 use crate::passes::{PolicyFusionPass, RelayoutPass, UniformLayoutPass, UtilizationPass};
 use smartmem_core::{
     AssembleGroupsPass, Framework, LtePass, MemModel, PassManager, StreamlinePass,
@@ -53,7 +53,7 @@ impl Framework for TvmFramework {
             // Relay-style graph simplification runs before layout
             // legalization, mirroring TVM's SimplifyExpr/FoldConstant.
             .then(StreamlinePass)
-            .then(RelayoutPass { rule: RelayoutRule::ConvBoundary })
+            .then(RelayoutPass)
             .then(LtePass::disabled())
             // TVM's bijective fusion is frequently blocked on the mobile
             // GPU path: ConvertLayout staging materializes the reshape

@@ -54,7 +54,7 @@ fn bench_lte() {
     });
     let lte = eliminate(&swin, true, true);
     bench("fusion/group swin", || {
-        black_box(fuse(&swin, &lte, true));
+        black_box(fuse(&swin, &lte));
     });
 }
 

@@ -4,8 +4,9 @@
 
 use crate::{geo_mean, json::BenchRecord, serve_harness::devices};
 use smartmem_baselines::{all_mobile_frameworks, TorchInductorFramework};
-use smartmem_core::SmartMemPipeline;
-use smartmem_core::{device_fingerprint, Framework, ModelReport, SmartMemConfig as C};
+use smartmem_core::{
+    device_fingerprint, Framework, ModelReport, SmartMemLevel as L, SmartMemPipeline,
+};
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_models::{all_models, by_name, table1_models, Family};
 use smartmem_sim::{roofline_gmacs, CacheConfig, CacheSim, DeviceConfig};
@@ -122,18 +123,17 @@ fn row(
 }
 
 const BASELINES: [&str; 5] = ["MNN", "NCNN", "TFLite", "TVM", "DNNFusion"];
-/// Indices into [`framework`]: SmartMem, the first Fig. 8 level, TorchInductor.
+/// Indices into [`framework`]: SmartMem, SmartMem at `level`, TorchInductor.
 const OURS: usize = 5;
-const LEVEL: usize = 6;
-const INDUCTOR: usize = 11;
+const fn at(level: L) -> usize {
+    OURS + 1 + level as usize
+}
+const INDUCTOR: usize = at(L::Full) + 1;
 
-/// The mobile frameworks (SmartMem last); Fig. 8's levels (DNNFusion,
-/// +LTE, +Layout, +Other, +LTE without index comprehension); TorchInductor.
+/// The mobile frameworks (SmartMem last); SmartMem at every rung of the
+/// ladder ([`at`]); TorchInductor.
 fn framework(i: usize) -> Box<dyn Framework> {
-    let mut no_ic = C::lte_level();
-    no_ic.index_comprehension = false;
-    let levels = [C::dnnfusion_level(), C::lte_level(), C::layout_level(), C::full(), no_ic];
-    let levels = levels.map(|c| Box::new(SmartMemPipeline::with_config(c)) as Box<dyn Framework>);
+    let levels = L::ALL.map(|l| Box::new(SmartMemPipeline::at(l)) as Box<dyn Framework>);
     let inductor = Box::new(TorchInductorFramework::new()) as Box<dyn Framework>;
     all_mobile_frameworks().into_iter().chain(levels).chain([inductor]).nth(i).expect("framework")
 }
@@ -202,19 +202,28 @@ pub fn rows(smoke: bool) -> Vec<Row> {
                 rows.push(row("fig7", &sd, format!("{model}/{fw}"), metric, "1.0..", 2, value));
             }
         }
-        for (metric, a, f) in [("lte_access_cut", 0, ACCESSES), ("layout_miss_cut", 1, MISSES)] {
-            let value = move |d: &_| ratio(LEVEL + a, LEVEL + a + 1, model, 1, d, f);
+        let cuts = [
+            ("lte_access_cut", L::DnnFusion, L::Lte, ACCESSES),
+            ("layout_miss_cut", L::Lte, L::Layout, MISSES),
+        ];
+        for (metric, a, b, f) in cuts {
+            let value = move |d: &_| ratio(at(a), at(b), model, 1, d, f);
             rows.push(row("fig9", &sd, model, metric, "1.0..", 2, value));
         }
     }
-    let steps = [("+LTE", 0, 1), ("+Layout", 1, 2), ("+Other", 2, 3), ("IC in LTE", 4, 1)];
+    let steps = [
+        ("+LTE", L::DnnFusion, L::Lte),
+        ("+Layout", L::Lte, L::Layout),
+        ("+Other", L::Layout, L::Full),
+        ("IC in LTE", L::LteWithoutIc, L::Lte),
+    ];
     for model in "AutoFormer BiFormer EfficientVit CSwin ViT ConvNext RegNet ResNext".split(' ') {
         let bands = match by_name(model).expect("zoo model").family {
             Family::ConvNet => ["1.1..1.4", "1.5..1.7", "1.1..1.4", "1.1..1.3"],
             _ => ["1.5..2.7", "1.4..1.9", "1.2..1.4", "1.1..1.3"],
         };
         for ((metric, a, b), band) in steps.into_iter().zip(bands) {
-            let value = move |d: &_| ratio(LEVEL + a, LEVEL + b, model, 1, d, LATENCY);
+            let value = move |d: &_| ratio(at(a), at(b), model, 1, d, LATENCY);
             rows.push(row("fig8", &sd, model, metric, band, 2, value));
         }
     }
@@ -254,7 +263,7 @@ pub fn rows(smoke: bool) -> Vec<Row> {
     }
     for (consumer, band) in [("Conv", "1.7"), ("MatMul", "1.4"), ("Activation", "1.1")] {
         let ms = move |fw, d: &_| Some(framework(fw).run(&rw_chain(consumer), d).ok()?.latency_ms);
-        let value = move |d: &_| Some(ms(LEVEL + 1, d)? / ms(OURS, d)?);
+        let value = move |d: &_| Some(ms(at(L::Lte), d)? / ms(OURS, d)?);
         rows.push(row("micro_rw", &sd, consumer, "read_opt_speedup", band, 2, value));
     }
     for (model, copy, ops, mem) in [("Swin", "3.0", "-24", "-14"), ("ViT", "2.3", "-33", "-15")] {

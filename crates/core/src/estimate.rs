@@ -450,7 +450,7 @@ fn per_point_reads(graph: &Graph, op: &Op, read: &EdgeRead, anchor_out: &Shape) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{Framework, SmartMemConfig, SmartMemPipeline};
+    use crate::pipeline::{Framework, SmartMemLevel, SmartMemPipeline};
     use smartmem_ir::{DType, GraphBuilder, UnaryKind};
 
     fn small_model() -> Graph {
@@ -482,7 +482,7 @@ mod tests {
         let g = small_model();
         let device = DeviceConfig::snapdragon_8gen2();
         let full = SmartMemPipeline::new().optimize(&g, &device).unwrap().estimate(&device);
-        let base = SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level())
+        let base = SmartMemPipeline::at(SmartMemLevel::DnnFusion)
             .optimize(&g, &device)
             .unwrap()
             .estimate(&device);
@@ -498,7 +498,7 @@ mod tests {
     fn transform_kernels_attributed_when_retained() {
         let g = small_model();
         let device = DeviceConfig::snapdragon_8gen2();
-        let base = SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level())
+        let base = SmartMemPipeline::at(SmartMemLevel::DnnFusion)
             .optimize(&g, &device)
             .unwrap()
             .estimate(&device);

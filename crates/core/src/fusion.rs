@@ -47,15 +47,10 @@ fn is_epilogue_fusable(op: &Op) -> bool {
     matches!(op, Op::Unary { .. } | Op::Binary { .. } | Op::Reshape { .. })
 }
 
-/// Groups the kept operators of `lte` into fused kernels.
-///
-/// When `enabled` is false every operator becomes its own kernel (the
-/// fixed-pattern baselines override grouping themselves).
-pub fn fuse(graph: &Graph, lte: &LteResult, enabled: bool) -> Vec<GroupDraft> {
+/// Groups the kept operators of `lte` into fused kernels (the
+/// fixed-pattern baselines group through their own policies instead).
+pub fn fuse(graph: &Graph, lte: &LteResult) -> Vec<GroupDraft> {
     let kept: Vec<OpId> = lte.kept.clone();
-    if !enabled {
-        return kept.into_iter().map(|id| GroupDraft { anchor: id, members: vec![id] }).collect();
-    }
 
     // Effective consumer counts of each materialized tensor: how many
     // kept operators read it (through eliminated chains), plus one if it
@@ -142,7 +137,7 @@ mod tests {
     fn fusion_with_lte_collapses_elementwise_chain() {
         let g = build();
         let lte = eliminate(&g, true, true);
-        let groups = fuse(&g, &lte, true);
+        let groups = fuse(&g, &lte);
         // conv1+relu+gelu+add in one group; conv2 its own group.
         assert_eq!(groups.len(), 2, "{groups:?}");
         let sizes: Vec<usize> = groups.iter().map(|gr| gr.members.len()).collect();
@@ -153,7 +148,7 @@ mod tests {
     fn fusion_without_lte_is_blocked_by_transforms() {
         let g = build();
         let lte = eliminate(&g, false, true);
-        let groups = fuse(&g, &lte, true);
+        let groups = fuse(&g, &lte);
         // Reshape kernels break the chains: conv1+relu, reshape, gelu+?,
         // conv2, reshape2, add -> more groups than with LTE.
         assert!(groups.len() > 2, "got {}", groups.len());
@@ -170,7 +165,7 @@ mod tests {
         b.output(s);
         let g = b.finish();
         let lte = eliminate(&g, true, true);
-        let groups = fuse(&g, &lte, true);
+        let groups = fuse(&g, &lte);
         // relu's output feeds two consumers -> relu cannot absorb either;
         // gelu and sigmoid anchor their own groups; add fuses into one of
         // them (its other operand is then shared? no: each intermediate
@@ -181,18 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn disabled_fusion_gives_one_group_per_op() {
-        let g = build();
-        let lte = eliminate(&g, false, true);
-        let groups = fuse(&g, &lte, false);
-        assert_eq!(groups.len(), g.op_count());
-    }
-
-    #[test]
     fn group_output_is_last_member() {
         let g = build();
         let lte = eliminate(&g, true, true);
-        let groups = fuse(&g, &lte, true);
+        let groups = fuse(&g, &lte);
         for gr in &groups {
             let out = gr.output(&g);
             let last = g.node(*gr.members.last().unwrap());

@@ -294,7 +294,7 @@ mod tests {
 
     fn build_groups(g: &Graph) -> Vec<KernelGroup> {
         let lte = eliminate(g, true, true);
-        let drafts = fuse(g, &lte, true);
+        let drafts = fuse(g, &lte);
         assemble_groups(g, &lte, &drafts)
     }
 
@@ -385,7 +385,7 @@ mod tests {
         let g = b.finish();
         let groups = {
             let lte = eliminate(&g, true, true);
-            let drafts = fuse(&g, &lte, true);
+            let drafts = fuse(&g, &lte);
             assemble_groups(&g, &lte, &drafts)
         };
         let softmax_read = groups

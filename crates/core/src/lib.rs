@@ -40,6 +40,21 @@
 //! adds a content-hash compilation cache and parallel batch compilation
 //! on top.
 //!
+//! [`SmartMemPipeline::at`] builds the sequence at one rung of Fig. 8's
+//! cumulative ablation ladder, [`SmartMemLevel`]; each pass switches on
+//! at a rung ([`StreamlinePass`] rewrites the graph before LTE):
+//!
+//! | rung | `streamline` | `lte` (enabled, IC) | `layout-select` | `tune` |
+//! |---|---|---|---|---|
+//! | `DnnFusion` | — | off, off | `Default` | untuned |
+//! | `LteWithoutIc` | runs | on, off | `Default` | untuned |
+//! | `Lte` | runs | on, on | `Default` | untuned |
+//! | `Layout` | runs | on, on | `ReductionK1` | untuned |
+//! | `Full` | runs | on, on | `ReductionK2` | tuned |
+//!
+//! `fusion` and `assemble-groups` run at every rung;
+//! [`SmartMemPipeline::new`] is `Full`.
+//!
 //! # Example
 //!
 //! ```
@@ -94,13 +109,10 @@ pub use pass::{
 };
 pub use pipeline::{
     assemble_groups, group_class, iteration_mn, EdgeRead, Framework, KernelGroup, MemModel,
-    OptStats, OptimizedGraph, SmartMemConfig, SmartMemPipeline, Unsupported,
+    OptStats, OptimizedGraph, SmartMemLevel, SmartMemPipeline, Unsupported,
 };
 pub use reduction::reduction_dims;
-pub use streamline::{
-    AbsorbTransposePass, CancelTransposePass, CollapseRepeatedPass, ConstFoldPass, CsePass,
-    MoveTransposePass, RemoveIdentityPass, StreamlinePass,
-};
+pub use streamline::StreamlinePass;
 
 pub use session::{
     device_fingerprint, graph_fingerprint, CacheStats, CompileResult, CompileSession,

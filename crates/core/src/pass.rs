@@ -395,7 +395,7 @@ impl Pass for FusionPass {
     }
 
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported> {
-        let drafts = fuse(&ctx.graph, ctx.expect_lte(self.name()), true);
+        let drafts = fuse(&ctx.graph, ctx.expect_lte(self.name()));
         ctx.note(
             self.name(),
             format!(
@@ -563,13 +563,13 @@ mod tests {
 
     #[test]
     fn sequence_ids_separate_configs() {
-        use crate::pipeline::SmartMemConfig;
-        let full = SmartMemPipeline::new().passes().sequence_id();
-        let base =
-            SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level()).passes().sequence_id();
-        let full2 = SmartMemPipeline::new().passes().sequence_id();
-        assert_ne!(full, base);
-        assert_eq!(full, full2);
+        use crate::pipeline::SmartMemLevel;
+        let id = |level| SmartMemPipeline::at(level).passes().sequence_id();
+        let mut ids: Vec<u64> = SmartMemLevel::ALL.map(id).to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), SmartMemLevel::ALL.len(), "two rungs share a sequence id");
+        assert_eq!(id(SmartMemLevel::Full), SmartMemPipeline::new().passes().sequence_id());
     }
 
     #[test]

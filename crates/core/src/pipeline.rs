@@ -324,96 +324,71 @@ pub trait Framework: Send + Sync {
     }
 }
 
-/// Ablation switches of the SmartMem pipeline (Fig. 8's incremental
-/// levels on top of the DNNFusion baseline).
-#[derive(Clone, Copy, Debug)]
-pub struct SmartMemConfig {
-    /// Layout Transformation Elimination (§3.2.1).
-    pub lte: bool,
-    /// Index comprehension (strength reduction of eliminated maps).
-    pub index_comprehension: bool,
-    /// Reduction-dimension-based layout selection (§3.2.2).
-    pub layout_selection: bool,
-    /// 2.5D texture mapping (Fig. 5) and execution-config tuning ("Other opt").
-    pub texture_and_tuning: bool,
-    /// Graph-level streamlining (transpose motion/absorption, CSE,
-    /// constant folding) before kernel-level optimization.
-    pub streamline: bool,
+/// One rung of Fig. 8's cumulative ablation ladder, weakest first. Each
+/// rung adds one optimization to the one below; the derived order is
+/// the ladder order, so a pass switches on at `level >= rung`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SmartMemLevel {
+    /// DNNFusion: classification-based fusion only, no streamlining, so
+    /// the baseline comparison stays faithful.
+    DnnFusion,
+    /// Adds graph streamlining and Layout Transformation Elimination
+    /// (§3.2.1); eliminated maps are composed but not strength-reduced.
+    LteWithoutIc,
+    /// Adds index comprehension on the composed maps (Fig. 8's "+LTE").
+    Lte,
+    /// Adds reduction-dimension layout selection with one layout per
+    /// tensor (§3.2.2, Fig. 8's "+Layout").
+    Layout,
+    /// Adds redundant copies for a second requirement (k = 2), 2.5D
+    /// texture placement (Fig. 5) and execution-config tuning (Fig. 8's
+    /// "+Other"): the full system.
+    #[default]
+    Full,
 }
 
-impl SmartMemConfig {
-    /// The full SmartMem system.
-    pub fn full() -> Self {
-        SmartMemConfig {
-            lte: true,
-            index_comprehension: true,
-            layout_selection: true,
-            texture_and_tuning: true,
-            streamline: true,
-        }
-    }
+impl SmartMemLevel {
+    /// Every rung in ladder order.
+    pub const ALL: [SmartMemLevel; 5] = [
+        SmartMemLevel::DnnFusion,
+        SmartMemLevel::LteWithoutIc,
+        SmartMemLevel::Lte,
+        SmartMemLevel::Layout,
+        SmartMemLevel::Full,
+    ];
 
-    /// DNNFusion-equivalent level (fusion only, no streamlining — the
-    /// baseline comparison stays faithful).
-    pub fn dnnfusion_level() -> Self {
-        SmartMemConfig {
-            lte: false,
-            index_comprehension: false,
-            layout_selection: false,
-            texture_and_tuning: false,
-            streamline: false,
+    /// Fig. 8's name for the rung.
+    pub fn label(self) -> &'static str {
+        match self {
+            SmartMemLevel::DnnFusion => "DNNF",
+            SmartMemLevel::LteWithoutIc => "+LTE without IC",
+            SmartMemLevel::Lte => "+LTE",
+            SmartMemLevel::Layout => "+Layout",
+            SmartMemLevel::Full => "+Other",
         }
-    }
-
-    /// DNNFusion + LTE (Fig. 8's "LTE" bar).
-    pub fn lte_level() -> Self {
-        SmartMemConfig {
-            lte: true,
-            index_comprehension: true,
-            layout_selection: false,
-            texture_and_tuning: false,
-            streamline: true,
-        }
-    }
-
-    /// DNNFusion + LTE + layout selection (Fig. 8's "Layout Selecting").
-    pub fn layout_level() -> Self {
-        SmartMemConfig {
-            lte: true,
-            index_comprehension: true,
-            layout_selection: true,
-            texture_and_tuning: false,
-            streamline: true,
-        }
-    }
-}
-
-impl Default for SmartMemConfig {
-    fn default() -> Self {
-        SmartMemConfig::full()
     }
 }
 
 /// The SmartMem optimizing pipeline (the paper's contribution).
 #[derive(Clone, Debug, Default)]
 pub struct SmartMemPipeline {
-    config: SmartMemConfig,
+    level: SmartMemLevel,
 }
 
 impl SmartMemPipeline {
-    /// Full-featured pipeline.
+    /// The full system ([`SmartMemLevel::Full`]).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Pipeline with explicit ablation switches.
-    pub fn with_config(config: SmartMemConfig) -> Self {
-        SmartMemPipeline { config }
+    /// The pipeline at one rung of the ablation ladder.
+    pub fn at(level: SmartMemLevel) -> Self {
+        SmartMemPipeline { level }
     }
 
-    /// Active configuration.
-    pub fn config(&self) -> SmartMemConfig {
-        self.config
+    /// The pipeline's rung.
+    pub fn level(&self) -> SmartMemLevel {
+        self.level
     }
 }
 
@@ -423,23 +398,24 @@ impl Framework for SmartMemPipeline {
     }
 
     fn passes(&self) -> PassManager {
-        let cfg = self.config;
-        let level = if !cfg.layout_selection {
-            SelectionLevel::Default
-        } else if cfg.texture_and_tuning {
-            SelectionLevel::ReductionK2
-        } else {
-            SelectionLevel::ReductionK1
+        let level = self.level;
+        let selection = match level {
+            SmartMemLevel::DnnFusion | SmartMemLevel::LteWithoutIc | SmartMemLevel::Lte => {
+                SelectionLevel::Default
+            }
+            SmartMemLevel::Layout => SelectionLevel::ReductionK1,
+            SmartMemLevel::Full => SelectionLevel::ReductionK2,
         };
+        let lte = level >= SmartMemLevel::LteWithoutIc;
         let mut pm = PassManager::new("SmartMem");
-        if cfg.streamline {
+        if lte {
             pm = pm.then(StreamlinePass);
         }
-        pm.then(LtePass { enabled: cfg.lte, index_comprehension: cfg.index_comprehension })
+        pm.then(LtePass { enabled: lte, index_comprehension: level >= SmartMemLevel::Lte })
             .then(FusionPass)
             .then(AssembleGroupsPass)
-            .then(LayoutSelectPass { level })
-            .then(TunePass { tuned: cfg.texture_and_tuning, tuner: GaTuner })
+            .then(LayoutSelectPass { level: selection })
+            .then(TunePass { tuned: level == SmartMemLevel::Full, tuner: GaTuner })
     }
 }
 
@@ -543,9 +519,7 @@ mod tests {
         let g = swinish_block();
         let device = DeviceConfig::snapdragon_8gen2();
         let full = SmartMemPipeline::new().optimize(&g, &device).unwrap();
-        let base = SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level())
-            .optimize(&g, &device)
-            .unwrap();
+        let base = SmartMemPipeline::at(SmartMemLevel::DnnFusion).optimize(&g, &device).unwrap();
         assert!(full.stats.kernel_count < base.stats.kernel_count);
         assert_eq!(full.stats.eliminated_ops, 3); // 2 reshapes + 1 transpose
         assert_eq!(full.stats.source_ops, g.op_count());
@@ -587,9 +561,7 @@ mod tests {
         let g = swinish_block();
         let device = DeviceConfig::snapdragon_8gen2();
         let full = SmartMemPipeline::new().optimize(&g, &device).unwrap();
-        let untuned = SmartMemPipeline::with_config(SmartMemConfig::layout_level())
-            .optimize(&g, &device)
-            .unwrap();
+        let untuned = SmartMemPipeline::at(SmartMemLevel::Layout).optimize(&g, &device).unwrap();
         let avg = |o: &OptimizedGraph| {
             o.groups.iter().map(|g| g.utilization).sum::<f64>() / o.groups.len() as f64
         };

@@ -496,7 +496,7 @@ impl CompileSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{SmartMemConfig, SmartMemPipeline};
+    use crate::pipeline::{SmartMemLevel, SmartMemPipeline};
     use smartmem_ir::{DType, GraphBuilder};
 
     fn toy(tag: &str) -> Graph {
@@ -529,9 +529,7 @@ mod tests {
         let device = DeviceConfig::snapdragon_8gen2();
         let g = toy("toy");
         session.compile(&SmartMemPipeline::new(), &g, &device).unwrap();
-        session
-            .compile(&SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level()), &g, &device)
-            .unwrap();
+        session.compile(&SmartMemPipeline::at(SmartMemLevel::DnnFusion), &g, &device).unwrap();
         session.compile(&SmartMemPipeline::new(), &g, &DeviceConfig::snapdragon_835()).unwrap();
         // Same structure under a different graph name misses: the name
         // is part of the graph's wire encoding, so it is part of the key.
@@ -630,7 +628,7 @@ mod tests {
         let device = DeviceConfig::snapdragon_8gen2();
         let g = toy("memo");
         // The DNNFusion level runs `TunePass` untuned: no memo traffic.
-        let dnnf = SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level());
+        let dnnf = SmartMemPipeline::at(SmartMemLevel::DnnFusion);
         session.compile(&dnnf, &g, &device).unwrap();
         assert_eq!((session.stats().group_hits, session.stats().group_misses), (0, 0));
         let fw = SmartMemPipeline::new();
@@ -653,7 +651,7 @@ mod tests {
         let device = DeviceConfig::snapdragon_8gen2();
         let frameworks: Vec<Box<dyn Framework>> = vec![
             Box::new(SmartMemPipeline::new()),
-            Box::new(SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level())),
+            Box::new(SmartMemPipeline::at(SmartMemLevel::DnnFusion)),
         ];
         let graphs = vec![toy("a"), toy("b")];
         let results = session.compile_batch(&frameworks, &graphs, &device, 0);

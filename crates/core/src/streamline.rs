@@ -4,13 +4,13 @@
 //! transformations together so they cancel, absorb into reshapes, or
 //! fall out of the live graph entirely — the graph-level complement of
 //! the paper's layout-transformation elimination (§4.2), which works on
-//! the *kernel* level. Each rewrite is an ordinary [`Pass`] usable on
-//! its own; [`StreamlinePass`] iterates the whole family to a fixpoint.
+//! the *kernel* level. Each rule is one sweep over the graph;
+//! [`StreamlinePass`] iterates the whole family to a fixpoint.
 //!
 //! The rules (all semantics-preserving under the reference interpreter
 //! in `smartmem_ir::interp`):
 //!
-//! | pass                  | rewrite                                            |
+//! | sweep                 | rewrite                                            |
 //! |-----------------------|----------------------------------------------------|
 //! | `remove-identity`     | `Identity(x) → x`, no-op `Reshape`/`Transpose`/`Slice`, 1-ary `Concat` |
 //! | `cancel-transpose`    | `Transpose(Transpose(x, p), q) → Transpose(x, p∘q)` |
@@ -664,79 +664,13 @@ const FAMILY: [(&str, Sweep); 7] = [
     ("const-fold", sweep_const_fold),
 ];
 
-macro_rules! single_pass {
-    ($(#[$doc:meta])* $name:ident, $pass_name:literal, $sweep:ident) => {
-        $(#[$doc])*
-        #[derive(Clone, Copy, Debug, Default)]
-        pub struct $name;
-
-        impl Pass for $name {
-            fn name(&self) -> &'static str {
-                $pass_name
-            }
-
-            fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported> {
-                apply_sweep(ctx, $sweep);
-                Ok(())
-            }
-        }
-    };
-}
-
-single_pass!(
-    /// Removes provable no-ops: `Identity`, same-shape `Reshape`,
-    /// identity-permutation `Transpose`, full-range `Slice`, single-input
-    /// `Concat`.
-    RemoveIdentityPass,
-    "remove-identity",
-    sweep_remove_identity
-);
-single_pass!(
-    /// Merges adjacent transposes; inverse pairs vanish.
-    CancelTransposePass,
-    "cancel-transpose",
-    sweep_cancel_transpose
-);
-single_pass!(
-    /// Rewrites memory-order-preserving transposes as reshapes and
-    /// merges reshape chains.
-    AbsorbTransposePass,
-    "absorb-transpose",
-    sweep_absorb_transpose
-);
-single_pass!(
-    /// Pushes transposes past element-wise ops toward the outputs.
-    MoveTransposePass,
-    "move-transpose",
-    sweep_move_transpose
-);
-single_pass!(
-    /// Folds repeated scalar mul/add chains and idempotent/involutive
-    /// unary pairs.
-    CollapseRepeatedPass,
-    "collapse-repeated",
-    sweep_collapse_repeated
-);
-single_pass!(
-    /// Graph-level common-subexpression elimination.
-    CsePass,
-    "cse",
-    sweep_cse
-);
-single_pass!(
-    /// Evaluates ops over initialized weights at compile time.
-    ConstFoldPass,
-    "const-fold",
-    sweep_const_fold
-);
-
 /// The full streamline family iterated to a fixpoint.
 ///
 /// Runs the seven sweeps in canonical order until one whole round
 /// changes nothing (bounded by an internal iteration cap as a backstop).
 /// Registered as the first pass of the SmartMem, TVM and TorchInductor
-/// pipelines; DNNFusion-level SmartMem configs disable it so the
-/// baseline comparison stays faithful.
+/// pipelines; SmartMem's DNNFusion rung leaves it out so the baseline
+/// comparison stays faithful.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StreamlinePass;
 
@@ -1043,10 +977,10 @@ mod tests {
         let g = b.finish();
         let dev = smartmem_sim::DeviceConfig::snapdragon_8gen2();
         let mut ctx = CompileCtx::new("test", &g, &dev);
-        CancelTransposePass.run(&mut ctx).unwrap();
+        apply_sweep(&mut ctx, sweep_cancel_transpose);
         // Cancellation aliases through; dead inner transpose goes next
         // sweep — run identity removal to flush it.
-        RemoveIdentityPass.run(&mut ctx).unwrap();
+        apply_sweep(&mut ctx, sweep_remove_identity);
         assert_eq!(transpose_count(&ctx.graph), 0);
         assert!(ctx.streamline_removed_transposes >= 2);
         assert!(ctx.streamline_removed_ops >= 2);

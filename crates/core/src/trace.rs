@@ -573,7 +573,7 @@ fn reduction_space_coords(
 mod tests {
     use super::*;
     use crate::estimate::own_pullback;
-    use crate::pipeline::{Framework, OptimizedGraph, SmartMemConfig, SmartMemPipeline};
+    use crate::pipeline::{Framework, OptimizedGraph, SmartMemLevel, SmartMemPipeline};
     use smartmem_ir::{DType, GraphBuilder, ReduceKind, UnaryKind};
 
     #[test]
@@ -634,9 +634,8 @@ mod tests {
         let y = g.unary(r, UnaryKind::Gelu);
         g.output(y);
         let device = DeviceConfig::snapdragon_8gen2();
-        let opt = SmartMemPipeline::with_config(SmartMemConfig::dnnfusion_level())
-            .optimize(&g.finish(), &device)
-            .unwrap();
+        let opt =
+            SmartMemPipeline::at(SmartMemLevel::DnnFusion).optimize(&g.finish(), &device).unwrap();
         let group = opt
             .groups
             .iter()
@@ -681,8 +680,8 @@ mod tests {
             let graph = smartmem_models::by_name(name).expect("zoo model").graph();
             // The DNNFusion level also traces retained transform kernels
             // through their own pull-backs.
-            for config in [SmartMemConfig::full(), SmartMemConfig::dnnfusion_level()] {
-                let opt = SmartMemPipeline::with_config(config).optimize(&graph, &device).unwrap();
+            for level in [SmartMemLevel::Full, SmartMemLevel::DnnFusion] {
+                let opt = SmartMemPipeline::at(level).optimize(&graph, &device).unwrap();
                 let (graph, groups) = (&opt.graph, &opt.groups);
                 let pullbacks: Vec<_> = groups.iter().map(|g| own_pullback(graph, g)).collect();
                 let shared = trace_all(graph, groups, &pullbacks, &device, elem);

@@ -18,7 +18,7 @@
 //! rows are as first recorded — that level runs `TunePass` untuned, so
 //! its configurations are the fixed defaults and never saw the tuner.
 
-use smartmem_core::{Framework, ModelReport, SmartMemConfig, SmartMemPipeline};
+use smartmem_core::{Framework, ModelReport, SmartMemLevel, SmartMemPipeline};
 use smartmem_models::all_models;
 use smartmem_sim::DeviceConfig;
 
@@ -66,11 +66,11 @@ fn devices() -> Vec<DeviceRows> {
     ]
 }
 
-fn configs() -> [(&'static str, SmartMemConfig); 2] {
+fn configs() -> [(&'static str, SmartMemLevel); 2] {
     // Full SmartMem exercises composed index maps on surviving edges;
     // the DNNFusion level keeps the transformation kernels, which
     // exercises the anchor's own pull-back map.
-    [("smartmem", SmartMemConfig::full()), ("dnnfusion", SmartMemConfig::dnnfusion_level())]
+    [("smartmem", SmartMemLevel::Full), ("dnnfusion", SmartMemLevel::DnnFusion)]
 }
 
 fn fold_groups(report: &ModelReport) -> u64 {
@@ -91,7 +91,7 @@ fn compute() -> Vec<Row> {
                 if !levels.contains(&config_name) {
                     continue;
                 }
-                let optimized = SmartMemPipeline::with_config(config)
+                let optimized = SmartMemPipeline::at(config)
                     .optimize(&graph, &device)
                     .unwrap_or_else(|e| panic!("{} on {device_name}: {e}", entry.name));
                 let r = optimized.estimate(&device);

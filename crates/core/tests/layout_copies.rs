@@ -3,7 +3,7 @@
 //! is charged equal the distinct layouts, other than the group's own
 //! output layout, that reads of that tensor are assigned (§4.6).
 
-use smartmem_core::{Framework, SmartMemConfig, SmartMemPipeline};
+use smartmem_core::{Framework, SmartMemLevel, SmartMemPipeline};
 use smartmem_ir::Layout;
 use smartmem_models::all_models;
 use smartmem_sim::DeviceConfig;
@@ -11,20 +11,11 @@ use smartmem_sim::DeviceConfig;
 #[test]
 fn copies_charged_equal_distinct_non_primary_layouts_read() {
     let device = DeviceConfig::snapdragon_8gen2();
-    let mut no_ic = SmartMemConfig::lte_level();
-    no_ic.index_comprehension = false;
-    let levels = [
-        ("DNNF", SmartMemConfig::dnnfusion_level()),
-        ("+LTE", SmartMemConfig::lte_level()),
-        ("+Layout", SmartMemConfig::layout_level()),
-        ("+Other", SmartMemConfig::full()),
-        ("+LTE without IC", no_ic),
-    ];
     let mut mismatches = Vec::new();
     for model in all_models() {
         let graph = model.graph();
-        for (level, config) in levels {
-            let opt = SmartMemPipeline::with_config(config).optimize(&graph, &device).unwrap();
+        for level in SmartMemLevel::ALL {
+            let opt = SmartMemPipeline::at(level).optimize(&graph, &device).unwrap();
             let reads: Vec<_> = opt.groups.iter().flat_map(|g| &g.reads).collect();
             let (mut charged, mut read) = (0, 0);
             for g in &opt.groups {
@@ -39,8 +30,9 @@ fn copies_charged_equal_distinct_non_primary_layouts_read() {
             }
             if charged != read {
                 mismatches.push(format!(
-                    "{} at {level}: {charged} copies charged, {read} read",
-                    model.name
+                    "{} at {}: {charged} copies charged, {read} read",
+                    model.name,
+                    level.label()
                 ));
             }
         }

@@ -97,7 +97,7 @@ proptest! {
     fn fusion_partitions_kept_ops(ops in prop::collection::vec(0u8..4, 1..6)) {
         let (graph, _) = build_chain(&ops);
         let lte = eliminate(&graph, true, true);
-        let groups = fuse(&graph, &lte, true);
+        let groups = fuse(&graph, &lte);
         let mut seen = std::collections::HashSet::new();
         for g in &groups {
             for &m in &g.members {
@@ -113,7 +113,7 @@ proptest! {
         let (graph, _) = build_chain(&ops);
         let device = DeviceConfig::snapdragon_8gen2();
         let lte = eliminate(&graph, true, true);
-        let drafts = fuse(&graph, &lte, true);
+        let drafts = fuse(&graph, &lte);
         let mut groups = assemble_groups(&graph, &lte, &drafts);
         let level = match level {
             0 => SelectionLevel::Default,

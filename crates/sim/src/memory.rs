@@ -1,7 +1,7 @@
 //! Memory-system simulation: routing element accesses through the
 //! buffer or texture cache and collecting perf counters.
 
-use crate::cache::{CacheConfig, CacheSim};
+use crate::cache::CacheSim;
 use crate::device::DeviceConfig;
 use smartmem_ir::PhysicalAddress;
 use std::hash::{Hash, Hasher};
@@ -144,16 +144,6 @@ impl MemorySim {
         }
     }
 
-    /// Builds a memory system with explicit geometries (tests).
-    pub fn with_configs(buffer: CacheConfig, texture: CacheConfig, tiling: TextureTiling) -> Self {
-        MemorySim {
-            buffer_line: buffer.line_bytes as u64,
-            buffer_cache: CacheSim::new(buffer),
-            texture_cache: CacheSim::new(texture),
-            tiling,
-        }
-    }
-
     /// Routes one element access; returns `true` on cache hit.
     ///
     /// `tensor_base` is the tensor's allocation base: a byte address for
@@ -203,13 +193,16 @@ impl MemorySim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheConfig;
 
     fn sim() -> MemorySim {
-        MemorySim::with_configs(
-            CacheConfig { size_bytes: 4096, line_bytes: 64, ways: 4 },
-            CacheConfig { size_bytes: 4096, line_bytes: 64, ways: 4 },
-            TextureTiling { tile_w: 4, tile_h: 2 },
-        )
+        let cache = CacheConfig { size_bytes: 4096, line_bytes: 64, ways: 4 };
+        MemorySim {
+            buffer_cache: CacheSim::new(cache),
+            texture_cache: CacheSim::new(cache),
+            tiling: TextureTiling { tile_w: 4, tile_h: 2 },
+            buffer_line: 64,
+        }
     }
 
     #[test]

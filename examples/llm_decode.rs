@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example llm_decode`
 
-use smartmem::core::{Framework, SmartMemConfig, SmartMemPipeline};
+use smartmem::core::{Framework, SmartMemLevel, SmartMemPipeline};
 use smartmem::models;
 use smartmem::sim::DeviceConfig;
 
@@ -18,17 +18,16 @@ fn main() {
         graph.total_macs() as f64 / 1e9,
         graph.param_count() as f64 / 1e6
     );
-    for (label, cfg) in [
-        ("fusion only (DNNFusion level)", SmartMemConfig::dnnfusion_level()),
-        ("+ layout transformation elim.", SmartMemConfig::lte_level()),
-        ("+ reduction-dim layout select", SmartMemConfig::layout_level()),
-        ("+ 2.5D texture & tuning (full)", SmartMemConfig::full()),
-    ] {
-        let opt = SmartMemPipeline::with_config(cfg).optimize(&graph, &device).expect("optimize");
+    for level in SmartMemLevel::ALL {
+        let opt = SmartMemPipeline::at(level).optimize(&graph, &device).expect("optimize");
         let r = opt.estimate(&device);
         println!(
-            "{label:<31} {:>4} kernels  {:>7.1} ms  {:>5.0} GMACS  ({} eliminated)",
-            r.kernel_count, r.latency_ms, r.gmacs, opt.stats.eliminated_ops
+            "{:<16} {:>4} kernels  {:>7.1} ms  {:>5.0} GMACS  ({} eliminated)",
+            level.label(),
+            r.kernel_count,
+            r.latency_ms,
+            r.gmacs,
+            opt.stats.eliminated_ops
         );
     }
     println!("\ntokens/s at batch 1 (prefill-equivalent): see GMACS scaling; the decoder's");

@@ -5,7 +5,7 @@ use smartmem::baselines::{
     all_mobile_frameworks, DnnFusionFramework, MnnFramework, NcnnFramework, TfLiteFramework,
     TorchInductorFramework, TvmFramework,
 };
-use smartmem::core::{Framework, SmartMemConfig, SmartMemPipeline};
+use smartmem::core::{Framework, SmartMemLevel, SmartMemPipeline};
 use smartmem::models;
 use smartmem::sim::DeviceConfig;
 
@@ -88,17 +88,13 @@ fn ablation_levels_are_monotone_on_swin() {
     // hurt) end-to-end latency.
     let graph = models::swin_tiny(1);
     let device = device();
-    let run = |cfg: SmartMemConfig| {
-        SmartMemPipeline::with_config(cfg)
-            .optimize(&graph, &device)
-            .unwrap()
-            .estimate(&device)
-            .latency_ms
+    let run = |level| {
+        SmartMemPipeline::at(level).optimize(&graph, &device).unwrap().estimate(&device).latency_ms
     };
-    let base = run(SmartMemConfig::dnnfusion_level());
-    let lte = run(SmartMemConfig::lte_level());
-    let layout = run(SmartMemConfig::layout_level());
-    let full = run(SmartMemConfig::full());
+    let base = run(SmartMemLevel::DnnFusion);
+    let lte = run(SmartMemLevel::Lte);
+    let layout = run(SmartMemLevel::Layout);
+    let full = run(SmartMemLevel::Full);
     assert!(lte <= base * 1.02, "LTE {lte} vs base {base}");
     assert!(layout <= lte * 1.05, "layout {layout} vs lte {lte}");
     assert!(full < layout, "full {full} vs layout {layout}");
