@@ -74,7 +74,7 @@ use smartmem_serve::{
     Router, ServeStats, Server, TelemetryConfig,
 };
 use smartmem_sim::{DeviceConfig, FaultKind, FaultPlan, FaultRates};
-use smartmem_telemetry::{render_chrome, Telemetry};
+use smartmem_telemetry::{render_chrome, Tracer};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -89,7 +89,7 @@ struct RunOutcome {
     wall_s: f64,
     cancels_attempted: u64,
     cancels_won: u64,
-    telemetry: Telemetry,
+    tracer: Tracer,
 }
 
 impl RunOutcome {
@@ -107,13 +107,9 @@ fn replay_once(opts: &BenchOpts, telemetry_on: bool) -> RunOutcome {
     let models = zoo(opts.smoke);
     let model_count = models.len();
     let mut config = serve_config(opts, opts.requests + 64);
-    config.telemetry = TelemetryConfig {
-        enabled: telemetry_on,
-        sample_every: opts.sample_every,
-        ..TelemetryConfig::default()
-    };
+    config.telemetry = TelemetryConfig { enabled: telemetry_on, sample_every: opts.sample_every };
     let server = Server::start(models, devices(), config);
-    let telemetry = server.telemetry();
+    let tracer = server.tracer();
     let mut trace = TraceGen::new(opts.seed, model_count, opts.rate_rps);
     let mut cancel_rng = StdRng::seed_from_u64(opts.seed ^ 0xc0ff_ee00);
 
@@ -166,7 +162,7 @@ fn replay_once(opts: &BenchOpts, telemetry_on: bool) -> RunOutcome {
         wall_s,
         cancels_attempted,
         cancels_won,
-        telemetry,
+        tracer,
     }
 }
 
@@ -617,7 +613,7 @@ fn run_replay(opts: &BenchOpts) {
         if trace_run { "on" } else { "off" },
     );
     let run = replay_once(opts, trace_run);
-    let RunOutcome { responses, stats, warm_stats, telemetry, .. } = &run;
+    let RunOutcome { responses, stats, warm_stats, tracer, .. } = &run;
     let (wall_s, cancels_won) = (run.wall_s, run.cancels_won);
     let deadlines = serve_config(opts, 0).deadlines;
 
@@ -758,7 +754,7 @@ fn run_replay(opts: &BenchOpts) {
     );
 
     if let Some(path) = &opts.trace_out {
-        let trace = telemetry.tracer.drain();
+        let trace = tracer.drain();
         let requests =
             trace.spans.iter().filter(|s| s.name == smartmem_telemetry::REQUEST_SPAN).count();
         std::fs::write(path, render_chrome(&trace)).expect("write --trace-out file");
@@ -811,13 +807,6 @@ fn run_replay(opts: &BenchOpts) {
                 |metric: &str, v: f64| BenchRecord::new("serve_bench", device.slug(), metric, v);
             records.push(on("batches", hist.iter().sum::<u64>() as f64));
             records.push(on("mean_batch", histogram_mean(hist)));
-        }
-        // The server's telemetry registry rides along flattened
-        // (histograms expand to .count/.mean/.p50/.p99), so any metric
-        // the stack publishes is one baseline line away from being
-        // gated by bench_diff.
-        for (name, value) in smartmem_telemetry::flatten(&telemetry.registry.snapshot()) {
-            records.push(rec(&name, value));
         }
         write_records(path, records);
     }

@@ -30,8 +30,8 @@ use crate::scheduler::{quick_estimate_ns, DevicePool};
 use lifecycle::Pending;
 use smartmem_core::{CompileSession, Framework, SmartMemPipeline};
 use smartmem_sim::DeviceConfig;
-use smartmem_telemetry::{Telemetry, TraceId};
-use stats::{Metrics, ServeTelemetry};
+use smartmem_telemetry::{TraceId, Tracer};
+use stats::Metrics;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -57,7 +57,10 @@ struct Inner {
     estimates: Vec<Vec<f64>>,
     config: ServeConfig,
     metrics: Metrics,
-    telemetry: ServeTelemetry,
+    tracer: Tracer,
+    /// Unusable-cache-dir fallbacks, decided once before any worker
+    /// starts (see [`ServeStats::cache_dir_fallbacks`]).
+    cache_dir_fallbacks: u64,
     state: Mutex<BatchState>,
     /// Wakes one device's worker (indexed by device id): new work
     /// pushed for it, or shutdown. Per-device condvars keep a
@@ -109,16 +112,17 @@ impl Server {
             .map(|m| (0..pool.len()).map(|d| quick_estimate_ns(m, pool.device(d))).collect())
             .collect();
         let metrics = Metrics::new(pool.len(), config.max_batch);
-        let telemetry = ServeTelemetry::new(&config.telemetry);
+        let tracer = config.telemetry.tracer();
         // A broken cache directory must not take the server down with
         // it — fall back to a purely in-memory session and keep
         // serving (every compile just goes cold). The fallback is
-        // observable: a counter in [`ServeStats`] plus a warning event
+        // observable: a count in [`ServeStats`] plus a warning event
         // in the trace, carrying the I/O error as its message.
+        let mut cache_dir_fallbacks = 0;
         let session = match &config.cache_dir {
             Some(dir) => CompileSession::with_cache_dir(dir).unwrap_or_else(|e| {
-                telemetry.cache_dir_fallbacks.incr();
-                telemetry.telemetry.tracer.record_instant(
+                cache_dir_fallbacks = 1;
+                tracer.record_instant(
                     format!("cache_dir_fallback: {} unusable ({e})", dir.display()),
                     "warn",
                     TraceId::NONE,
@@ -147,7 +151,8 @@ impl Server {
             estimates,
             config,
             metrics,
-            telemetry,
+            tracer,
+            cache_dir_fallbacks,
             state: Mutex::new(BatchState { batcher, shutdown: false, killed: false }),
             work_cvs: (0..pool_len).map(|_| Condvar::new()).collect(),
             space_cv: Condvar::new(),
@@ -171,12 +176,12 @@ impl Server {
         &self.inner.pool
     }
 
-    /// The server's telemetry handle (span tracer + metrics registry).
-    /// The clone shares the underlying buffers, so it stays valid — and
-    /// drainable — after [`Server::shutdown`]: grab it up front, shut
-    /// down, then export the trace.
-    pub fn telemetry(&self) -> Telemetry {
-        self.inner.telemetry.telemetry.clone()
+    /// The server's span tracer. The clone shares the underlying
+    /// rings, so it stays valid — and drainable — after
+    /// [`Server::shutdown`]: grab it up front, shut down, then export
+    /// the trace.
+    pub fn tracer(&self) -> Tracer {
+        self.inner.tracer.clone()
     }
 
     /// Stops accepting requests, drains every queued batch, joins all

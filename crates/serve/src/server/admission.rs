@@ -142,7 +142,7 @@ impl Server {
         // everything downstream (queue, batch cut, compile, execute)
         // tags its spans with it. Unsampled (and telemetry-off)
         // requests carry NONE and never touch the recorder again.
-        let tracer = &inner.telemetry.telemetry.tracer;
+        let tracer = &inner.tracer;
         let (trace, submit_ns) = match tracer.mint() {
             Some(trace) => (trace, now_ns()),
             None => (TraceId::NONE, 0),

@@ -4,6 +4,7 @@
 use crate::request::Priority;
 use crate::retry::{AdmissionControl, RetryPolicy};
 use smartmem_sim::FaultPlan;
+use smartmem_telemetry::Tracer;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,13 +56,19 @@ impl Default for ClassDeadlines {
     }
 }
 
+/// Capacity of each recording thread's span ring buffer; overflow
+/// drops the oldest spans, counted in the exported trace.
+const SPAN_CAPACITY: usize = 8192;
+
 /// Telemetry knobs of the serving runtime.
 ///
 /// Disabled by default: the tracer's record path then costs one
 /// relaxed atomic load, so production-shaped benchmarks can leave the
-/// plumbing in place. Metrics (queue-wait histograms, fallback
-/// counters) are always collected — they are single atomic ops and
-/// some must count even when nobody is watching.
+/// plumbing in place. Counts (completions, queue waits on every
+/// response, cache-dir fallbacks) come from [`ServeStats`] and the
+/// responses whether or not the tracer records.
+///
+/// [`ServeStats`]: crate::ServeStats
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
     /// Whether the span recorder is on.
@@ -69,14 +76,11 @@ pub struct TelemetryConfig {
     /// Record the full span set of one request in every `sample_every`
     /// submitted (1 = trace every request).
     pub sample_every: u64,
-    /// Capacity of each recording thread's span ring buffer; overflow
-    /// drops the oldest spans, counted in the exported trace.
-    pub span_capacity: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { enabled: false, sample_every: 1, span_capacity: 8192 }
+        TelemetryConfig { enabled: false, sample_every: 1 }
     }
 }
 
@@ -85,6 +89,15 @@ impl TelemetryConfig {
     /// a Chrome trace.
     pub fn tracing() -> Self {
         TelemetryConfig { enabled: true, ..TelemetryConfig::default() }
+    }
+
+    /// The tracer these knobs describe.
+    pub(super) fn tracer(&self) -> Tracer {
+        if self.enabled {
+            Tracer::new(SPAN_CAPACITY, self.sample_every)
+        } else {
+            Tracer::disabled()
+        }
     }
 }
 
@@ -121,7 +134,7 @@ pub struct ServeConfig {
     /// eventually outranks fresh interactive traffic. Zero disables
     /// aging.
     pub aging_factor: f64,
-    /// Tracing/metrics knobs (see [`TelemetryConfig`]).
+    /// Tracing knobs (see [`TelemetryConfig`]).
     pub telemetry: TelemetryConfig,
     /// Deterministic fault injection (chaos testing). `None` — the
     /// default — and an inert plan are byte-identical to a server built

@@ -248,15 +248,11 @@ pub(super) fn resolve(inner: &Inner, p: Pending, terminal: Terminal<'_>) {
     if let Some(sub_cause) = sub_cause {
         sub_cause.fetch_add(1, Ordering::Relaxed);
     }
-    if let Some(queue) = queue {
-        // Queue wait (submit → claim) feeds the always-on per-class
-        // histograms: one atomic op, independent of span sampling.
-        inner.telemetry.queue_wait[p.class.index()]
-            .record(u64::try_from(queue.as_nanos()).unwrap_or(u64::MAX));
-        if error.is_none() && p.steps > 0 {
+    if batch.is_some() && error.is_none() {
+        if p.steps > 0 {
             m.decode_tokens.fetch_add(u64::from(p.steps), Ordering::Relaxed);
         }
-        if error.is_none() && p.attempts > 0 {
+        if p.attempts > 0 {
             m.recovered.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -265,7 +261,7 @@ pub(super) fn resolve(inner: &Inner, p: Pending, terminal: Terminal<'_>) {
     }
 
     if p.trace != TraceId::NONE {
-        let tracer = &inner.telemetry.telemetry.tracer;
+        let tracer = &inner.tracer;
         let lane = p.device as u64;
         let end_ns = now_ns();
         let complete = |name: &str, start_ns: u64, end_ns: u64, args: &[(&str, f64)]| {

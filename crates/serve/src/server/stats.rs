@@ -1,15 +1,13 @@
 //! What the server counts and records: [`ServeStats`], the atomic
-//! counters behind it, and the telemetry handles with the instant-event
-//! helpers every fault and recovery site goes through.
+//! counters behind it, and the instant-event helpers every fault and
+//! recovery site goes through.
 
-use super::config::TelemetryConfig;
 use super::{Inner, Server};
 use crate::request::Priority;
 use smartmem_core::CacheStats;
 use smartmem_sim::FaultKind;
-use smartmem_telemetry::{Counter, Histogram, Telemetry, TraceId};
+use smartmem_telemetry::TraceId;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Telemetry category of injected-fault instant events
 /// (`fault.<kind>`, see [`FaultKind::name`]).
@@ -230,36 +228,6 @@ impl Metrics {
     }
 }
 
-/// The server's observability handles: the [`Telemetry`] pair plus
-/// hot-path metrics resolved once at startup (updating a resolved
-/// metric is a single atomic op; only startup takes the registry lock).
-pub(super) struct ServeTelemetry {
-    pub(super) telemetry: Telemetry,
-    /// Per-class queue-wait (submit → batch cut) histograms, indexed by
-    /// [`Priority::index`].
-    pub(super) queue_wait: [Arc<Histogram>; 3],
-    /// Unusable-cache-dir fallbacks (see
-    /// [`ServeStats::cache_dir_fallbacks`]).
-    pub(super) cache_dir_fallbacks: Arc<Counter>,
-}
-
-impl ServeTelemetry {
-    pub(super) fn new(config: &TelemetryConfig) -> Self {
-        let telemetry = if config.enabled {
-            Telemetry::enabled(config.span_capacity, config.sample_every)
-        } else {
-            Telemetry::disabled()
-        };
-        let registry = &telemetry.registry;
-        ServeTelemetry {
-            queue_wait: Priority::ALL
-                .map(|c| registry.histogram(&format!("serve.queue_wait_ns.{}", c.name()))),
-            cache_dir_fallbacks: registry.counter("serve.cache_dir_fallbacks"),
-            telemetry,
-        }
-    }
-}
-
 impl Server {
     /// Statistics snapshot.
     pub fn stats(&self) -> ServeStats {
@@ -306,7 +274,7 @@ impl Server {
             per_class: std::array::from_fn(|c| m.per_class[c].snapshot()),
             cache,
             compiled: inner.session.len(),
-            cache_dir_fallbacks: inner.telemetry.cache_dir_fallbacks.get(),
+            cache_dir_fallbacks: inner.cache_dir_fallbacks,
         }
     }
 }
@@ -314,7 +282,7 @@ impl Server {
 /// Counts one fired injected fault and records its instant event.
 pub(super) fn record_fault(inner: &Inner, kind: FaultKind, trace: TraceId, lane: u64) {
     inner.metrics.faults[kind.index()].fetch_add(1, Ordering::Relaxed);
-    let tracer = &inner.telemetry.telemetry.tracer;
+    let tracer = &inner.tracer;
     if tracer.is_enabled() {
         tracer.record_instant(
             format!("fault.{}", kind.name()),
@@ -335,7 +303,7 @@ pub(super) fn record_recovery(
     lane: u64,
     args: &[(&str, f64)],
 ) {
-    let tracer = &inner.telemetry.telemetry.tracer;
+    let tracer = &inner.tracer;
     if tracer.is_enabled() {
         let args = args.iter().map(|&(k, v)| (k.to_string(), v)).collect();
         tracer.record_instant(name, RECOVERY_CATEGORY, trace, lane, args);

@@ -83,7 +83,7 @@ fn execute_batch(
     let size = batch.items.len();
     let model_id = batch.key.model;
     let spec = &inner.models[model_id];
-    let tracer = &inner.telemetry.telemetry.tracer;
+    let tracer = &inner.tracer;
     // One timestamp for the whole batch: every member's queue span ends
     // — and its execute span starts — at the cut.
     let cut_ns = if tracer.is_enabled() { now_ns() } else { 0 };

@@ -49,4 +49,4 @@ pub use cost::{KernelProfile, LatencyClass, OpCost};
 pub use device::{DeviceCaps, DeviceConfig};
 pub use fault::{FaultKind, FaultPlan, FaultRates};
 pub use memory::{AfbcConfig, MemCounters, MemorySim, TextureTiling};
-pub use roofline::{roofline_gmacs, RooflinePoint};
+pub use roofline::roofline_gmacs;

@@ -2,32 +2,6 @@
 
 use crate::device::DeviceConfig;
 
-/// One model's point on the roofline plot.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct RooflinePoint {
-    /// Average computational intensity in MACs per byte.
-    pub intensity: f64,
-    /// Achieved performance in GMACs/s.
-    pub achieved_gmacs: f64,
-    /// Roof at this intensity assuming all data comes from texture
-    /// memory, in GMACs/s.
-    pub texture_roof_gmacs: f64,
-    /// Roof assuming all data comes from global memory, in GMACs/s.
-    pub global_roof_gmacs: f64,
-}
-
-impl RooflinePoint {
-    /// Fraction of the texture-memory roof achieved (the paper reports
-    /// 24–35% for Swin/ViT/ResNext/SD-VAEDecoder).
-    pub fn texture_roof_fraction(&self) -> f64 {
-        if self.texture_roof_gmacs == 0.0 {
-            0.0
-        } else {
-            self.achieved_gmacs / self.texture_roof_gmacs
-        }
-    }
-}
-
 /// Roofline performance bound in GMACs/s for a given computational
 /// intensity (MACs/byte) when data is served from the chosen memory
 /// class: `min(peak, bandwidth × intensity)`. The bandwidth is the
@@ -71,16 +45,5 @@ mod tests {
         assert_eq!(roofline_gmacs(&on, 1.0, false), roofline_gmacs(&off, 1.0, false));
         // Compute-bound region: both cap at the same peak.
         assert_eq!(roofline_gmacs(&on, 1e6, true), roofline_gmacs(&off, 1e6, true));
-    }
-
-    #[test]
-    fn roof_fraction() {
-        let p = RooflinePoint {
-            intensity: 2.0,
-            achieved_gmacs: 149.0,
-            texture_roof_gmacs: 511.0 * 2.0 / 2.0, // illustrative
-            global_roof_gmacs: 55.0,
-        };
-        assert!(p.texture_roof_fraction() > 0.0 && p.texture_roof_fraction() < 1.0);
     }
 }

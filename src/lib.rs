@@ -20,11 +20,10 @@
 //!   priority classes, slack-ordered cuts and request cancellation →
 //!   latency-estimate scheduler → one shared, single-flight
 //!   [`core::CompileSession`]).
-//! * [`telemetry`] — the tracing + metrics substrate: per-request
-//!   spans (queue → compile → execute) into bounded per-thread rings,
-//!   a counter/gauge/histogram registry the compile session and
-//!   server publish into, and Chrome-trace / bench-JSON / terminal
-//!   exporters (`serve_bench --trace-out`, `trace_view`).
+//! * [`telemetry`] — the tracing substrate: per-request spans
+//!   (queue → compile → execute) into bounded per-thread rings, and
+//!   Chrome-trace / terminal exporters (`serve_bench --trace-out`,
+//!   `trace_view`). Counts live in the server's `ServeStats`.
 //!
 //! # Architecture: Pass / PassManager / CompileCtx
 //!
