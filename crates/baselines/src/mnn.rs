@@ -5,7 +5,7 @@
 use crate::common::{FusePolicy, LayoutStyle};
 use crate::passes::{PolicyFusionPass, RelayoutPass, UniformLayoutPass, UtilizationPass};
 use smartmem_core::{AssembleGroupsPass, Framework, LtePass, MemModel, PassManager};
-use smartmem_ir::Op;
+use smartmem_ir::{Op, OutputKind};
 
 /// MNN (Alibaba's mobile inference engine) as characterized in the
 /// paper: supports all evaluated models, employs fixed-pattern fusion
@@ -23,10 +23,11 @@ impl MnnFramework {
 }
 
 /// MNN's convolution kernels are excellent (Table 1: ResNet50 at 293
-/// GMACS); its transformer and transform/movement kernels are not (Swin
-/// at 15 GMACS, 54% of time in explicit transforms).
+/// GMACS); its transformer kernels and its Fixed-output (layout
+/// transform, selection) and `Concat` kernels are not (Swin at 15 GMACS,
+/// 54% of time in explicit transforms).
 fn mnn_adjust(op: &Op) -> f64 {
-    if op.is_layout_transform() || matches!(op.category(), smartmem_ir::OpCategory::DataMovement) {
+    if op.class().output == OutputKind::Fixed || matches!(op, Op::Concat { .. }) {
         0.06
     } else {
         match op {

@@ -36,10 +36,14 @@
 //! gate `recovered_requests`/`shed_requests` without colliding with
 //! the plain run's keys.
 //!
-//! With `--json` the replay runs a *second* time with the opposite
-//! telemetry setting and emits `telemetry_overhead_pct` — the
-//! throughput cost of leaving the span recorder on, gated against
-//! `bench/baseline.json` so instrumenting the hot path stays honest.
+//! With `--json` the run also emits `telemetry_overhead_pct` — the
+//! host-time cost of leaving the span recorder on, gated against
+//! `bench/baseline.json` so instrumenting the hot path stays honest. It
+//! is measured apart from the replay, where throughput follows the
+//! arrival rate and cannot see the recorder: a traced and an untraced
+//! server with no simulated device time take alternating rounds of
+//! back-to-back requests, and the gap between their median round times
+//! is the overhead.
 //!
 //! Decode mode: `--decode` replays a mixed prefill + multi-step decode
 //! workload over the bucketed `pythia_decode` models twice — once with
@@ -92,17 +96,10 @@ struct RunOutcome {
     tracer: Tracer,
 }
 
-impl RunOutcome {
-    /// Served (non-cancelled) responses per second of replay wall time.
-    fn throughput_rps(&self) -> f64 {
-        self.responses.iter().filter(|r| !r.cancelled).count() as f64 / self.wall_s
-    }
-}
-
 /// One full replay: start a server, warm the caches, replay the
 /// deterministic open-loop schedule, shut down. The trace generator is
-/// re-seeded per call, so two runs (e.g. the telemetry-overhead A/B
-/// pair) replay the *identical* request schedule.
+/// re-seeded per call, so two runs replay the *identical* request
+/// schedule.
 fn replay_once(opts: &BenchOpts, telemetry_on: bool) -> RunOutcome {
     let models = zoo(opts.smoke);
     let model_count = models.len();
@@ -164,6 +161,64 @@ fn replay_once(opts: &BenchOpts, telemetry_on: bool) -> RunOutcome {
         cancels_won,
         tracer,
     }
+}
+
+/// Prices the span recorder in host time. Two servers over the replay's
+/// zoo and pool, one traced (at `--sample-every`) and one not, run with
+/// `exec_time_scale` 0 so no simulated device time hides the recorder.
+/// After a discarded warm round each, they take `ROUNDS` alternating
+/// turns (ABBA order, so drift charges both sides alike) at one round of
+/// `ROUND_REQUESTS` requests submitted back to back, no arrival pacing,
+/// and all awaited. Returns how much longer the traced median round
+/// takes than the untraced one, in percent; clamped at zero, since a
+/// negative gap is noise, not a faster recorder.
+fn telemetry_overhead_pct(opts: &BenchOpts) -> f64 {
+    const ROUNDS: usize = 9;
+    const ROUND_REQUESTS: usize = 1000;
+    let model_count = zoo(opts.smoke).len();
+    let start = |enabled: bool| {
+        let mut config = serve_config(opts, ROUND_REQUESTS + 64);
+        config.exec_time_scale = 0.0;
+        config.telemetry = TelemetryConfig { enabled, sample_every: opts.sample_every };
+        let server = Server::start(zoo(opts.smoke), devices(), config);
+        warm_up(&server, model_count, |req, _, _| req);
+        server
+    };
+    let servers = [start(false), start(true)];
+    // Arrivals 1 ps apart: the generator never sleeps.
+    let mut trace = TraceGen::new(opts.seed, model_count, 1e12);
+    let mut round = |server: &Server| {
+        let began = Instant::now();
+        let tickets: Vec<_> = (0..ROUND_REQUESTS)
+            .map(|_| server.submit(trace.next_request()).expect("submit"))
+            .collect();
+        for ticket in tickets {
+            assert!(ticket.wait().error.is_none(), "overhead round request failed");
+        }
+        began.elapsed().as_secs_f64()
+    };
+    for server in &servers {
+        round(server);
+    }
+    let mut times = [Vec::new(), Vec::new()];
+    for i in 0..ROUNDS {
+        let order = if i % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            times[side].push(round(&servers[side]));
+        }
+    }
+    for server in servers {
+        server.shutdown();
+    }
+    let [off, on] = times.map(|t| percentile(&sorted(t), 50.0));
+    let overhead = (on - off) / off * 100.0;
+    println!(
+        "\ntelemetry overhead: median round of {ROUND_REQUESTS} requests {:.2} ms traced vs \
+         {:.2} ms untraced over {ROUNDS} alternating rounds ({overhead:+.2}%)",
+        on * 1e3,
+        off * 1e3
+    );
+    overhead.max(0.0)
 }
 
 /// Chaos/fleet replay: the open-loop schedule routed through
@@ -597,7 +652,7 @@ fn steady_hit_rate(warm: &ServeStats, fin: &ServeStats) -> f64 {
 
 /// The plain mode: one replay against a single server, the full
 /// report, optional Chrome trace and bench JSON (with the
-/// telemetry-overhead second replay), then the sanity gates.
+/// telemetry-overhead A/B), then the sanity gates.
 fn run_replay(opts: &BenchOpts) {
     // The span recorder is on when a trace was asked for; metrics are
     // always on (single atomic ops).
@@ -772,27 +827,7 @@ fn run_replay(opts: &BenchOpts) {
     // Machine-readable records (written before the gates below, so CI
     // keeps the artifact even when a gate trips).
     if let Some(path) = &opts.json {
-        // The schedule replays once more with the opposite telemetry
-        // setting; comparing throughputs prices the span recorder.
-        // Clamped at zero: open-loop throughput is schedule-bound, so
-        // negative noise just means "unmeasurable".
-        println!(
-            "\nmeasuring telemetry overhead (second replay, tracing {})...",
-            if trace_run { "off" } else { "on" }
-        );
-        let other = replay_once(opts, !trace_run);
-        let (on_rps, off_rps) = if trace_run {
-            (run.throughput_rps(), other.throughput_rps())
-        } else {
-            (other.throughput_rps(), run.throughput_rps())
-        };
-        let overhead = ((off_rps - on_rps) / off_rps * 100.0).max(0.0);
-        println!(
-            "telemetry overhead: {on_rps:.0} rps traced vs {off_rps:.0} rps untraced \
-             ({overhead:.2}% overhead)"
-        );
-
-        records.push(rec("telemetry_overhead_pct", overhead));
+        records.push(rec("telemetry_overhead_pct", telemetry_overhead_pct(opts)));
         for c in &classes {
             let prefix = c.class.name().to_ascii_lowercase();
             for (key, p) in

@@ -9,7 +9,6 @@
 //! requirements are served by *redundant copies* of the tensor (§4.6).
 
 use crate::pipeline::{EdgeRead, KernelGroup};
-use crate::reduction::reduction_dims;
 use crate::texture::{fits_texture, place_buffer, place_texture};
 use smartmem_ir::{Graph, Layout, TensorId, TensorKind};
 use smartmem_sim::DeviceConfig;
@@ -46,7 +45,7 @@ pub struct RedundancyStats {
 pub fn required_dims(graph: &Graph, read: &EdgeRead) -> Vec<usize> {
     let member = graph.node(read.member);
     let decl_shape = &graph.tensor(read.logical).shape;
-    let rdims = reduction_dims(&member.op, read.operand_idx, decl_shape);
+    let rdims = member.op.reduction_dims(read.operand_idx, decl_shape);
     if rdims.is_empty() {
         return Vec::new();
     }

@@ -6,17 +6,20 @@
 //! `smartmem-ir` graph representation and the `smartmem-sim` device
 //! model:
 //!
-//! 1. **Operator classification** ([`classify`], Tables 3–4) documents
-//!    the taxonomy the passes below hard-code: every operator lands in
-//!    one of four quadrants of (input-layout dependence × output-layout
-//!    customizability). No pass calls it; a unit test keeps it agreeing
-//!    with what LTE eliminates, which ops count as layout transforms,
-//!    and which ops have reduction dimensions.
-//! 2. **Combination rules** ([`combine_action`], Tables 5–6) document
-//!    the paper's pairwise producer→consumer actions — keep both, try
-//!    fuse, eliminate first/second/both — plus the resulting class and
-//!    layout-search policy. No pass calls them either: LTE and fusion
-//!    apply the same decisions operator by operator.
+//! 1. **Operator classification** (Tables 3–4) lives on the IR
+//!    operator: [`Op::class`](smartmem_ir::Op::class) places every
+//!    operator in one quadrant of (input-layout dependence ×
+//!    output-layout customizability), and
+//!    [`Op::reduction_dims`](smartmem_ir::Op::reduction_dims) gives each
+//!    operand's reduction dimensions; only `ILD & Variable` operators
+//!    have any. Every taxonomy predicate below is derived from them.
+//! 2. **Combination rules** (Tables 5–6) are applied operator by
+//!    operator rather than pair by pair: LTE eliminates every Fixed
+//!    operator except `Gather` ([`is_eliminable`]; one that produces a
+//!    graph output stays), and fusion folds
+//!    `Unary` / `Binary` / `Reshape` epilogues into their producer.
+//!    Fusion is narrower than Table 5's `TryFuse`: an `ILI` producer is
+//!    never folded into an `ILD` consumer, and `Concat` is never folded.
 //! 3. **Layout Transformation Elimination** ([`eliminate`], §3.2.1):
 //!    `Reshape`/`Transpose`/`DepthToSpace`/`SpaceToDepth`/`Slice`/
 //!    `Split` chains become composed, strength-reduced index maps on the
@@ -81,8 +84,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod classify;
-mod combine;
 mod estimate;
 mod fusion;
 mod layout_select;
@@ -90,15 +91,12 @@ mod lte;
 mod pass;
 mod persist;
 mod pipeline;
-mod reduction;
 mod session;
 mod streamline;
 mod texture;
 mod trace;
 mod tune;
 
-pub use classify::{classify, InputDep, OpClass, OutputKind};
-pub use combine::{combine_action, result_class, search_policy, CombineAction, SearchPolicy};
 pub use estimate::{GroupReport, ModelReport};
 pub use fusion::{fuse, GroupDraft};
 pub use layout_select::{required_dims, select_layouts, RedundancyStats, SelectionLevel};
@@ -111,12 +109,11 @@ pub use pipeline::{
     assemble_groups, group_class, iteration_mn, EdgeRead, Framework, KernelGroup, MemModel,
     OptStats, OptimizedGraph, SmartMemLevel, SmartMemPipeline, Unsupported,
 };
-pub use reduction::reduction_dims;
 pub use streamline::StreamlinePass;
 
 pub use session::{
     device_fingerprint, graph_fingerprint, CacheStats, CompileResult, CompileSession,
 };
-pub use texture::{fits_texture, place_buffer, place_texture, MAX_TEXTURE_EXTENT};
+pub use texture::{fits_texture, place_buffer, place_texture};
 pub use trace::TraceStats;
 pub use tune::{base_utilization, fitness, tune, utilization, ExecConfig};

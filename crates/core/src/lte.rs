@@ -15,7 +15,7 @@
 //! way.
 
 use smartmem_index::IndexMap;
-use smartmem_ir::{Graph, Op, OpId, TensorId};
+use smartmem_ir::{Graph, Op, OpId, OutputKind, TensorId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -57,17 +57,11 @@ impl LteResult {
     }
 }
 
-/// Whether an operator can be eliminated into a static index map.
+/// Whether an operator can be eliminated into a static index map: every
+/// Fixed-output operator of Table 3 except `Gather`, whose map depends
+/// on the index data.
 pub fn is_eliminable(op: &Op) -> bool {
-    matches!(
-        op,
-        Op::Reshape { .. }
-            | Op::Transpose { .. }
-            | Op::DepthToSpace { .. }
-            | Op::SpaceToDepth { .. }
-            | Op::Slice { .. }
-            | Op::Split { .. }
-    )
+    op.class().output == OutputKind::Fixed && !matches!(op, Op::Gather { .. })
 }
 
 /// The pull-back map of one eliminable operator (output coords → input

@@ -2,12 +2,6 @@
 
 use smartmem_ir::{Layout, Shape, TexturePlacement};
 
-/// Default maximum texture extent per axis (texels), matching common
-/// mobile GPU limits; the per-device limit lives in
-/// `smartmem_sim::DeviceCaps::max_texture_extent` and is what layout
-/// selection actually consults.
-pub const MAX_TEXTURE_EXTENT: u64 = 16384;
-
 /// Builds the SmartMem texture placement for a tensor of `dims` given up
 /// to two reduction-dimension requirements from its consumers
 /// (Fig. 5's `L0`/`L1`/`L2` layouts):
@@ -96,11 +90,17 @@ pub fn place_buffer(dims: &[usize], r0: Option<usize>) -> Layout {
 mod tests {
     use super::*;
     use smartmem_ir::PhysicalAddress;
+    use smartmem_sim::DeviceConfig;
+
+    /// The per-axis texture limit of the reference device (16K texels).
+    fn max_extent() -> u64 {
+        DeviceConfig::snapdragon_8gen2().caps.max_texture_extent
+    }
 
     #[test]
     fn l0_style_placement_two_reduction_dims() {
         // Fig. 5 L0: D1 and D3 are reduction dims of a [D1, D2, D3] tensor.
-        let l = place_texture(&[8, 16, 32], 0, Some(2), true, MAX_TEXTURE_EXTENT);
+        let l = place_texture(&[8, 16, 32], 0, Some(2), true, max_extent());
         assert!(l.validate(3).is_ok());
         // Walking D1 moves along X (vectorized), walking D3 moves along Y.
         let shape = Shape::new(vec![8, 16, 32]);
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn single_reduction_dim_placement() {
-        let l = place_texture(&[4, 6, 8], 2, None, true, MAX_TEXTURE_EXTENT);
+        let l = place_texture(&[4, 6, 8], 2, None, true, max_extent());
         let shape = Shape::new(vec![4, 6, 8]);
         let (w, h) = l.texture_extent(&shape).unwrap();
         assert_eq!(w, 2); // 8 / 4 lanes
@@ -131,25 +131,25 @@ mod tests {
 
     #[test]
     fn duplicate_r1_is_ignored() {
-        let l = place_texture(&[4, 6], 1, Some(1), true, MAX_TEXTURE_EXTENT);
+        let l = place_texture(&[4, 6], 1, Some(1), true, max_extent());
         assert!(l.validate(2).is_ok());
     }
 
     #[test]
     fn texture_limits() {
-        let small = place_texture(&[8, 8], 1, None, true, MAX_TEXTURE_EXTENT);
-        assert!(fits_texture(&small, &Shape::new(vec![8, 8]), MAX_TEXTURE_EXTENT));
-        let huge = place_texture(&[100_000, 4], 1, None, false, MAX_TEXTURE_EXTENT);
-        assert!(!fits_texture(&huge, &Shape::new(vec![100_000, 4]), MAX_TEXTURE_EXTENT));
+        let small = place_texture(&[8, 8], 1, None, true, max_extent());
+        assert!(fits_texture(&small, &Shape::new(vec![8, 8]), max_extent()));
+        let huge = place_texture(&[100_000, 4], 1, None, false, max_extent());
+        assert!(!fits_texture(&huge, &Shape::new(vec![100_000, 4]), max_extent()));
     }
 
     #[test]
     fn device_limit_drives_the_fit() {
         // The same placement fits a 16K-extent device but not a device
         // whose capability caps textures at 1K per axis.
-        let l = place_texture(&[2048, 16], 1, None, false, MAX_TEXTURE_EXTENT);
+        let l = place_texture(&[2048, 16], 1, None, false, max_extent());
         let shape = Shape::new(vec![2048, 16]);
-        assert!(fits_texture(&l, &shape, MAX_TEXTURE_EXTENT));
+        assert!(fits_texture(&l, &shape, max_extent()));
         assert!(!fits_texture(&l, &shape, 1024));
     }
 

@@ -5,10 +5,7 @@
 //! layouts.
 
 use proptest::prelude::*;
-use smartmem_core::{
-    assemble_groups, classify, combine_action, eliminate, fuse, result_class, select_layouts,
-    CombineAction, OpClass, SelectionLevel,
-};
+use smartmem_core::{assemble_groups, eliminate, fuse, select_layouts, SelectionLevel};
 use smartmem_ir::{DType, Graph, GraphBuilder, TensorId, UnaryKind};
 use smartmem_sim::DeviceConfig;
 
@@ -129,55 +126,6 @@ proptest! {
                 prop_assert!(r.layout.validate(rank).is_ok(), "invalid layout {} for rank {rank}", r.layout);
             }
         }
-    }
-
-    /// Table 5's combination rules are total and consistent with the
-    /// complexity ordering of Table 6.
-    #[test]
-    fn combination_rules_total(a in 0u8..4, b in 0u8..4) {
-        let classes = [OpClass::ILD_VARIABLE, OpClass::ILI_VARIABLE, OpClass::ILD_FIXED, OpClass::ILI_FIXED];
-        let (ca, cb) = (classes[a as usize], classes[b as usize]);
-        let action = combine_action(ca, cb);
-        let result = result_class(ca, cb);
-        prop_assert!(result.complexity() >= ca.complexity().min(cb.complexity()));
-        // Fixed-output operators never survive an elimination action.
-        if matches!(action, CombineAction::EliminateBoth) {
-            prop_assert_eq!(ca.output, smartmem_core::OutputKind::Fixed);
-            prop_assert_eq!(cb.output, smartmem_core::OutputKind::Fixed);
-        }
-    }
-}
-
-#[test]
-fn classification_is_total_over_op_kinds() {
-    // Every operator kind lands in exactly one quadrant.
-    use smartmem_ir::Op;
-    let ops = vec![
-        Op::Conv2d { stride: (1, 1), padding: (0, 0), groups: 1 },
-        Op::MatMul { trans_a: false, trans_b: false },
-        Op::LayerNorm { axes: vec![1] },
-        Op::InstanceNorm,
-        Op::Softmax { axis: 0 },
-        Op::Reduce { kind: smartmem_ir::ReduceKind::Sum, axes: vec![0], keep_dims: false },
-        Op::Pool2d {
-            kind: smartmem_ir::PoolKind::Max,
-            kernel: (2, 2),
-            stride: (2, 2),
-            padding: (0, 0),
-        },
-        Op::Unary { kind: UnaryKind::Relu },
-        Op::Binary { kind: smartmem_ir::BinaryKind::Add },
-        Op::Concat { axis: 0 },
-        Op::Reshape { shape: vec![1] },
-        Op::Transpose { perm: vec![0] },
-        Op::DepthToSpace { block: 2 },
-        Op::SpaceToDepth { block: 2 },
-        Op::Gather { axis: 0 },
-        Op::Slice { axis: 0, start: 0, len: 1 },
-        Op::Split { axis: 0, parts: 2 },
-    ];
-    for op in ops {
-        let _ = classify(&op); // must not panic
     }
 }
 

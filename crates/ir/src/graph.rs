@@ -469,6 +469,9 @@ pub fn infer_output_shapes(op: &Op, inputs: &[&Shape]) -> Result<Vec<Shape>, IrE
             if x.rank() != 4 || w.rank() != 4 {
                 return Err(IrError::Shape(format!("conv2d needs rank-4 x/w, got {x} and {w}")));
             }
+            if stride.0 == 0 || stride.1 == 0 || *groups == 0 {
+                return Err(IrError::Shape("conv2d stride and groups must be positive".into()));
+            }
             if x.dim(1) != w.dim(1) * groups {
                 return Err(IrError::Shape(format!(
                     "conv2d channel mismatch: x has {} channels, w expects {}x{} groups",
@@ -566,6 +569,9 @@ pub fn infer_output_shapes(op: &Op, inputs: &[&Shape]) -> Result<Vec<Shape>, IrE
             if x.rank() != 4 {
                 return Err(IrError::Shape("pool2d expects rank-4 input".into()));
             }
+            if stride.0 == 0 || stride.1 == 0 {
+                return Err(IrError::Shape("pool2d stride must be positive".into()));
+            }
             let h = (x.dim(2) + 2 * padding.0)
                 .checked_sub(kernel.0)
                 .ok_or_else(|| IrError::Shape("pool kernel larger than input".into()))?
@@ -633,6 +639,9 @@ pub fn infer_output_shapes(op: &Op, inputs: &[&Shape]) -> Result<Vec<Shape>, IrE
             if x.rank() != 4 {
                 return Err(IrError::Shape("depth_to_space expects rank-4 input".into()));
             }
+            if *block == 0 {
+                return Err(IrError::Shape("depth_to_space block must be positive".into()));
+            }
             let b2 = block * block;
             if x.dim(1) % b2 != 0 {
                 return Err(IrError::Shape(format!(
@@ -646,6 +655,9 @@ pub fn infer_output_shapes(op: &Op, inputs: &[&Shape]) -> Result<Vec<Shape>, IrE
             let x = inputs[0];
             if x.rank() != 4 {
                 return Err(IrError::Shape("space_to_depth expects rank-4 input".into()));
+            }
+            if *block == 0 {
+                return Err(IrError::Shape("space_to_depth block must be positive".into()));
             }
             if x.dim(2) % block != 0 || x.dim(3) % block != 0 {
                 return Err(IrError::Shape("spatial dims not divisible by block".into()));

@@ -5,7 +5,9 @@
 //! definitions and the computational graph (a DAG of operators connected
 //! by tensors).
 //!
-//! The operator set mirrors Tables 3–4 of the paper:
+//! The operator set mirrors Tables 3–4 of the paper; [`Op::class`] is the
+//! one definition of Table 3, and [`Op::reduction_dims`] of each
+//! operand's reduction dimensions (§3.2.2):
 //!
 //! * **ILD & Variable** (input-layout dependent, customizable output):
 //!   [`Op::Conv2d`], [`Op::MatMul`], [`Op::LayerNorm`], [`Op::Softmax`],
@@ -52,6 +54,6 @@ pub use graph::{
     TensorKind,
 };
 pub use layout::{AddressPlan, Layout, MemoryClass, PhysicalAddress, TexturePlacement};
-pub use ops::{BinaryKind, Op, OpCategory, PoolKind, ReduceKind, UnaryKind};
+pub use ops::{BinaryKind, InputDep, Op, OpClass, OutputKind, PoolKind, ReduceKind, UnaryKind};
 pub use shape::Shape;
 pub use sym::{BucketTable, SymDim};

@@ -6,6 +6,7 @@
 //! that SmartMem eliminates.
 
 use crate::shape::Shape;
+use std::fmt;
 
 /// Element-wise unary function kinds ("Unary" row of Table 3).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -188,17 +189,66 @@ pub enum Op {
     },
 }
 
-/// Broad operator category used for reporting and latency attribution
-/// (Table 1 separates layout-transformation time from computation time).
+/// Whether computation performance depends on the input layout (the
+/// first axis of Table 3).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum OpCategory {
-    /// Real computation (convolutions, matmuls, norms, element-wise, …).
-    Compute,
-    /// Pure layout transformation (`Reshape`, `Transpose`, `DepthToSpace`,
-    /// `SpaceToDepth`): moves/reinterprets data without computing.
-    LayoutTransform,
-    /// Data selection / movement (`Gather`, `Slice`, `Split`, `Concat`).
-    DataMovement,
+pub enum InputDep {
+    /// Input-layout dependent (`ILD`): the operator re-uses input
+    /// elements (Conv, MatMul), aggregates along axes (norms,
+    /// reductions) or permutes them (layout transformations), so access
+    /// order matters.
+    Ild,
+    /// Input-layout independent (`ILI`): each element is touched once in
+    /// any order (element-wise ops, selection).
+    Ili,
+}
+
+/// Whether the output layout can be customized (the second axis of
+/// Table 3).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum OutputKind {
+    /// The operator may emit its result in any layout (computation-order
+    /// dependent).
+    Variable,
+    /// The output layout is fixed by the operator's definition
+    /// (layout transformations, selection).
+    Fixed,
+}
+
+/// One quadrant of Table 3 (§3.1), returned by [`Op::class`].
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct OpClass {
+    /// Input-layout dependence.
+    pub input_dep: InputDep,
+    /// Output-layout customizability.
+    pub output: OutputKind,
+}
+
+impl OpClass {
+    /// `ILD & Variable`: temporal reuse or aggregation.
+    pub const ILD_VARIABLE: OpClass =
+        OpClass { input_dep: InputDep::Ild, output: OutputKind::Variable };
+    /// `ILI & Variable`: single-touch element-wise.
+    pub const ILI_VARIABLE: OpClass =
+        OpClass { input_dep: InputDep::Ili, output: OutputKind::Variable };
+    /// `ILD & Fixed`: pure layout transformations.
+    pub const ILD_FIXED: OpClass = OpClass { input_dep: InputDep::Ild, output: OutputKind::Fixed };
+    /// `ILI & Fixed`: selection.
+    pub const ILI_FIXED: OpClass = OpClass { input_dep: InputDep::Ili, output: OutputKind::Fixed };
+}
+
+impl fmt::Display for OpClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let dep = match self.input_dep {
+            InputDep::Ild => "ILD",
+            InputDep::Ili => "ILI",
+        };
+        let out = match self.output {
+            OutputKind::Variable => "Variable",
+            OutputKind::Fixed => "Fixed",
+        };
+        write!(f, "{dep} & {out}")
+    }
 }
 
 impl Op {
@@ -226,24 +276,55 @@ impl Op {
         }
     }
 
-    /// The broad category of the operator.
-    pub fn category(&self) -> OpCategory {
+    /// The operator's quadrant of Table 3 (§3.1).
+    pub fn class(&self) -> OpClass {
         match self {
+            Op::Conv2d { .. }
+            | Op::MatMul { .. }
+            | Op::LayerNorm { .. }
+            | Op::InstanceNorm
+            | Op::Softmax { .. }
+            | Op::Reduce { .. }
+            | Op::Pool2d { .. } => OpClass::ILD_VARIABLE,
+            Op::Unary { .. } | Op::Binary { .. } | Op::Concat { .. } => OpClass::ILI_VARIABLE,
             Op::Reshape { .. }
             | Op::Transpose { .. }
             | Op::DepthToSpace { .. }
-            | Op::SpaceToDepth { .. } => OpCategory::LayoutTransform,
-            Op::Gather { .. } | Op::Slice { .. } | Op::Split { .. } | Op::Concat { .. } => {
-                OpCategory::DataMovement
-            }
-            _ => OpCategory::Compute,
+            | Op::SpaceToDepth { .. } => OpClass::ILD_FIXED,
+            Op::Gather { .. } | Op::Slice { .. } | Op::Split { .. } => OpClass::ILI_FIXED,
         }
     }
 
-    /// Whether this is a pure layout transformation (the operators that
-    /// SmartMem's LTE pass targets for elimination).
+    /// Whether this is a pure layout transformation (`ILD & Fixed`).
     pub fn is_layout_transform(&self) -> bool {
-        self.category() == OpCategory::LayoutTransform
+        self.class() == OpClass::ILD_FIXED
+    }
+
+    /// Reduction dimensions of operand `operand_idx` (§3.2.2), as
+    /// logical dims of that operand's `shape`: the dims along which the
+    /// operator aggregates (e.g. `k` for both `MatMul` operands).
+    /// Layout selection stores data contiguously along them. Only
+    /// `ILD & Variable` operators have any; the others take their layout
+    /// preference from their consumers (Fig. 4: `L1`/`L2`).
+    pub fn reduction_dims(&self, operand_idx: usize, shape: &Shape) -> Vec<usize> {
+        let rank = shape.rank();
+        match self {
+            Op::MatMul { trans_a, trans_b } if rank >= 2 => match operand_idx {
+                // A: K is the last dim (or rank-2 when transposed).
+                0 => vec![if *trans_a { rank - 2 } else { rank - 1 }],
+                // B: K is rank-2 (or last when transposed).
+                1 => vec![if *trans_b { rank - 1 } else { rank - 2 }],
+                _ => Vec::new(),
+            },
+            // x [N, C, H, W] and w [O, C/g, KH, KW]: input channels are
+            // aggregated (the kernel window too, but C is the long
+            // SIMD-friendly one).
+            Op::Conv2d { .. } if operand_idx < 2 => vec![1],
+            Op::LayerNorm { axes } | Op::Reduce { axes, .. } => axes.clone(),
+            Op::InstanceNorm | Op::Pool2d { .. } if rank == 4 => vec![2, 3],
+            Op::Softmax { axis } => vec![*axis],
+            _ => Vec::new(),
+        }
     }
 
     /// Multiply-accumulate count given operand/result shapes
@@ -313,15 +394,127 @@ pub(crate) fn is_permutation(perm: &[usize], rank: usize) -> bool {
 mod tests {
     use super::*;
 
+    /// One instance of every `Op` variant. The exhaustive match makes a
+    /// new variant a compile error here until it is listed.
+    fn every_op() -> Vec<Op> {
+        let ops = vec![
+            Op::Conv2d { stride: (1, 1), padding: (0, 0), groups: 1 },
+            Op::MatMul { trans_a: false, trans_b: true },
+            Op::LayerNorm { axes: vec![3] },
+            Op::InstanceNorm,
+            Op::Softmax { axis: 3 },
+            Op::Reduce { kind: ReduceKind::Sum, axes: vec![1], keep_dims: false },
+            Op::Pool2d { kind: PoolKind::Max, kernel: (2, 2), stride: (2, 2), padding: (0, 0) },
+            Op::Unary { kind: UnaryKind::Relu },
+            Op::Binary { kind: BinaryKind::Add },
+            Op::Concat { axis: 0 },
+            Op::Reshape { shape: vec![2, 8] },
+            Op::Transpose { perm: vec![1, 0] },
+            Op::DepthToSpace { block: 2 },
+            Op::SpaceToDepth { block: 2 },
+            Op::Gather { axis: 0 },
+            Op::Slice { axis: 0, start: 0, len: 1 },
+            Op::Split { axis: 0, parts: 2 },
+        ];
+        let variant = |op: &Op| match op {
+            Op::Conv2d { .. } => 0,
+            Op::MatMul { .. } => 1,
+            Op::LayerNorm { .. } => 2,
+            Op::InstanceNorm => 3,
+            Op::Softmax { .. } => 4,
+            Op::Reduce { .. } => 5,
+            Op::Pool2d { .. } => 6,
+            Op::Unary { .. } => 7,
+            Op::Binary { .. } => 8,
+            Op::Concat { .. } => 9,
+            Op::Reshape { .. } => 10,
+            Op::Transpose { .. } => 11,
+            Op::DepthToSpace { .. } => 12,
+            Op::SpaceToDepth { .. } => 13,
+            Op::Gather { .. } => 14,
+            Op::Slice { .. } => 15,
+            Op::Split { .. } => 16,
+        };
+        assert!(ops.iter().map(variant).eq(0..17), "one instance per variant, in order");
+        ops
+    }
+
     #[test]
-    fn categories() {
-        assert_eq!(Op::Reshape { shape: vec![4] }.category(), OpCategory::LayoutTransform);
-        assert_eq!(Op::Transpose { perm: vec![1, 0] }.category(), OpCategory::LayoutTransform);
-        assert_eq!(Op::Gather { axis: 0 }.category(), OpCategory::DataMovement);
-        assert_eq!(
-            Op::Conv2d { stride: (1, 1), padding: (0, 0), groups: 1 }.category(),
-            OpCategory::Compute
-        );
+    fn table3_assignments() {
+        use OpClass as C;
+        let expected = [
+            C::ILD_VARIABLE, // Conv2d
+            C::ILD_VARIABLE, // MatMul
+            C::ILD_VARIABLE, // LayerNorm
+            C::ILD_VARIABLE, // InstanceNorm
+            C::ILD_VARIABLE, // Softmax
+            C::ILD_VARIABLE, // Reduce
+            C::ILD_VARIABLE, // Pool2d
+            C::ILI_VARIABLE, // Unary
+            C::ILI_VARIABLE, // Binary
+            C::ILI_VARIABLE, // Concat
+            C::ILD_FIXED,    // Reshape
+            C::ILD_FIXED,    // Transpose
+            C::ILD_FIXED,    // DepthToSpace
+            C::ILD_FIXED,    // SpaceToDepth
+            C::ILI_FIXED,    // Gather
+            C::ILI_FIXED,    // Slice
+            C::ILI_FIXED,    // Split
+        ];
+        let shape = Shape::new(vec![2, 4, 8, 8]);
+        for (op, want) in every_op().iter().zip(expected) {
+            assert_eq!(op.class(), want, "{op:?}");
+            assert_eq!(op.is_layout_transform(), want == C::ILD_FIXED, "{op:?}");
+            let reduces = (0..3).any(|i| !op.reduction_dims(i, &shape).is_empty());
+            assert_eq!(
+                reduces,
+                want == C::ILD_VARIABLE,
+                "reduction dims iff ILD & Variable: {op:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn class_display() {
+        assert_eq!(OpClass::ILD_VARIABLE.to_string(), "ILD & Variable");
+        assert_eq!(OpClass::ILI_FIXED.to_string(), "ILI & Fixed");
+    }
+
+    #[test]
+    fn matmul_reduces_over_k() {
+        let op = Op::MatMul { trans_a: false, trans_b: false };
+        let a = Shape::new(vec![8, 64, 32]);
+        let b = Shape::new(vec![8, 32, 16]);
+        assert_eq!(op.reduction_dims(0, &a), vec![2]); // K = last of A
+        assert_eq!(op.reduction_dims(1, &b), vec![1]); // K = rank-2 of B
+    }
+
+    #[test]
+    fn matmul_transposed_operands() {
+        let op = Op::MatMul { trans_a: true, trans_b: true };
+        let a = Shape::new(vec![32, 64]); // K x M
+        let b = Shape::new(vec![16, 32]); // N x K
+        assert_eq!(op.reduction_dims(0, &a), vec![0]);
+        assert_eq!(op.reduction_dims(1, &b), vec![1]);
+    }
+
+    #[test]
+    fn conv_reduces_over_channels() {
+        let op = Op::Conv2d { stride: (1, 1), padding: (0, 0), groups: 1 };
+        let x = Shape::new(vec![1, 64, 56, 56]);
+        assert_eq!(op.reduction_dims(0, &x), vec![1]);
+        assert!(op.reduction_dims(2, &Shape::new(vec![64])).is_empty(), "bias");
+    }
+
+    #[test]
+    fn norms_and_reductions() {
+        let x = Shape::new(vec![1, 196, 768]);
+        assert_eq!(Op::LayerNorm { axes: vec![2] }.reduction_dims(0, &x), vec![2]);
+        assert_eq!(Op::Softmax { axis: 1 }.reduction_dims(0, &x), vec![1]);
+        let mean = Op::Reduce { kind: ReduceKind::Mean, axes: vec![0, 2], keep_dims: false };
+        assert_eq!(mean.reduction_dims(0, &x), vec![0, 2]);
+        // Spatial reductions need a 4-D operand.
+        assert!(Op::InstanceNorm.reduction_dims(0, &x).is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use smartmem_ir::import::{export_json, import_json};
-use smartmem_ir::{generate, ImportError};
+use smartmem_ir::{generate, ImportError, IrError};
 
 const FINN_MLP: &str = include_str!("../../../tests/fixtures/finn_mlp.json");
 const CNN: &str = include_str!("../../../tests/fixtures/convertlayout_cnn.json");
@@ -119,6 +119,39 @@ fn targeted_corruptions_yield_typed_errors() {
             |e| matches!(e, ImportError::Graph(_)),
         ),
         ("{", |e| matches!(e, ImportError::Parse { .. })),
+        // Zero strides, groups and blocks would divide by zero in shape inference.
+        (
+            r#"{"name":"g","tensors":[{"name":"x","kind":"input","shape":[1,4,8,8]},
+                {"name":"w","kind":"weight","shape":[4,4,3,3]}],
+                "ops":[{"kind":"conv2d","stride":[0,1],"inputs":["x","w"],"outputs":["y"]}],
+                "outputs":["y"]}"#,
+            |e| matches!(e, ImportError::Graph(IrError::Shape(_))),
+        ),
+        (
+            r#"{"name":"g","tensors":[{"name":"x","kind":"input","shape":[1,0,8,8]},
+                {"name":"w","kind":"weight","shape":[4,0,3,3]}],
+                "ops":[{"kind":"conv2d","groups":0,"inputs":["x","w"],"outputs":["y"]}],
+                "outputs":["y"]}"#,
+            |e| matches!(e, ImportError::Graph(IrError::Shape(_))),
+        ),
+        (
+            r#"{"name":"g","tensors":[{"name":"x","kind":"input","shape":[1,4,8,8]}],
+                "ops":[{"kind":"pool2d","pool":"max","kernel":[2,2],"stride":[2,0],
+                        "inputs":["x"],"outputs":["y"]}],"outputs":["y"]}"#,
+            |e| matches!(e, ImportError::Graph(IrError::Shape(_))),
+        ),
+        (
+            r#"{"name":"g","tensors":[{"name":"x","kind":"input","shape":[1,4,8,8]}],
+                "ops":[{"kind":"depth_to_space","block":0,"inputs":["x"],"outputs":["y"]}],
+                "outputs":["y"]}"#,
+            |e| matches!(e, ImportError::Graph(IrError::Shape(_))),
+        ),
+        (
+            r#"{"name":"g","tensors":[{"name":"x","kind":"input","shape":[1,4,8,8]}],
+                "ops":[{"kind":"space_to_depth","block":0,"inputs":["x"],"outputs":["y"]}],
+                "outputs":["y"]}"#,
+            |e| matches!(e, ImportError::Graph(IrError::Shape(_))),
+        ),
     ];
     for (src, matches_variant) in cases {
         let err = import_json(src).expect_err("corrupt input imported");

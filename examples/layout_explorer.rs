@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example layout_explorer`
 
-use smartmem::core::{classify, Framework, SmartMemPipeline};
+use smartmem::core::{Framework, SmartMemPipeline};
 use smartmem::index::IndexMap;
 use smartmem::ir::{DType, GraphBuilder};
 use smartmem::sim::DeviceConfig;
@@ -39,7 +39,7 @@ fn main() {
 
     println!("operator classification (Table 3):");
     for node in graph.nodes() {
-        println!("  {:<10} -> {}", node.op.mnemonic(), classify(&node.op));
+        println!("  {:<10} -> {}", node.op.mnemonic(), node.op.class());
     }
 
     let device = DeviceConfig::snapdragon_8gen2();
