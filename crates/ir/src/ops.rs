@@ -461,17 +461,47 @@ mod tests {
             C::ILI_FIXED,    // Slice
             C::ILI_FIXED,    // Split
         ];
-        let shape = Shape::new(vec![2, 4, 8, 8]);
         for (op, want) in every_op().iter().zip(expected) {
             assert_eq!(op.class(), want, "{op:?}");
-            assert_eq!(op.is_layout_transform(), want == C::ILD_FIXED, "{op:?}");
+        }
+    }
+
+    #[test]
+    fn taxonomy_agrees_with_the_passes() {
+        // Layout transforms and reduction dims both follow from the class.
+        let shape = Shape::new(vec![2, 4, 8, 8]);
+        for op in every_op() {
+            let class = op.class();
+            assert_eq!(
+                op.is_layout_transform(),
+                class == OpClass::ILD_FIXED,
+                "layout transforms are exactly ILD & Fixed: {op:?}"
+            );
             let reduces = (0..3).any(|i| !op.reduction_dims(i, &shape).is_empty());
             assert_eq!(
                 reduces,
-                want == C::ILD_VARIABLE,
+                class == OpClass::ILD_VARIABLE,
                 "reduction dims iff ILD & Variable: {op:?}"
             );
         }
+    }
+
+    #[test]
+    fn categories() {
+        assert_eq!(Op::Reshape { shape: vec![4] }.class(), OpClass::ILD_FIXED);
+        assert_eq!(Op::Transpose { perm: vec![1, 0] }.class(), OpClass::ILD_FIXED);
+        assert_eq!(Op::Gather { axis: 0 }.class(), OpClass::ILI_FIXED);
+        assert_eq!(
+            Op::Conv2d { stride: (1, 1), padding: (0, 0), groups: 1 }.class(),
+            OpClass::ILD_VARIABLE
+        );
+    }
+
+    #[test]
+    fn elementwise_has_none() {
+        let x = Shape::new(vec![4, 4]);
+        assert!(Op::Unary { kind: UnaryKind::Relu }.reduction_dims(0, &x).is_empty());
+        assert!(Op::Reshape { shape: vec![16] }.reduction_dims(0, &x).is_empty());
     }
 
     #[test]
