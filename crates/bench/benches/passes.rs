@@ -65,15 +65,18 @@ fn bench_pipeline() {
         black_box(SmartMemPipeline::new().optimize(&swin, &device).unwrap());
     });
     let opt = SmartMemPipeline::new().optimize(&swin, &device).unwrap();
+    // The drag memo is process-wide: after the first call every read is
+    // a lookup, so this row times a memo-warm estimate, not the trace.
     let estimate_s = bench("pipeline/estimate swin", || {
         black_box(opt.estimate(&device));
     });
     let trace = opt.estimate(&device).trace;
     println!(
-        "  estimate/{:<32} {:>12.2} us/kernel ({} unique traces / {} groups, {} addresses, {} points skipped)",
+        "  estimate/{:<32} {:>12.2} us/kernel ({} unique traces, {} reused / {} groups, {} addresses, {} points skipped)",
         "swin",
         estimate_s * 1e6 / opt.groups.len() as f64,
         trace.unique_traces,
+        trace.reused,
         opt.groups.len(),
         trace.addresses,
         trace.skipped_points

@@ -15,8 +15,10 @@
 
 use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
-use smartmem_bench::{parse_bench_args, render_pass_timings, render_table};
-use smartmem_core::{eliminate, CompileOutput, CompileSession, Framework, SmartMemPipeline};
+use smartmem_bench::{parse_bench_args, render_pass_timings, render_table, serve_harness};
+use smartmem_core::{
+    eliminate, CompileOutput, CompileSession, Framework, ModelReport, SmartMemPipeline,
+};
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_models::all_models;
 use smartmem_sim::DeviceConfig;
@@ -250,17 +252,35 @@ fn main() {
     // skipped points say how much work that was, so an estimator change
     // has its "before" here. SmartMem's two counts are deterministic, so
     // the regression gate pins them: a change that re-inflates the
-    // trace fails CI even when no wall clock moved.
+    // trace fails CI even when no wall clock moved. The drag memo is
+    // process-wide, so `reused` — distinct reads an earlier row had
+    // already traced at the same granule geometry — grows down the
+    // table, while every other count is what a cold process reports.
     let mut rows = Vec::new();
+    let mut row = |label: String, ms: f64, reports: &[ModelReport]| {
+        let kernels: usize = reports.iter().map(|r| r.kernel_count).sum();
+        let unique: usize = reports.iter().map(|r| r.trace.unique_traces).sum();
+        let reused: usize = reports.iter().map(|r| r.trace.reused).sum();
+        let addresses: u64 = reports.iter().map(|r| r.trace.addresses).sum();
+        let skipped: u64 = reports.iter().map(|r| r.trace.skipped_points).sum();
+        rows.push(vec![
+            label,
+            format!("{}", reports.len()),
+            format!("{ms:.1}"),
+            format!("{:.1}", ms * 1e3 / kernels.max(1) as f64),
+            format!("{unique} / {kernels}"),
+            format!("{reused}"),
+            format!("{addresses}"),
+            format!("{skipped}"),
+        ]);
+        (unique, addresses)
+    };
     for (fi, fw) in frameworks.iter().enumerate() {
         let compiled: Vec<_> = results.iter().filter_map(|row| row[fi].as_ref().ok()).collect();
         let start = Instant::now();
         let reports: Vec<_> = compiled.iter().map(|out| out.optimized.estimate(&device)).collect();
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        let kernels: usize = reports.iter().map(|r| r.kernel_count).sum();
-        let unique: usize = reports.iter().map(|r| r.trace.unique_traces).sum();
-        let addresses: u64 = reports.iter().map(|r| r.trace.addresses).sum();
-        let skipped: u64 = reports.iter().map(|r| r.trace.skipped_points).sum();
+        let (unique, addresses) = row(fw.name().to_string(), ms, &reports);
         if fw.name() == "SmartMem" {
             for (metric, value) in [
                 ("estimate_addresses", addresses as f64),
@@ -269,16 +289,21 @@ fn main() {
                 records.push(BenchRecord::new("pass_timing", device.slug(), metric, value));
             }
         }
-        rows.push(vec![
-            fw.name().to_string(),
-            format!("{}", reports.len()),
-            format!("{ms:.1}"),
-            format!("{:.1}", ms * 1e3 / kernels.max(1) as f64),
-            format!("{unique} / {kernels}"),
-            format!("{addresses}"),
-            format!("{skipped}"),
-        ]);
     }
+    // What the serve workloads deploy: the served set on the six pool
+    // devices, four of which share this device's lines and tiles.
+    let pool = serve_harness::devices();
+    let served: Vec<_> = serve_harness::zoo(false)
+        .iter()
+        .flat_map(|model| {
+            pool.iter().map(move |d| (SmartMemPipeline::new().optimize(&model.graph, d), d))
+        })
+        .filter_map(|(opt, d)| Some((opt.ok()?, d)))
+        .collect();
+    let start = Instant::now();
+    let reports: Vec<_> = served.iter().map(|(opt, d)| opt.estimate(d)).collect();
+    let ms = start.elapsed().as_secs_f64() * 1e3;
+    row(format!("SmartMem, served x {} devices", pool.len()), ms, &reports);
     print!(
         "{}",
         render_table(
@@ -289,6 +314,7 @@ fn main() {
                 "ms",
                 "us/kernel",
                 "unique traces / groups",
+                "reused",
                 "addresses traced",
                 "points skipped"
             ],

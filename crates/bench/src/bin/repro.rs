@@ -3,17 +3,53 @@
 //! writes one bench record per value, `--md` the out-of-band rows (`docs/DEVIATIONS.md`).
 
 use smartmem_bench::{json::write_json, paper, render_table};
+use std::path::PathBuf;
+
+const USAGE: &str = "usage: repro [FIGURE|all] [--smoke] [--json PATH] [--md PATH]";
+
+/// The command line, read and checked before any row is computed.
+#[derive(Default)]
+struct Args {
+    figure: Option<String>,
+    smoke: bool,
+    json: Option<PathBuf>,
+    md: Option<PathBuf>,
+}
+
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut path = || match args.next() {
+            Some(p) if !p.starts_with('-') => Ok(Some(PathBuf::from(p))),
+            _ => Err(format!("{arg} takes a PATH")),
+        };
+        match arg.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--json" => parsed.json = path()?,
+            "--md" => parsed.md = path()?,
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            _ if parsed.figure.is_some() => return Err(format!("a second FIGURE {arg}")),
+            _ => parsed.figure = Some(arg),
+        }
+    }
+    Ok(parsed)
+}
+
+/// Reports a bad command line and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("repro: {message}\n{USAGE}");
+    std::process::exit(2)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = |flag: &str| Some(args[args.iter().position(|a| a == flag)? + 1].clone());
-    let known = ["--smoke", "--json", "--md"];
-    let flags = args.iter().filter(|a| a.starts_with('-'));
-    flags.for_each(|a| assert!(known.contains(&a.as_str()), "unknown flag {a} (takes {known:?})"));
-    let figure = args.first().filter(|a| !a.starts_with('-')).map_or("all", |a| a.as_str());
-    let mut rows = paper::rows(args.iter().any(|a| a == "--smoke"));
+    let args = parse(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
+    let figure = args.figure.as_deref().unwrap_or("all");
+    let mut rows = paper::rows(args.smoke);
     rows.retain(|r| figure == "all" || r.fig == figure);
-    assert!(!rows.is_empty(), "no scorecard rows for figure {figure}");
+    if rows.is_empty() {
+        usage_error(&format!("no scorecard rows for figure {figure}"));
+    }
     let values: Vec<_> = rows.iter().map(|r| (r.value)(&r.device)).collect();
     let cells: Vec<_> = rows.iter().zip(&values).map(|(r, v)| r.cells(*v).to_vec()).collect();
     let headers = ["figure", "device", "label", "metric", "value", "band", "status"];
@@ -22,10 +58,10 @@ fn main() {
     let afbc = rows.iter().zip(&values).filter(|(r, _)| r.metric == "afbc_speedup");
     let best = afbc.filter_map(|(r, v)| Some((&r.label, (*v)?))).max_by(|a, b| a.1.total_cmp(&b.1));
     assert!(best.map_or(true, |b| b.1 > 1.01), "AFBC-on must beat AFBC-off somewhere: {best:?}");
-    if let Some(path) = path("--json") {
-        write_json(path.as_ref(), &paper::records(&rows, &values)).expect("write --json output");
+    if let Some(path) = &args.json {
+        write_json(path, &paper::records(&rows, &values)).expect("write --json output");
     }
-    if let Some(path) = path("--md") {
+    if let Some(path) = &args.md {
         std::fs::write(path, paper::deviations_md(&rows, &values)).expect("write --md output");
     }
     let (inside, total) = paper::tally(&rows, &values);

@@ -10,15 +10,17 @@ use proptest::prelude::*;
 use smartmem_bench::json::{parse_json, render_json, BenchRecord};
 use smartmem_ir::import::{export_json, import_json};
 use smartmem_ir::{DType, GraphBuilder};
-use smartmem_telemetry::{parse_chrome, render_chrome, SpanKind, SpanRecord, Trace, TraceId};
+use smartmem_telemetry::{
+    parse_chrome, render_chrome, Label, SpanKind, SpanRecord, Trace, TraceId,
+};
 
 const FINN_MLP: &str = include_str!("../../../tests/fixtures/finn_mlp.json");
 const CNN: &str = include_str!("../../../tests/fixtures/convertlayout_cnn.json");
 const SINGLE: &str = include_str!("../../../tests/fixtures/single_op.json");
 
-fn span(name: &str, kind: SpanKind, args: Vec<(String, f64)>) -> SpanRecord {
+fn span(name: &str, kind: SpanKind, args: Vec<(Label, f64)>) -> SpanRecord {
     SpanRecord {
-        name: name.into(),
+        name: name.to_owned().into(),
         cat: "serve".into(),
         kind,
         trace: TraceId(3),
@@ -134,7 +136,7 @@ fn every_consumer_roundtrips_the_shared_escape_table() {
     nasty.push_str("\"\\ \u{1f600}");
 
     let trace = Trace {
-        spans: vec![span(&nasty, SpanKind::Complete, vec![(nasty.clone(), 2.0)])],
+        spans: vec![span(&nasty, SpanKind::Complete, vec![(nasty.clone().into(), 2.0)])],
         dropped: 0,
     };
     assert_eq!(parse_chrome(&render_chrome(&trace)).unwrap().spans, trace.spans);

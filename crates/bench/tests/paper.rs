@@ -89,3 +89,13 @@ fn fig11_smoke_json_emits_exactly_the_gated_keys() {
     let all = parse_json(&std::fs::read_to_string(&out).unwrap()).unwrap();
     assert!(all.iter().all(|r| r.bench == "fig11"), "fig11 emits only fig11 records");
 }
+
+#[test]
+fn repro_rejects_a_bad_command_line_before_computing_anything() {
+    for args in [&["all", "--json"][..], &["--md"], &["fig8", "--json", "--smoke"], &["--fast"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro")).args(args).output().expect("run repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed rows before failing");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: repro"), "{args:?}");
+    }
+}

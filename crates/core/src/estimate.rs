@@ -23,11 +23,12 @@
 //! roofline cost model of `smartmem-sim` turns traffic and ALU work
 //! (including strength-reduced index arithmetic) into nanoseconds.
 //! The trace itself — sample window, address generation, distinct
-//! counting, one trace per distinct read — is [`crate::trace`].
+//! counting, one trace per distinct read and granule geometry per
+//! process — is [`crate::trace`].
 
 use crate::lte::{is_eliminable, op_pullback};
 use crate::pipeline::{EdgeRead, KernelGroup, OptimizedGraph};
-use crate::trace::{trace_all, TraceStats};
+use crate::trace::{trace_all, DragMemo, TraceStats};
 use smartmem_index::IndexMap;
 use smartmem_ir::{Graph, Layout, MemoryClass, Op, Shape};
 use smartmem_sim::{DeviceConfig, KernelProfile, LatencyClass, MemCounters, OpCost};
@@ -108,8 +109,9 @@ impl OptimizedGraph {
         let elem = device.dtype.size_bytes();
         let pullbacks: Vec<_> = self.groups.iter().map(|g| own_pullback(graph, g)).collect();
         // --- Sampled trace: line drag per read, `None` for a
-        // cache-resident operand; one trace per distinct read ----------
-        let traces = trace_all(graph, &self.groups, &pullbacks, device, elem);
+        // cache-resident operand; one trace per distinct read and
+        // granule geometry in the whole process -------------------------
+        let traces = trace_all(graph, &self.groups, &pullbacks, device, elem, DragMemo::global());
 
         let line_buffer = device.buffer_cache.line_bytes as u64;
         let tile_texture = (device.texture_tiling.tile_w * device.texture_tiling.tile_h) * 4 * elem;

@@ -26,6 +26,14 @@
 //! calling thread, so an estimate's time does not depend on whether
 //! other cores are free.
 //!
+//! A drag depends on the device only through its [`Granules`]: the
+//! element size, the buffer line and the texel tile. So a trace is kept
+//! once per process, in a [`DragMemo`] keyed on the read's signature
+//! and that geometry, and every later estimate — of another model with
+//! the same block, or on another device with the same lines and tiles —
+//! looks it up instead of tracing again. The memo is process-wide, like
+//! LTE's composition memo, because `estimate` has no session to own it.
+//!
 //! [`OptimizedGraph::estimate`]: crate::OptimizedGraph::estimate
 
 use crate::estimate::resident_bytes;
@@ -36,6 +44,7 @@ use smartmem_sim::DeviceConfig;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::{Mutex, OnceLock};
 
 /// Output-space sample budget per kernel.
 const MAX_OUT_SAMPLES: usize = 256;
@@ -44,16 +53,26 @@ const MAX_INNER: usize = 16;
 
 /// What estimating one model cost the sampled trace (host work, not a
 /// simulated quantity): the "before" of any estimator optimization.
+///
+/// Every count but `reused` is the trace's own and does not depend on
+/// what the process estimated before: a drag served by the drag memo
+/// reports the addresses and skips of the trace that produced it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceStats {
-    /// Distinct streamed read signatures, each traced once; every other
-    /// streamed read reused the drag of an identical one.
+    /// Distinct streamed read signatures, each traced once per process
+    /// and granule geometry; every other streamed read of the call
+    /// reused the drag of an identical one.
     pub unique_traces: usize,
-    /// Physical addresses generated, once per distinct streamed read.
+    /// Physical addresses the traces of the distinct streamed reads
+    /// generate, whether this call traced them or the memo served them.
     pub addresses: u64,
     /// Output points whose declared coordinate set repeated the
     /// previous point's, so no address was generated for them.
     pub skipped_points: u64,
+    /// Distinct signatures of this call whose drag the process memo
+    /// already held: this call traced `unique_traces - reused` reads.
+    /// The one count that depends on what the process did before.
+    pub reused: usize,
 }
 
 /// Hash signature of one read of `group` for trace sharing: everything
@@ -82,15 +101,46 @@ fn read_signature(graph: &Graph, group: &KernelGroup, read: &EdgeRead) -> u64 {
     h.finish()
 }
 
-/// Granule key of a physical address: cache line for buffers, 2-D tile
-/// for textures (Table 2's 2.5D locality).
-fn granule_key(addr: PhysicalAddress, device: &DeviceConfig, elem: u64) -> u64 {
-    match addr {
-        PhysicalAddress::Linear(off) => (off * elem) / device.buffer_cache.line_bytes as u64,
-        PhysicalAddress::Texel { x, y, .. } => {
-            let tx = x / device.texture_tiling.tile_w;
-            let ty = y / device.texture_tiling.tile_h;
-            (ty << 24) | tx | (1 << 62)
+/// Everything of a device a trace reads: the element size and the
+/// granules it counts. Two devices with equal geometry give every read
+/// the same drag, so this, not the device, is half the memo key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct Granules {
+    /// Bytes per element.
+    elem: u64,
+    /// Cache-line bytes of 1D buffers.
+    line_bytes: u64,
+    /// Texel tile of 2.5D textures.
+    tile_w: u64,
+    tile_h: u64,
+}
+
+impl Granules {
+    fn of(device: &DeviceConfig, elem: u64) -> Self {
+        Granules {
+            elem,
+            line_bytes: device.buffer_cache.line_bytes as u64,
+            tile_w: device.texture_tiling.tile_w,
+            tile_h: device.texture_tiling.tile_h,
+        }
+    }
+
+    /// Granule key of a physical address: cache line for buffers, 2-D
+    /// tile for textures (Table 2's 2.5D locality).
+    fn key(&self, addr: PhysicalAddress) -> u64 {
+        match addr {
+            PhysicalAddress::Linear(off) => (off * self.elem) / self.line_bytes,
+            PhysicalAddress::Texel { x, y, .. } => {
+                ((y / self.tile_h) << 24) | (x / self.tile_w) | (1 << 62)
+            }
+        }
+    }
+
+    /// Bytes one granule of `class` drags in.
+    fn bytes(&self, class: MemoryClass) -> f64 {
+        match class {
+            MemoryClass::Buffer1D => self.line_bytes as f64,
+            MemoryClass::Texture2p5D => (self.tile_w * self.tile_h * 4 * self.elem) as f64,
         }
     }
 }
@@ -228,9 +278,44 @@ impl Traces {
     }
 }
 
+/// Drags already traced, keyed on a read's signature ([`read_signature`])
+/// and the [`Granules`] it was traced at; each value is the drag and
+/// what its trace cost. Entries are pure functions of their key, so they
+/// hold across models, sessions and threads.
+#[derive(Default)]
+pub(crate) struct DragMemo(Mutex<HashMap<(u64, Granules), (f64, TraceStats)>>);
+
+impl DragMemo {
+    /// The process-wide memo every [`OptimizedGraph::estimate`] shares.
+    ///
+    /// [`OptimizedGraph::estimate`]: crate::OptimizedGraph::estimate
+    pub(crate) fn global() -> &'static DragMemo {
+        static MEMO: OnceLock<DragMemo> = OnceLock::new();
+        MEMO.get_or_init(DragMemo::default)
+    }
+
+    /// The drag at `key` and what its trace cost, and whether the memo
+    /// held it; on a miss `trace` runs without the lock held (two
+    /// threads racing on one key store one value) and is remembered.
+    fn get_or_trace(
+        &self,
+        key: (u64, Granules),
+        trace: impl FnOnce() -> (f64, TraceStats),
+    ) -> ((f64, TraceStats), bool) {
+        let memo = || self.0.lock().expect("drag memo lock");
+        if let Some(&hit) = memo().get(&key) {
+            return (hit, true);
+        }
+        let traced = trace();
+        memo().insert(key, traced);
+        (traced, false)
+    }
+}
+
 /// Traces every distinct streamed read once, with one reused
-/// [`LineDragTracer`]; reads with one signature share a trace.
-/// `pullbacks[gi]` is group `gi`'s own pull-back map (see
+/// [`LineDragTracer`]; reads with one signature share a trace, and a
+/// signature `memo` already holds at this device's geometry is not
+/// traced at all. `pullbacks[gi]` is group `gi`'s own pull-back map (see
 /// [`own_pullback`]).
 ///
 /// [`own_pullback`]: crate::estimate::own_pullback
@@ -240,8 +325,10 @@ pub(crate) fn trace_all(
     pullbacks: &[Option<IndexMap>],
     device: &DeviceConfig,
     elem: u64,
+    memo: &DragMemo,
 ) -> Traces {
-    let mut tracer = LineDragTracer::default();
+    let geometry = Granules::of(device, elem);
+    let mut tracer: Option<LineDragTracer> = None;
     let mut stats = TraceStats::default();
     let mut drag_of: HashMap<u64, f64> = HashMap::new();
     let drags = groups
@@ -256,8 +343,12 @@ pub(crate) fn trace_all(
                     streamed.then(|| {
                         let signature = read_signature(graph, group, read);
                         *drag_of.entry(signature).or_insert_with(|| {
-                            let (drag, cost) =
-                                tracer.trace_read(graph, group, ri, own.as_ref(), device, elem);
+                            let ((drag, cost), hit) =
+                                memo.get_or_trace((signature, geometry), || {
+                                    let tracer = tracer.get_or_insert_with(Default::default);
+                                    tracer.trace_read(graph, group, ri, own.as_ref(), &geometry)
+                                });
+                            stats.reused += usize::from(hit);
                             stats.addresses += cost.addresses;
                             stats.skipped_points += cost.skipped_points;
                             drag
@@ -295,8 +386,7 @@ impl LineDragTracer {
         group: &KernelGroup,
         ri: usize,
         own: Option<&IndexMap>,
-        device: &DeviceConfig,
-        elem: u64,
+        geometry: &Granules,
     ) -> (f64, TraceStats) {
         let LineDragTracer { samples, decl, prev, src, elems, granules } = self;
         let mut stats = TraceStats::default();
@@ -344,20 +434,16 @@ impl LineDragTracer {
                 };
                 let addr = plan.address(src_coord);
                 elems.insert(elem_key(addr));
-                granules.insert(granule_key(addr, device, elem));
+                granules.insert(geometry.key(addr));
             }
             stats.addresses += decl.len as u64;
             std::mem::swap(decl, prev);
         }
-        let granule_bytes = match read.layout.memory_class() {
-            MemoryClass::Buffer1D => device.buffer_cache.line_bytes as f64,
-            MemoryClass::Texture2p5D => {
-                (device.texture_tiling.tile_w * device.texture_tiling.tile_h * 4 * elem) as f64
-            }
-        };
-        let useful = (elems.len() as f64 * elem as f64).max(1.0);
+        let granule_bytes = geometry.bytes(read.layout.memory_class());
+        let elem = geometry.elem as f64;
+        let useful = (elems.len() as f64 * elem).max(1.0);
         let dragged = granules.len() as f64 * granule_bytes;
-        ((dragged / useful).clamp(1.0, granule_bytes / elem as f64), stats)
+        ((dragged / useful).clamp(1.0, granule_bytes / elem), stats)
     }
 }
 
@@ -684,16 +770,20 @@ mod tests {
                 let opt = SmartMemPipeline::at(level).optimize(&graph, &device).unwrap();
                 let (graph, groups) = (&opt.graph, &opt.groups);
                 let pullbacks: Vec<_> = groups.iter().map(|g| own_pullback(graph, g)).collect();
-                let shared = trace_all(graph, groups, &pullbacks, &device, elem);
+                let shared =
+                    trace_all(graph, groups, &pullbacks, &device, elem, &DragMemo::default());
                 let mut streamed = 0;
                 for (gi, group) in groups.iter().enumerate() {
+                    // A fresh memo each: the group is traced, not looked up.
                     let alone = trace_all(
                         graph,
                         std::slice::from_ref(group),
                         &pullbacks[gi..=gi],
                         &device,
                         elem,
+                        &DragMemo::default(),
                     );
+                    assert_eq!(alone.stats.reused, 0);
                     assert!(shared.drags(gi) == alone.drags(0), "{name} group {gi}");
                     streamed += alone.drags(0).iter().flatten().count();
                 }
@@ -704,8 +794,8 @@ mod tests {
     }
 
     /// The anchor group of `graph`'s only `op`-kernel, reduced to its
-    /// anchor read of operand `operand`, and what tracing it cost.
-    fn trace_anchor_read(graph: &Graph, mnemonic: &str, operand: usize) -> TraceStats {
+    /// anchor read of operand `operand`, with its optimized graph.
+    fn anchor_read(graph: &Graph, mnemonic: &str, operand: usize) -> (OptimizedGraph, KernelGroup) {
         let device = DeviceConfig::snapdragon_8gen2();
         let opt = SmartMemPipeline::new().optimize(graph, &device).unwrap();
         let mut group = opt
@@ -716,8 +806,15 @@ mod tests {
             .clone();
         group.reads.retain(|r| r.member == group.anchor && r.operand_idx == operand);
         assert_eq!(group.reads.len(), 1);
+        (opt, group)
+    }
+
+    /// What tracing [`anchor_read`]'s read cost.
+    fn trace_anchor_read(graph: &Graph, mnemonic: &str, operand: usize) -> TraceStats {
+        let (opt, group) = anchor_read(graph, mnemonic, operand);
+        let device = DeviceConfig::snapdragon_8gen2();
         let elem = device.dtype.size_bytes();
-        let traces = trace_all(&opt.graph, &[group], &[None], &device, elem);
+        let traces = trace_all(&opt.graph, &[group], &[None], &device, elem, &DragMemo::default());
         assert!(traces.drags(0)[0].is_some(), "the operand is streamed, so traced");
         traces.stats
     }
@@ -796,5 +893,77 @@ mod tests {
         g.output(y);
         let sum = trace_anchor_read(&g.finish(), "Reduce", 0);
         assert_eq!((sum.addresses, sum.skipped_points), (MAX_INNER as u64, 0));
+    }
+
+    #[test]
+    fn a_warm_memo_gives_what_a_fresh_one_gives() {
+        let device = DeviceConfig::snapdragon_8gen2();
+        let names = ["Swin", "ResNext", "Pythia"];
+        let levels = [SmartMemLevel::Full, SmartMemLevel::DnnFusion];
+        let compiled: Vec<(&str, OptimizedGraph)> = names
+            .iter()
+            .flat_map(|&name| {
+                let graph = smartmem_models::by_name(name).expect("zoo model").graph();
+                levels.map(|level| {
+                    (name, SmartMemPipeline::at(level).optimize(&graph, &device).unwrap())
+                })
+            })
+            .collect();
+        let trace = |opt: &OptimizedGraph, device: &DeviceConfig, memo: &DragMemo| {
+            let pullbacks: Vec<_> =
+                opt.groups.iter().map(|g| own_pullback(&opt.graph, g)).collect();
+            let elem = device.dtype.size_bytes();
+            trace_all(&opt.graph, &opt.groups, &pullbacks, device, elem, memo)
+        };
+        // Lines of 256 and 128 bytes against this device's 64, and this
+        // device's very lines and tiles under smaller caches: entries the
+        // memo must keep apart, and entries it must share.
+        let others =
+            [DeviceConfig::server_npu(), DeviceConfig::apple_m1(), DeviceConfig::dimensity_700()];
+        for name in names {
+            // Warmed by every model on the other devices, and by the
+            // other models on this one.
+            let warm = DragMemo::default();
+            for (other, opt) in &compiled {
+                others.iter().for_each(|d| drop(trace(opt, d, &warm)));
+                if *other != name {
+                    trace(opt, &device, &warm);
+                }
+            }
+            for (_, opt) in compiled.iter().filter(|(n, _)| *n == name) {
+                let fresh = trace(opt, &device, &DragMemo::default());
+                let warmed = trace(opt, &device, &warm);
+                for gi in 0..opt.groups.len() {
+                    assert!(fresh.drags(gi) == warmed.drags(gi), "{name} group {gi}");
+                }
+                assert_eq!(fresh.stats.reused, 0);
+                assert!(warmed.stats.reused > 0, "{name} hits the warm memo");
+                assert_eq!(fresh.stats, TraceStats { reused: 0, ..warmed.stats }, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn line_size_is_part_of_the_key() {
+        // `x[k, m]` read transposed: 16 rows of one column, 1 KiB apart,
+        // so every element drags a line of its own.
+        let mut g = GraphBuilder::new("matmul_ta");
+        let x = g.input("x", &[1024, 512], DType::F16);
+        let w = g.weight("w", &[1024, 512], DType::F16);
+        let y = g.matmul_t(x, w, true, false);
+        g.output(y);
+        let (opt, mut group) = anchor_read(&g.finish(), "MatMul", 0);
+        group.reads[0].layout = smartmem_ir::Layout::row_major(2);
+        let memo = DragMemo::default();
+        let drag_at = |line_bytes: usize| {
+            let mut device = DeviceConfig::snapdragon_8gen2();
+            device.buffer_cache.line_bytes = line_bytes;
+            let elem = device.dtype.size_bytes();
+            let traces = trace_all(&opt.graph, &[group.clone()], &[None], &device, elem, &memo);
+            assert_eq!(traces.stats.reused, 0, "{line_bytes}-byte lines are traced");
+            traces.drags(0)[0]
+        };
+        assert_eq!((drag_at(64), drag_at(256)), (Some(32.0), Some(128.0)));
+        assert_eq!(memo.0.lock().unwrap().len(), 2);
     }
 }

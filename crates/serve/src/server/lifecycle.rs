@@ -264,9 +264,9 @@ pub(super) fn resolve(inner: &Inner, p: Pending, terminal: Terminal<'_>) {
         let tracer = &inner.tracer;
         let lane = p.device as u64;
         let end_ns = now_ns();
-        let complete = |name: &str, start_ns: u64, end_ns: u64, args: &[(&str, f64)]| {
+        let complete = |name: &'static str, start_ns, end_ns: u64, args: &[(&'static str, f64)]| {
             let dur_ns = end_ns.saturating_sub(start_ns);
-            let args = args.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+            let args = args.iter().map(|&(k, v)| (k.into(), v)).collect();
             tracer.record_complete(name, "serve", p.trace, start_ns, dur_ns, lane, args);
         };
         match batch {

@@ -301,11 +301,11 @@ pub(super) fn record_recovery(
     name: &'static str,
     trace: TraceId,
     lane: u64,
-    args: &[(&str, f64)],
+    args: &[(&'static str, f64)],
 ) {
     let tracer = &inner.tracer;
     if tracer.is_enabled() {
-        let args = args.iter().map(|&(k, v)| (k.to_string(), v)).collect();
+        let args = args.iter().map(|&(k, v)| (k.into(), v)).collect();
         tracer.record_instant(name, RECOVERY_CATEGORY, trace, lane, args);
     }
 }

@@ -162,7 +162,7 @@ fn execute_batch(
                     compile_start,
                     now_ns().saturating_sub(compile_start),
                     lane,
-                    vec![("cache_hit".to_string(), f64::from(cache_hit))],
+                    vec![("cache_hit".into(), f64::from(cache_hit))],
                 );
             }
             Ok((result, cache_hit))
@@ -171,7 +171,11 @@ fn execute_batch(
 
     // The sampled-trace latency estimate is much cheaper than
     // compilation but still worth paying once per model, not per
-    // batch.
+    // batch. Its traces are shared wider still: the process-wide drag
+    // memo in `smartmem_core` keeps each read's trace once per granule
+    // geometry, so a model's first estimate on this worker traces only
+    // what no other worker or earlier estimate has traced at this
+    // device's lines and tiles; what this map saves is the rest of it.
     //
     // The batch runs one device iteration per decode step of its
     // *longest* decode member — every batch-mate is held hostage for

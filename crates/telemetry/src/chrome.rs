@@ -112,7 +112,7 @@ pub fn parse_chrome(text: &str) -> Result<Trace, String> {
                 if k == "trace" {
                     trace_id = TraceId(v as u64);
                 } else {
-                    args.push((k.clone(), v));
+                    args.push((k.clone().into(), v));
                 }
             }
         }
@@ -123,8 +123,12 @@ pub fn parse_chrome(text: &str) -> Result<Trace, String> {
             SpanKind::Instant => 0,
         };
         trace.spans.push(SpanRecord {
-            name: field("name")?.str().ok_or_else(|| format!("event {i}: non-string name"))?.into(),
-            cat: ev.get("cat").and_then(Json::str).unwrap_or_default().into(),
+            name: field("name")?
+                .str()
+                .ok_or_else(|| format!("event {i}: non-string name"))?
+                .to_owned()
+                .into(),
+            cat: ev.get("cat").and_then(Json::str).unwrap_or_default().to_owned().into(),
             kind,
             trace: trace_id,
             start_ns: ns(field("ts")?.num().ok_or_else(|| format!("event {i}: non-numeric ts"))?),

@@ -30,4 +30,6 @@ mod trace;
 pub use chrome::{parse_chrome, render_chrome};
 pub use ring::RingBuffer;
 pub use summary::{summarize, PhaseStat, TraceSummary, REQUEST_SPAN, SLOWEST_SPANS};
-pub use trace::{now_ns, thread_lane, SpanGuard, SpanKind, SpanRecord, Trace, TraceId, Tracer};
+pub use trace::{
+    now_ns, thread_lane, Label, SpanGuard, SpanKind, SpanRecord, Trace, TraceId, Tracer,
+};

@@ -145,7 +145,7 @@ impl TraceSummary {
 /// ```
 /// use smartmem_telemetry::{summarize, SpanKind, SpanRecord, Trace, TraceId};
 ///
-/// let span = |name: &str, dur_ns| SpanRecord {
+/// let span = |name: &'static str, dur_ns| SpanRecord {
 ///     name: name.into(),
 ///     cat: "serve".into(),
 ///     kind: SpanKind::Complete,
@@ -168,11 +168,11 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
     let mut summary = TraceSummary { dropped: trace.dropped, ..TraceSummary::default() };
     for s in &trace.spans {
         if s.kind == SpanKind::Instant {
-            *summary.instants.entry(s.name.clone()).or_insert(0) += 1;
+            *summary.instants.entry(s.name.to_string()).or_insert(0) += 1;
             continue;
         }
         let p = phases.entry(&s.name).or_insert_with(|| PhaseStat {
-            name: s.name.clone(),
+            name: s.name.to_string(),
             count: 0,
             total_ns: 0,
             max_ns: 0,
@@ -180,7 +180,7 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
         p.count += 1;
         p.total_ns += s.dur_ns;
         p.max_ns = p.max_ns.max(s.dur_ns);
-        match s.name.as_str() {
+        match &*s.name {
             "queue" => summary.queue_ns += s.dur_ns,
             "execute" => summary.execute_ns += s.dur_ns,
             REQUEST_SPAN => {
@@ -206,7 +206,7 @@ pub fn summarize(trace: &Trace) -> TraceSummary {
 mod tests {
     use super::*;
 
-    fn span(name: &str, trace: u64, start_ns: u64, dur_ns: u64) -> SpanRecord {
+    fn span(name: &'static str, trace: u64, start_ns: u64, dur_ns: u64) -> SpanRecord {
         SpanRecord {
             name: name.into(),
             cat: "serve".into(),
@@ -219,7 +219,7 @@ mod tests {
         }
     }
 
-    fn instant(name: &str) -> SpanRecord {
+    fn instant(name: &'static str) -> SpanRecord {
         SpanRecord { kind: SpanKind::Instant, dur_ns: 0, ..span(name, 0, 5, 0) }
     }
 

@@ -20,6 +20,7 @@
 //! correctly in one exported timeline.
 
 use crate::ring::RingBuffer;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -56,14 +57,18 @@ pub enum SpanKind {
     Instant,
 }
 
+/// A span's name, category or argument key: borrowed when it is a
+/// literal, as nearly all are, so recording one allocates nothing.
+pub type Label = Cow<'static, str>;
+
 /// One recorded span or instant event.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpanRecord {
     /// Span name (`queue`, `compile`, `execute`, a pass name, …).
-    pub name: String,
+    pub name: Label,
     /// Category — the layer that recorded it (`serve`, `compile`,
     /// `warn`). Becomes the Chrome-trace `cat`, filterable in the UI.
-    pub cat: String,
+    pub cat: Label,
     /// Duration or instant.
     pub kind: SpanKind,
     /// Owning request trace, or [`TraceId::NONE`].
@@ -76,7 +81,7 @@ pub struct SpanRecord {
     /// the recording thread. Becomes the Chrome-trace `tid` row.
     pub tid: u64,
     /// Numeric attachments (`batch_size`, `cache_hit`, …).
-    pub args: Vec<(String, f64)>,
+    pub args: Vec<(Label, f64)>,
 }
 
 /// Everything drained out of a tracer: spans from all threads, in
@@ -110,10 +115,16 @@ struct TracerInner {
 
 thread_local! {
     /// This thread's log per live tracer, keyed by the tracer's inner
-    /// allocation. Entries of dropped tracers are pruned on the next
-    /// miss.
+    /// allocation, the one recorded into last first. Entries of dropped
+    /// tracers are pruned on the next miss.
     static THREAD_LOGS: RefCell<Vec<(Weak<TracerInner>, Arc<ThreadLog>)>> =
         const { RefCell::new(Vec::new()) };
+    /// This thread's display lane, hashed once.
+    static LANE: u64 = {
+        let mut h = DefaultHasher::new();
+        std::thread::current().id().hash(&mut h);
+        h.finish()
+    };
 }
 
 /// The span recorder handle. Clone freely; clones share the buffers.
@@ -184,13 +195,13 @@ impl Tracer {
     #[allow(clippy::too_many_arguments)]
     pub fn record_complete(
         &self,
-        name: impl Into<String>,
-        cat: impl Into<String>,
+        name: impl Into<Label>,
+        cat: impl Into<Label>,
         trace: TraceId,
         start_ns: u64,
         dur_ns: u64,
         tid: u64,
-        args: Vec<(String, f64)>,
+        args: Vec<(Label, f64)>,
     ) {
         if !self.is_enabled() {
             return;
@@ -211,11 +222,11 @@ impl Tracer {
     /// current time.
     pub fn record_instant(
         &self,
-        name: impl Into<String>,
-        cat: impl Into<String>,
+        name: impl Into<Label>,
+        cat: impl Into<Label>,
         trace: TraceId,
         tid: u64,
-        args: Vec<(String, f64)>,
+        args: Vec<(Label, f64)>,
     ) {
         if !self.is_enabled() {
             return;
@@ -246,11 +257,15 @@ impl Tracer {
     }
 
     /// Appends into this thread's ring, registering one on first use.
+    /// The ring recorded into last is checked first, so a thread that
+    /// records into one tracer finds its ring without a search.
     fn push(&self, span: SpanRecord) {
         THREAD_LOGS.with(|logs| {
             let mut logs = logs.borrow_mut();
-            let log = match logs.iter().find(|(w, _)| w.as_ptr() == Arc::as_ptr(&self.inner)) {
-                Some((_, log)) => Arc::clone(log),
+            let mine = |(w, _): &(Weak<TracerInner>, _)| w.as_ptr() == Arc::as_ptr(&self.inner);
+            match logs.iter().position(mine) {
+                Some(0) => {}
+                Some(i) => logs[..=i].rotate_right(1),
                 None => {
                     // Prune logs of tracers that no longer exist, then
                     // register this thread with this tracer.
@@ -259,11 +274,10 @@ impl Tracer {
                         ring: Mutex::new(RingBuffer::new(self.inner.capacity)),
                     });
                     self.inner.logs.lock().expect("tracer log registry").push(Arc::clone(&log));
-                    logs.push((Arc::downgrade(&self.inner), Arc::clone(&log)));
-                    log
+                    logs.insert(0, (Arc::downgrade(&self.inner), log));
                 }
-            };
-            log.ring.lock().expect("thread span log").push(span);
+            }
+            logs[0].1.ring.lock().expect("thread span log").push(span);
         });
     }
 
@@ -285,9 +299,7 @@ impl Tracer {
 
 /// Stable display-lane id of the current thread.
 pub fn thread_lane() -> u64 {
-    let mut h = DefaultHasher::new();
-    std::thread::current().id().hash(&mut h);
-    h.finish()
+    LANE.with(|lane| *lane)
 }
 
 /// An in-progress span; records a [`SpanKind::Complete`] record from
@@ -299,7 +311,7 @@ pub struct SpanGuard {
     trace: TraceId,
     tid: u64,
     start_ns: u64,
-    args: Vec<(String, f64)>,
+    args: Vec<(Label, f64)>,
 }
 
 impl SpanGuard {
@@ -311,7 +323,7 @@ impl SpanGuard {
     }
 
     /// Attaches a numeric argument.
-    pub fn arg(&mut self, key: impl Into<String>, value: f64) {
+    pub fn arg(&mut self, key: impl Into<Label>, value: f64) {
         self.args.push((key.into(), value));
     }
 }
@@ -357,8 +369,8 @@ mod tests {
         let out = t.drain();
         assert_eq!(out.spans.len(), 1);
         let s = &out.spans[0];
-        assert_eq!((s.name.as_str(), s.cat.as_str(), s.tid), ("work", "test", 7));
-        assert_eq!(s.args, vec![("n".to_string(), 3.0)]);
+        assert_eq!((&*s.name, &*s.cat, s.tid), ("work", "test", 7));
+        assert_eq!(s.args, vec![("n".into(), 3.0)]);
     }
 
     #[test]
