@@ -12,13 +12,12 @@
 //! Flags: `--smoke`, `--requests N`, `--rate RPS`, `--seed S`,
 //! `--scale F` (wall-clock throttle of simulated device time),
 //! `--cancel-rate P` (probability a request is cancelled ~one arrival
-//! after submission, racing the batch cut), `--cold` (skip the warmup
-//! pass, so the replay measures cold-compile stalls instead of steady
-//! state), `--cache-dir DIR` (persistent
-//! artifact cache: cold compiles write through, rerunning against the
-//! same directory warm-starts from disk), `--expect-warm` (assert
-//! the run performed *zero* cold compiles — pair it with a second run
-//! over an already-populated `--cache-dir`), `--trace-out PATH` (enable
+//! after submission, racing the batch cut), `--cache-dir DIR`
+//! (persistent artifact cache: the cold compiles `Server::start` runs
+//! write through, rerunning against the same directory warm-starts
+//! from disk), `--expect-warm` (assert the run performed *zero* cold
+//! compiles — pair it with a second run over an already-populated
+//! `--cache-dir`), `--trace-out PATH` (enable
 //! the span recorder and export the replay as Chrome `trace_event`
 //! JSON — load it in `chrome://tracing` or Perfetto, or digest it with
 //! the `trace_view` binary), `--sample-every N` (trace 1-in-N requests;
@@ -110,17 +109,15 @@ fn replay_once(opts: &BenchOpts, telemetry_on: bool) -> RunOutcome {
     let mut trace = TraceGen::new(opts.seed, model_count, opts.rate_rps);
     let mut cancel_rng = StdRng::seed_from_u64(opts.seed ^ 0xc0ff_ee00);
 
-    // Compile-on-first-use happens in the warmup; `--cold` skips it.
-    let mut warmup_requests = 0u64;
-    if !opts.cold {
-        let warm_start = Instant::now();
-        warmup_requests = warm_up(&server, model_count, |req, _, _| req);
-        println!(
-            "warmup: compiled {} (model, device) artifacts in {:.2}s",
-            warmup_requests,
-            warm_start.elapsed().as_secs_f64()
-        );
-    }
+    // `Server::start` compiled every (model, device) pair; the warm-up
+    // serves each once.
+    let warm_start = Instant::now();
+    let warmup_requests = warm_up(&server, model_count, |req, _, _| req);
+    println!(
+        "warmup: served {} (model, device) pairs in {:.2}s",
+        warmup_requests,
+        warm_start.elapsed().as_secs_f64()
+    );
     let warm_stats = server.stats();
 
     // Cancellations are issued ~one arrival after submission, so they
@@ -256,19 +253,17 @@ fn run_fleet(opts: &BenchOpts) {
         |r: usize, m: usize, d: usize| 1u64 << 40 | (r as u64) << 20 | (m as u64) << 10 | d as u64;
     let restart_tag = |m: usize, d: usize| 2u64 << 40 | (m as u64) << 10 | d as u64;
     let mut warmup_requests = 0u64;
-    if !opts.cold {
-        let warm_start = Instant::now();
-        for r in 0..router.len() {
-            let server = router.server(r).expect("replica alive at startup");
-            warmup_requests +=
-                warm_up(&server, model_count, |req, m, d| req.with_tag(warmup_tag(r, m, d)));
-        }
-        println!(
-            "warmup: compiled {} (replica, model, device) artifacts in {:.2}s",
-            warmup_requests,
-            warm_start.elapsed().as_secs_f64()
-        );
+    let warm_start = Instant::now();
+    for r in 0..router.len() {
+        let server = router.server(r).expect("replica alive at startup");
+        warmup_requests +=
+            warm_up(&server, model_count, |req, m, d| req.with_tag(warmup_tag(r, m, d)));
     }
+    println!(
+        "warmup: served {} (replica, model, device) pairs in {:.2}s",
+        warmup_requests,
+        warm_start.elapsed().as_secs_f64()
+    );
     let interactive_viol = |per_replica: &[ServeStats]| -> u64 {
         per_replica.iter().map(|s| s.class(Priority::Interactive).slo_violations).sum()
     };
@@ -291,19 +286,15 @@ fn run_fleet(opts: &BenchOpts) {
         if chaos && i == 2 * opts.requests / 3 {
             assert!(router.restart(victim), "restarting the killed replica");
             println!("chaos: restarted replica {victim} at request {i}");
-            // Warm the newcomer before it takes routed traffic — it
-            // looks least-loaded and would otherwise absorb a herd of
-            // requests while still paying per-(model, device) disk
-            // decodes, exactly what an operator avoids by warming a
-            // replica before re-adding it to the rotation. BestEffort
-            // keeps any decode stall out of the gated Interactive
-            // SLO counter.
-            if !opts.cold {
-                let server = router.server(victim).expect("replica just restarted");
-                warmup_requests += warm_up(&server, model_count, |req, m, d| {
-                    req.with_priority(Priority::BestEffort).with_tag(restart_tag(m, d))
-                });
-            }
+            // Warm the newcomer before it takes routed traffic, as an
+            // operator warms a replica before re-adding it to the
+            // rotation (its start already decoded every pair from
+            // disk). BestEffort keeps any stall out of the gated
+            // Interactive SLO counter.
+            let server = router.server(victim).expect("replica just restarted");
+            warmup_requests += warm_up(&server, model_count, |req, m, d| {
+                req.with_priority(Priority::BestEffort).with_tag(restart_tag(m, d))
+            });
         }
         let req = trace.next_request().with_tag(i as u64);
         tickets.push(router.submit(req).expect("submit"));
@@ -377,13 +368,11 @@ fn run_fleet(opts: &BenchOpts) {
         };
         let pairs = || (0..model_count).flat_map(|m| (0..device_count).map(move |d| (m, d)));
         let mut tags: Vec<u64> = (0..opts.requests as u64).collect();
-        if !opts.cold {
-            for r in 0..opts.replicas {
-                tags.extend(pairs().map(|(m, d)| warmup_tag(r, m, d)));
-            }
-            if chaos {
-                tags.extend(pairs().map(|(m, d)| restart_tag(m, d)));
-            }
+        for r in 0..opts.replicas {
+            tags.extend(pairs().map(|(m, d)| warmup_tag(r, m, d)));
+        }
+        if chaos {
+            tags.extend(pairs().map(|(m, d)| restart_tag(m, d)));
         }
         assert_eq!(
             stats.recovered,
@@ -393,7 +382,7 @@ fn run_fleet(opts: &BenchOpts) {
     }
     // Zero Interactive SLO violations at smoke load, the same promise
     // the plain path makes — retries and re-routes must hide inside
-    // the budget (warmup excluded: it pays the cold compiles).
+    // the budget (warmup excluded: it is not client traffic).
     if opts.smoke {
         let viol = interactive_viol(&stats.per_replica) - warm_viol;
         if viol != 0 {
@@ -872,19 +861,12 @@ fn run_replay(opts: &BenchOpts) {
             run.cancels_attempted
         );
     }
-    // Under --cold the trace deliberately pays every cold compile, so
-    // the steady-state gate only applies to warmed runs.
-    if !opts.cold {
-        let steady_floor = if opts.smoke { 0.8 } else { 0.9 };
-        assert!(
-            steady >= steady_floor,
-            "steady-state cache hit rate {steady:.3} below {steady_floor}"
-        );
-    }
+    let steady_floor = if opts.smoke { 0.8 } else { 0.9 };
+    assert!(steady >= steady_floor, "steady-state cache hit rate {steady:.3} below {steady_floor}");
     // At smoke load the Interactive class must hold its SLO over the
     // traced requests: the slack-ordered scheduler has no excuse at
     // ~3000 rps over two warm models. (Warmup requests are excluded —
-    // they deliberately pay the cold compiles.)
+    // they are not part of the trace.)
     if opts.smoke {
         let viol = classes[Priority::Interactive.index()].violations;
         assert_eq!(viol, 0, "Interactive SLO violations at smoke load: {viol}");
@@ -899,8 +881,8 @@ fn run_replay(opts: &BenchOpts) {
         );
     }
     // A warm start against a populated --cache-dir must never run a
-    // pass sequence: every request — the very first included — decodes
-    // a persisted artifact or hits the promoted in-memory entry.
+    // pass sequence: `Server::start` decodes every pair's persisted
+    // artifact, and every request hits the promoted in-memory entry.
     if opts.expect_warm {
         assert_eq!(
             stats.cache.misses, 0,

@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 pub struct BenchOpts {
     pub smoke: bool,
-    pub cold: bool,
     pub requests: usize,
     pub rate_rps: f64,
     pub seed: u64,
@@ -60,7 +59,6 @@ pub fn parse_args() -> BenchOpts {
         };
         match flag.as_str() {
             "--smoke" => opts.smoke = true,
-            "--cold" => opts.cold = true,
             "--requests" => opts.requests = value("--requests").parse().expect("integer"),
             "--rate" => opts.rate_rps = value("--rate").parse().expect("number"),
             "--seed" => opts.seed = value("--seed").parse().expect("integer"),
@@ -247,9 +245,10 @@ pub fn serve_config(opts: &BenchOpts, queue_capacity: usize) -> ServeConfig {
 }
 
 /// Warm-up: one pinned request per (model, device) of `server`, shaped
-/// by `shape(request, model, device)` (tags, priority), so what follows
-/// measures steady-state serving instead of cold-compile stalls.
-/// Returns how many requests it issued.
+/// by `shape(request, model, device)` (tags, priority), so every worker
+/// has served each of its pairs once before what follows is measured.
+/// `Server::start` already compiled every pair, so these are all
+/// compile-cache hits. Returns how many requests it issued.
 pub fn warm_up(
     server: &Server,
     models: usize,
@@ -266,7 +265,7 @@ pub fn warm_up(
     let issued = tickets.len() as u64;
     for t in tickets {
         let r = t.wait();
-        assert!(r.error.is_none(), "warmup compile failed: {:?}", r.error);
+        assert!(r.error.is_none(), "warmup request failed: {:?}", r.error);
     }
     issued
 }

@@ -45,9 +45,9 @@ pub trait BatchItem {
     /// priority class's budget).
     fn deadline(&self) -> Instant;
 
-    /// Estimated execution time in nanoseconds (the scheduler's
-    /// roofline estimate) — subtracted from the time-to-deadline to get
-    /// slack.
+    /// Estimated execution time in nanoseconds (the placement charge,
+    /// from the pair's compiled latency estimate) — subtracted from the
+    /// time-to-deadline to get slack.
     fn est_ns(&self) -> f64;
 
     /// Called exactly once, at cut time, under the batcher's lock:

@@ -26,7 +26,7 @@
 //!              pull
 //!               │ Batch<Pending>
 //!               ▼
-//!              ┌───────────┐  roofline-estimate placement at admission,
+//!              ┌───────────┐  compiled-estimate placement at admission,
 //!              │ Scheduler │  per-class outstanding-work accounting
 //!              └───────────┘
 //!               │    │    │        one worker thread per device
@@ -36,7 +36,7 @@
 //!            └────┘└────┘└────┘
 //!               │    │    │
 //!               ▼    ▼    ▼
-//!         ┌─────────────────────┐  compile-on-first-use, cache-warm
+//!         ┌─────────────────────┐  every pair compiled at start, cache-warm
 //!         │   CompileSession    │  steady state, in-flight dedup on
 //!         └─────────────────────┘  cold bursts (misses == 1)
 //! ```
@@ -103,7 +103,7 @@ pub use request::{
 };
 pub use retry::{AdmissionControl, RetryDecision, RetryPolicy};
 pub use router::{Router, RouterStats, RouterTicket};
-pub use scheduler::{quick_estimate_ns, DevicePool};
+pub use scheduler::DevicePool;
 pub use server::{
     batch_exec_ms, histogram_mean, CancelHandle, ClassDeadlines, ClassStats, ServeConfig,
     ServeStats, Server, TelemetryConfig, FAULT_CATEGORY, RECOVERY_CATEGORY,

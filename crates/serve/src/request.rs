@@ -61,11 +61,11 @@ impl fmt::Display for Priority {
     }
 }
 
-/// A model registered with the server: the graph plus everything the
-/// request path needs precomputed (content fingerprint for the
-/// compilation cache, MAC/byte totals for the scheduler's roofline
-/// estimate). Computing these once at registration keeps the per-request
-/// cost to hash-map lookups and a few atomics.
+/// A model registered with the server: the graph plus its content
+/// fingerprint, precomputed once so every per-request compile through
+/// the session is a hash-map lookup. The scheduler's per-device latency
+/// estimates are not here: `Server::start` compiles every (model,
+/// device) pair and keeps each compiled graph's estimate.
 pub struct ModelSpec {
     /// Display name (unique per server).
     pub name: String,
@@ -73,26 +73,13 @@ pub struct ModelSpec {
     pub graph: Graph,
     /// Content fingerprint of `graph` (compilation-cache key component).
     pub fingerprint: u64,
-    /// Total multiply-accumulates of one inference.
-    pub macs: u64,
-    /// Total tensor bytes (weights + activations at F16) — the
-    /// denominator of the scheduler's computational-intensity estimate.
-    pub bytes: u64,
-    /// Rough post-fusion kernel count used to estimate launch overhead.
-    pub kernels_hint: usize,
 }
 
 impl ModelSpec {
-    /// Registers `graph` under `name`, precomputing the fingerprint and
-    /// the scheduler's work estimates.
+    /// Registers `graph` under `name`, precomputing the fingerprint.
     pub fn new(name: impl Into<String>, graph: Graph) -> Self {
         let fingerprint = graph_fingerprint(&graph);
-        let macs = graph.total_macs();
-        let bytes: u64 = graph.tensors().iter().map(|t| t.shape.numel() * 2).sum();
-        // Fusion + elimination typically collapse ~3 source operators
-        // into one kernel (Table 7's operator-count reductions).
-        let kernels_hint = (graph.op_count() / 3).max(1);
-        ModelSpec { name: name.into(), graph, fingerprint, macs, bytes, kernels_hint }
+        ModelSpec { name: name.into(), graph, fingerprint }
     }
 }
 

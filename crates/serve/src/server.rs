@@ -26,7 +26,7 @@ pub use worker::batch_exec_ms;
 
 use crate::batcher::Batcher;
 use crate::request::ModelSpec;
-use crate::scheduler::{quick_estimate_ns, DevicePool};
+use crate::scheduler::DevicePool;
 use lifecycle::Pending;
 use smartmem_core::{CompileSession, Framework, SmartMemPipeline};
 use smartmem_sim::DeviceConfig;
@@ -53,8 +53,11 @@ struct Inner {
     pool: DevicePool,
     session: CompileSession,
     framework: Box<dyn Framework>,
-    /// Roofline placement estimates, `estimates[model][device]` in ns.
-    estimates: Vec<Vec<f64>>,
+    /// `latency_ms[model][device]`: the estimated latency of each
+    /// pair's compiled graph (0 for a pair that failed to compile).
+    /// Placement, admission shedding and the worker's device time all
+    /// read it.
+    latency_ms: Vec<Vec<f64>>,
     config: ServeConfig,
     metrics: Metrics,
     tracer: Tracer,
@@ -93,7 +96,9 @@ impl Server {
     }
 
     /// Starts a server compiling through an explicit framework
-    /// pipeline.
+    /// pipeline. Every (model, device) pair is compiled and estimated
+    /// before this returns, so a pair that compiled serves even its
+    /// first request from the cache.
     ///
     /// # Panics
     ///
@@ -107,10 +112,6 @@ impl Server {
         assert!(!models.is_empty(), "register at least one model");
         assert!(!devices.is_empty(), "provide at least one device");
         let pool = DevicePool::new(devices);
-        let estimates = models
-            .iter()
-            .map(|m| (0..pool.len()).map(|d| quick_estimate_ns(m, pool.device(d))).collect())
-            .collect();
         let metrics = Metrics::new(pool.len(), config.max_batch);
         let tracer = config.telemetry.tracer();
         // A broken cache directory must not take the server down with
@@ -134,12 +135,26 @@ impl Server {
             None => CompileSession::new(),
         };
         // Wire the fault plan into the persistent cache so cache-dir
-        // I/O faults fire inside the real read/write seams.
+        // I/O faults fire inside the real read/write seams — the
+        // start-up compiles below included.
         if let Some(plan) = &config.fault_plan {
             if !plan.is_inert() {
                 session.inject_disk_faults(Arc::clone(plan));
             }
         }
+        // Every (model, device) pair compiles once, here, and its
+        // estimate is the one latency placement charges and the worker
+        // holds the device for. A pair that fails to compile (or
+        // panics) costs 0: its requests are answered with the error and
+        // never hold the device.
+        let latency = |spec: &ModelSpec, device: &DeviceConfig| {
+            let (result, _) = worker::compile_guarded(&session, framework.as_ref(), spec, device);
+            result.map_or(0.0, |output| output.optimized.estimate(device).latency_ms)
+        };
+        let latency_ms = models
+            .iter()
+            .map(|spec| (0..pool.len()).map(|d| latency(spec, pool.device(d))).collect())
+            .collect();
         let batcher =
             Batcher::new(config.max_batch, config.max_delay).with_aging_factor(config.aging_factor);
         let pool_len = pool.len();
@@ -148,7 +163,7 @@ impl Server {
             pool,
             session,
             framework,
-            estimates,
+            latency_ms,
             config,
             metrics,
             tracer,

@@ -11,16 +11,18 @@ use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
-/// Places a request of `model` whose estimate row is scaled by its
-/// decode step count, without mutating the shared row. The common
-/// single-shot path (`steps <= 1`) skips the allocation.
-fn place_scaled(inner: &Inner, model: usize, steps: u32, class: Priority) -> (usize, u64) {
-    let estimates_ns = &inner.estimates[model];
-    if steps <= 1 {
-        return inner.pool.place(estimates_ns, class);
-    }
-    let scaled: Vec<f64> = estimates_ns.iter().map(|e| e * f64::from(steps)).collect();
-    inner.pool.place(&scaled, class)
+/// Nanoseconds charged per latency-table millisecond for a request of
+/// `steps` decode iterations: a decode request occupies the device for
+/// every step, so its charge — and therefore the batcher's slack —
+/// scales with the step count.
+fn ns_per_ms(steps: u32) -> f64 {
+    1e6 * f64::from(steps.max(1))
+}
+
+/// Places a request of `model` on the device of earliest estimated
+/// completion and charges it there.
+fn place(inner: &Inner, model: usize, steps: u32, class: Priority) -> (usize, u64) {
+    inner.pool.place_scaled(&inner.latency_ms[model], ns_per_ms(steps), class)
 }
 
 /// Moves a request to a fresh placement among the alive devices (the
@@ -29,7 +31,7 @@ fn place_scaled(inner: &Inner, model: usize, steps: u32, class: Priority) -> (us
 /// and charges the new one.
 pub(super) fn replace(inner: &Inner, p: &mut Pending) {
     inner.pool.discharge(p.device, p.est_ns, p.class);
-    (p.device, p.est_ns) = place_scaled(inner, p.model, p.steps, p.class);
+    (p.device, p.est_ns) = place(inner, p.model, p.steps, p.class);
 }
 
 impl Server {
@@ -110,7 +112,7 @@ impl Server {
         // Admission shedding happens before any charge: a shed request
         // must leave zero trace in the scheduler's accounts.
         if inner.config.admission.enabled {
-            let best = inner.pool.best_completion_ns(&inner.estimates[req.model]);
+            let best = inner.pool.best_completion_ns(&inner.latency_ms[req.model], ns_per_ms(1));
             let budget_ns = inner.config.deadlines.interactive.as_nanos() as f64;
             let slack = (budget_ns - best).clamp(i64::MIN as f64, i64::MAX as f64) as i64;
             if inner.config.admission.should_shed(req.priority, slack) {
@@ -120,19 +122,16 @@ impl Server {
                 return Err(SubmitError::Shed);
             }
         }
-        // A decode request occupies the device for `steps` iterations,
-        // so its placement charge — and therefore the batcher's slack —
-        // scales with the step count.
-        let steps_charge = f64::from(req.decode_steps.max(1));
         let (device, est_ns) = match req.device {
             // A device pinned dead falls back to scheduler placement —
             // pinning is an affinity hint, not a suicide pact.
             Some(d) if inner.pool.is_alive(d) => {
-                let est = (inner.estimates[req.model][d] * steps_charge).max(0.0) as u64;
+                let ms = inner.latency_ms[req.model][d];
+                let est = (ms * ns_per_ms(req.decode_steps)).max(0.0) as u64;
                 inner.pool.charge(d, est, req.priority);
                 (d, est)
             }
-            _ => place_scaled(inner, req.model, req.decode_steps, req.priority),
+            _ => place(inner, req.model, req.decode_steps, req.priority),
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let tag = req.tag.unwrap_or(id);
@@ -176,5 +175,45 @@ impl Server {
         };
         let cancel = CancelHandle { cell, id, model: req.model, inner: Arc::downgrade(inner) };
         Ok((pending, Ticket { id, rx, cancel }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::request::ModelSpec;
+    use crate::ServeConfig;
+    use smartmem_ir::{DType, GraphBuilder};
+    use smartmem_sim::DeviceConfig;
+
+    /// A pinned request is charged its pair's latency-table entry in
+    /// ns — the number the worker will hold the device for — and a
+    /// decode request that entry once per step.
+    #[test]
+    fn pinned_requests_are_charged_the_latency_table() {
+        let mut b = GraphBuilder::new("admit-toy");
+        let x = b.input("x", &[1, 64, 256], DType::F16);
+        let w = b.weight("w", &[256, 256], DType::F16);
+        let mm = b.matmul(x, w);
+        b.output(mm);
+        let server = Server::start(
+            vec![ModelSpec::new("toy", b.finish())],
+            vec![DeviceConfig::snapdragon_8gen2(), DeviceConfig::dimensity_700()],
+            ServeConfig::default(),
+        );
+        for device in 0..server.pool().len() {
+            let latency_ms = server.inner.latency_ms[0][device];
+            assert!(latency_ms > 0.0, "the toy model compiles on device {device}");
+            let (pending, _ticket) =
+                server.admit(InferenceRequest::new(0).on_device(device)).expect("admitted");
+            assert_eq!(pending.device, device);
+            assert_eq!(pending.est_ns, (latency_ms * 1e6) as u64);
+            server.inner.pool.discharge(device, pending.est_ns, pending.class);
+            let decode = InferenceRequest::new(0).on_device(device).with_decode_steps(4);
+            let (pending, _ticket) = server.admit(decode).expect("admitted");
+            assert_eq!(pending.est_ns, (latency_ms * 4e6) as u64);
+            server.inner.pool.discharge(device, pending.est_ns, pending.class);
+        }
+        server.shutdown();
     }
 }

@@ -125,8 +125,9 @@ pub struct ServeStats {
     pub per_device_batches: Vec<u64>,
     /// Per-priority-class counters, indexed by [`Priority::index`].
     pub per_class: [ClassStats; 3],
-    /// Compilation-session counters (per-request granularity: steady
-    /// state is all hits).
+    /// Compilation-session counters: one compile per (model, device)
+    /// pair at `Server::start`, then one per request, so every request
+    /// of a pair that compiled is a hit.
     pub cache: CacheStats,
     /// Distinct compiled artifacts in the session cache.
     pub compiled: usize,

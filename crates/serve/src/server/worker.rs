@@ -7,10 +7,10 @@ use super::recovery::{mark_device_dead, retry_or_fail, strand};
 use super::stats::record_fault;
 use super::{BatchState, Inner};
 use crate::batcher::Batch;
-use smartmem_core::Unsupported;
-use smartmem_sim::FaultKind;
+use crate::request::ModelSpec;
+use smartmem_core::{CompileResult, CompileSession, Framework, Unsupported};
+use smartmem_sim::{DeviceConfig, FaultKind};
 use smartmem_telemetry::{now_ns, TraceId};
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
 use std::time::{Duration, Instant};
@@ -27,10 +27,25 @@ pub fn batch_exec_ms(single_ms: f64, n: usize) -> f64 {
     single_ms * (1.0 + BATCH_MARGINAL * n.saturating_sub(1) as f64)
 }
 
+/// Compiles `spec` for `device` through the shared session, reporting
+/// whether the result was a cache hit. A panicking pass fails this
+/// model, not the calling thread — a device worker that died would
+/// strand every later batch routed to it: the session's FlightGuard
+/// already unwedges concurrent waiters, and catching the unwind turns
+/// the panic into an [`Unsupported`] error.
+pub(super) fn compile_guarded(
+    session: &CompileSession,
+    framework: &dyn Framework,
+    spec: &ModelSpec,
+    device: &DeviceConfig,
+) -> (CompileResult, bool) {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.compile_keyed(framework, &spec.graph, spec.fingerprint, device)
+    }))
+    .unwrap_or_else(|_| (Err(Unsupported::new(framework.name(), "compilation panicked")), false))
+}
+
 pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
-    // Estimated latency per model on this device. Only this worker ever
-    // touches (·, device_id) pairs, so the memo is thread-local.
-    let mut latencies: HashMap<usize, f64> = HashMap::new();
     let mut st: MutexGuard<'_, BatchState> = inner.state.lock().expect("batch state poisoned");
     loop {
         let now = Instant::now();
@@ -49,7 +64,7 @@ pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
                     resolve(inner, p, Terminal::Cancelled);
                 }
                 if !cut.batch.items.is_empty() {
-                    execute_batch(inner, device_id, &mut latencies, cut.batch);
+                    execute_batch(inner, device_id, cut.batch);
                 }
                 st = inner.state.lock().expect("batch state poisoned");
             }
@@ -72,12 +87,7 @@ pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
     }
 }
 
-fn execute_batch(
-    inner: &Inner,
-    device_id: usize,
-    latencies: &mut HashMap<usize, f64>,
-    batch: Batch<Pending>,
-) {
+fn execute_batch(inner: &Inner, device_id: usize, batch: Batch<Pending>) {
     let exec_start = Instant::now();
     let device = inner.pool.device(device_id);
     let size = batch.items.len();
@@ -116,18 +126,15 @@ fn execute_batch(
     // exactly the cursed tags, independent of scheduling) — and preempt
     // compilation.
     //
-    // Everything else compiles through the shared session:
-    // compile-on-first-use, cache-warm (and in-flight-deduplicated)
-    // thereafter. The fingerprint was precomputed at registration,
-    // so a warm call is a hash-map lookup. Accounting is deliberately
-    // per *request* — the hit rate answers "what fraction of traffic
-    // was served from a warm artifact", so the follow-up requests of
-    // a batch count as hits too.
-    // A panicking pass must fail this model's requests, not kill
-    // the device worker (which would strand every later batch
-    // routed here): the session's FlightGuard already unwedges
-    // concurrent waiters, and catching the unwind turns the panic
-    // into a per-request error response.
+    // Everything else compiles through the shared session, which
+    // `Server::start` already filled with every (model, device) pair
+    // (a pair that failed there fails again here). The fingerprint
+    // was precomputed at registration, so a warm call is a hash-map
+    // lookup. Accounting is deliberately per *request* — the hit rate
+    // answers "what fraction of traffic was served from a warm
+    // artifact", so the follow-up requests of a batch count as hits
+    // too. A panicking pass answers this model's requests with an
+    // error (see `compile_guarded`).
     let outcomes: Vec<_> = batch
         .items
         .iter()
@@ -143,17 +150,7 @@ fn execute_batch(
             }
             let compile_start = if item.trace != TraceId::NONE { now_ns() } else { 0 };
             let (result, cache_hit) =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    inner.session.compile_keyed(
-                        inner.framework.as_ref(),
-                        &spec.graph,
-                        spec.fingerprint,
-                        device,
-                    )
-                }))
-                .unwrap_or_else(|_| {
-                    (Err(Unsupported::new(inner.framework.name(), "compilation panicked")), false)
-                });
+                compile_guarded(&inner.session, inner.framework.as_ref(), spec, device);
             if item.trace != TraceId::NONE {
                 tracer.record_complete(
                     "compile",
@@ -169,29 +166,19 @@ fn execute_batch(
         })
         .collect();
 
-    // The sampled-trace latency estimate is much cheaper than
-    // compilation but still worth paying once per model, not per
-    // batch. Its traces are shared wider still: the process-wide drag
-    // memo in `smartmem_core` keeps each read's trace once per granule
-    // geometry, so a model's first estimate on this worker traces only
-    // what no other worker or earlier estimate has traced at this
-    // device's lines and tiles; what this map saves is the rest of it.
+    // Device time is the pair's start-up estimate — the number its
+    // placement charged — and nothing when no member compiled.
     //
     // The batch runs one device iteration per decode step of its
     // *longest* decode member — every batch-mate is held hostage for
     // all of them. This is exactly the cost continuous batching avoids
     // by re-submitting one step at a time.
     let iters = batch.items.iter().map(|i| i.steps.max(1)).max().unwrap_or(1);
-    let exec_ms = outcomes
-        .iter()
-        .flatten()
-        .find_map(|(res, _)| res.as_ref().ok())
-        .map(|output| {
-            *latencies
-                .entry(model_id)
-                .or_insert_with(|| output.optimized.estimate(device).latency_ms)
-        })
-        .map_or(0.0, |latency_ms| batch_exec_ms(latency_ms, size) * f64::from(iters));
+    let exec_ms = if outcomes.iter().flatten().any(|(res, _)| res.is_ok()) {
+        batch_exec_ms(inner.latency_ms[model_id][device_id], size) * f64::from(iters)
+    } else {
+        0.0
+    };
     if inner.config.exec_time_scale > 0.0 && exec_ms > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(exec_ms * inner.config.exec_time_scale / 1e3));
     }

@@ -1,5 +1,6 @@
-//! End-to-end tests of the serving runtime: compile-on-first-use with
-//! cache-warm steady state, concurrent submission, FIFO completion
+//! End-to-end tests of the serving runtime: compile-at-start with
+//! cache-warm steady state, one latency number for placement and
+//! execution, concurrent submission, FIFO completion
 //! within a key, idle-deadline flushing of stragglers, scheduler
 //! placement across the device pool, priority-class accounting,
 //! request cancellation, and pull-based batch growth under backlog.
@@ -520,4 +521,55 @@ fn disabled_tracer_records_nothing_but_stats_count() {
     }
     let completed: u64 = stats.per_class.iter().map(|c| c.completed).sum();
     assert_eq!(completed, 6, "per-class stats count with tracing off");
+}
+
+/// Placement and execution read one number: with no wall-clock device
+/// time, a lone pinned request's `exec_ms` is, bit for bit, the latency
+/// a fresh compile estimates for its (model, device) pair — the same
+/// table entry its placement charged.
+#[test]
+fn exec_time_is_the_compiled_estimate_on_every_pool_device() {
+    use smartmem_core::{Framework, SmartMemPipeline};
+
+    let models = vec![
+        ModelSpec::new("ConvNext", smartmem_models::convnext(1)),
+        ModelSpec::new("RegNet", smartmem_models::regnet(1)),
+        ModelSpec::new("Swin", smartmem_models::swin_tiny(1)),
+    ];
+    // The serving benchmark's six-device pool.
+    let pool = vec![
+        DeviceConfig::snapdragon_8gen2(),
+        DeviceConfig::snapdragon_835(),
+        DeviceConfig::dimensity_700(),
+        DeviceConfig::mali_g710(),
+        DeviceConfig::apple_m1(),
+        DeviceConfig::server_npu(),
+    ];
+    let want: Vec<Vec<f64>> = models
+        .iter()
+        .map(|m| {
+            let fresh = SmartMemPipeline::new();
+            pool.iter()
+                .map(|d| fresh.optimize(&m.graph, d).expect("compiles").estimate(d).latency_ms)
+                .collect()
+        })
+        .collect();
+    let config = ServeConfig { exec_time_scale: 0.0, ..ServeConfig::default() };
+    let server = Server::start(models, pool.clone(), config);
+    for (m, row) in want.iter().enumerate() {
+        for (d, &latency_ms) in row.iter().enumerate() {
+            let r = server.submit(InferenceRequest::new(m).on_device(d)).expect("submit").wait();
+            assert!(r.error.is_none(), "{} on {}: {:?}", r.model, r.device, r.error);
+            assert_eq!(r.batch_size, 1);
+            assert_eq!(
+                r.exec_ms.to_bits(),
+                latency_ms.to_bits(),
+                "{} on {}: exec {} ms vs estimate {latency_ms} ms",
+                r.model,
+                r.device,
+                r.exec_ms
+            );
+        }
+    }
+    server.shutdown();
 }

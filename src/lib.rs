@@ -63,8 +63,9 @@
 //!   requests are admitted under per-class latency budgets
 //!   ([`serve::Priority`]), coalesce into per-(model, device) batches
 //!   that device workers pull in slack order (cancellable via
-//!   [`serve::CancelHandle`]), a roofline scheduler places them across
-//!   the device pool, and artifacts are compiled once and reused
+//!   [`serve::CancelHandle`]), a scheduler places them across the
+//!   device pool by each (model, device) pair's compiled latency
+//!   estimate, and artifacts are compiled once at start-up and reused
 //!   cache-warm. `cargo run -p smartmem-bench --release --bin
 //!   serve_bench` replays a priority-mixed open-loop trace over the
 //!   zoo and reports throughput, per-class p50/p99 latency and SLO
