@@ -8,11 +8,11 @@
 //! instead of re-running the passes. Cache hits are observable through
 //! [`CompileSession::stats`], which the benchmark harness prints.
 //!
-//! Cold compilations are *single-flight*: when several threads request
-//! the same cold key concurrently, exactly one runs the pass sequence
-//! and the rest block on a condvar until the canonical result lands —
-//! the behaviour a serving layer needs when a traffic burst hits an
-//! uncompiled model.
+//! The session is a plain memo: its lock is never held while a compile
+//! runs. Two threads racing one cold key both run the pass sequence,
+//! and the first to publish wins — both get the one stored `Arc`. The
+//! serving layer compiles every (model, device) pair before any worker
+//! runs, so such races do not arise there.
 //!
 //! The cache has two levels. The in-memory fingerprint map above, and —
 //! for sessions opened with [`CompileSession::with_cache_dir`] — an
@@ -46,7 +46,7 @@ use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// Content hash of a graph: the [`smartmem_ir::wire`] encoding (name,
 /// nodes with operator attributes and origins, tensors with shapes,
@@ -132,60 +132,6 @@ pub struct CacheStats {
     pub disk_faults: usize,
 }
 
-/// A pending cold compilation other threads can wait on.
-struct InFlight {
-    done: Mutex<Option<CompileResult>>,
-    cv: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        InFlight { done: Mutex::new(None), cv: Condvar::new() }
-    }
-
-    fn wait(&self) -> CompileResult {
-        let mut done = self.done.lock().expect("in-flight lock");
-        while done.is_none() {
-            done = self.cv.wait(done).expect("in-flight wait");
-        }
-        done.as_ref().expect("filled above").clone()
-    }
-
-    fn fill(&self, result: CompileResult) {
-        *self.done.lock().expect("in-flight lock") = Some(result);
-        self.cv.notify_all();
-    }
-}
-
-/// One cache slot: either a finished compilation or one in progress.
-enum Slot {
-    Ready(Arc<CompileOutput>),
-    InFlight(Arc<InFlight>),
-}
-
-/// Unwind guard for a cold compilation: while armed, dropping it (i.e.
-/// a panic inside the pass sequence) evicts the in-flight slot and
-/// delivers an error to every waiter instead of leaving them blocked.
-struct FlightGuard<'a> {
-    session: &'a CompileSession,
-    key: CacheKey,
-    flight: &'a Arc<InFlight>,
-    armed: bool,
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        // Never panic inside a panic: tolerate a poisoned cache lock.
-        if let Ok(mut cache) = self.session.cache.lock() {
-            cache.remove(&self.key);
-        }
-        self.flight.fill(Err(Unsupported::new("session", "compilation panicked")));
-    }
-}
-
 /// A compilation session: caches pass-manager runs and compiles model
 /// batches in parallel. Thread-safe; share by reference (or wrap in an
 /// `Arc` and clone the handle) across worker threads.
@@ -221,7 +167,7 @@ impl Drop for FlightGuard<'_> {
 /// ```
 #[derive(Default)]
 pub struct CompileSession {
-    cache: Mutex<HashMap<CacheKey, Slot>>,
+    cache: Mutex<HashMap<CacheKey, Arc<CompileOutput>>>,
     persist: Option<DiskCache>,
     /// The tune sweeps of every compilation in the session.
     tune_memo: Arc<TuneMemo>,
@@ -282,18 +228,16 @@ impl CompileSession {
     /// cached output when an identical compilation already ran in this
     /// session.
     ///
-    /// Concurrent identical cold compilations are deduplicated: one
-    /// caller runs the pass sequence, the rest block until the canonical
-    /// `Arc` is published. `misses` counts pass-sequence executions, so
-    /// a burst of N threads on one cold key records exactly 1 miss and
-    /// N-1 hits.
+    /// `misses` counts pass-sequence executions. Threads racing one cold
+    /// key each run the passes and each count a miss, but all of them
+    /// return the one artifact the first of them published.
     ///
     /// # Errors
     ///
     /// Returns [`Unsupported`] for operator-support gaps. Errors are not
-    /// cached (they are cheap to recompute); waiters of a failing
-    /// in-flight compilation receive the same error — counted in
-    /// neither `hits` nor `misses` — and later callers recompute.
+    /// cached in memory (they are cheap to recompute), so a later call
+    /// runs the pass sequence again, or reads the persisted refusal when
+    /// the session has a cache directory.
     pub fn compile(
         &self,
         framework: &dyn Framework,
@@ -305,7 +249,7 @@ impl CompileSession {
 
     /// [`CompileSession::compile`] with a precomputed graph fingerprint,
     /// additionally reporting whether the result was served from the
-    /// cache (including waiting on another thread's in-flight run).
+    /// cache (in memory or on disk).
     ///
     /// Serving layers call this once per request on large graphs;
     /// precomputing the fingerprint at model-registration time removes
@@ -324,93 +268,50 @@ impl CompileSession {
             sequence: manager.sequence_id(),
             bucket: graph.sym_bucket(),
         };
-        let flight = {
-            let mut cache = self.cache.lock().expect("cache lock");
-            match cache.get(&key) {
-                Some(Slot::Ready(hit)) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return (Ok(Arc::clone(hit)), true);
-                }
-                Some(Slot::InFlight(flight)) => {
-                    let flight = Arc::clone(flight);
-                    drop(cache);
-                    let result = flight.wait();
-                    // A failed in-flight run cached nothing, so its
-                    // waiters hit nothing: errors count in neither
-                    // `hits` (cache-served outputs) nor `misses`
-                    // (pass-sequence executions).
-                    let served = result.is_ok();
-                    if served {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return (result, served);
-                }
-                None => {
-                    let flight = Arc::new(InFlight::new());
-                    cache.insert(key, Slot::InFlight(Arc::clone(&flight)));
-                    flight
-                }
-            }
-        };
-        // From this point the in-flight slot is registered, so any
-        // panic — in the disk probe as much as in the pass sequence —
-        // must evict the slot and fail the waiters on unwind, or they
-        // (and every future caller of this key) would block forever.
-        let mut guard = FlightGuard { session: self, key, flight: &flight, armed: true };
-        // Memory miss: probe the persistent cache (if any) before
-        // paying the pass sequence. A decoded artifact is promoted to a
-        // Ready slot, so the disk is only ever touched once per key per
-        // session. Persisted *negative* results (the pass sequence
-        // deterministically refuses this key) short-circuit the refusal
-        // without a pass run; mirroring the in-memory policy they stay
-        // uncached in memory and count in neither hits nor misses.
+        if let Some(hit) = self.cache.lock().expect("cache lock").get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (Ok(Arc::clone(hit)), true);
+        }
+        // Memory miss: probe the persistent cache (if any) before paying
+        // the pass sequence. A decoded artifact is published in memory,
+        // so the disk is touched once per key per session. Persisted
+        // *negative* results (the pass sequence deterministically
+        // refuses this key) short-circuit the refusal without a pass
+        // run; like every error they stay uncached in memory and count
+        // in neither hits nor misses.
         if let Some(disk) = &self.persist {
             match disk.load(&key.artifact()) {
                 Some(Ok(output)) => {
-                    guard.armed = false;
-                    let output = Arc::new(output);
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.cache
-                        .lock()
-                        .expect("cache lock")
-                        .insert(key, Slot::Ready(Arc::clone(&output)));
-                    flight.fill(Ok(Arc::clone(&output)));
-                    return (Ok(output), true);
+                    return (Ok(self.publish(key, output)), true);
                 }
                 Some(Err(e)) => {
-                    guard.armed = false;
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    self.cache.lock().expect("cache lock").remove(&key);
-                    flight.fill(Err(e.clone()));
                     return (Err(e), false);
                 }
                 None => {}
             }
         }
-        let result = manager.run_memoized(graph, device, Arc::clone(&self.tune_memo)).map(Arc::new);
-        guard.armed = false;
+        let result = manager
+            .run_memoized(graph, device, Arc::clone(&self.tune_memo))
+            .map(|output| self.publish(key, output));
         self.misses.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut cache = self.cache.lock().expect("cache lock");
-            match &result {
-                Ok(output) => {
-                    cache.insert(key, Slot::Ready(Arc::clone(output)));
-                }
-                Err(_) => {
-                    cache.remove(&key);
-                }
-            }
-        }
         if let Some(disk) = &self.persist {
             disk.store(&key.artifact(), result.as_deref());
         }
-        flight.fill(result.clone());
         (result, false)
     }
 
+    /// Stores `output` under `key` unless a racing compile published
+    /// first, and returns the stored artifact.
+    fn publish(&self, key: CacheKey, output: CompileOutput) -> Arc<CompileOutput> {
+        let mut cache = self.cache.lock().expect("cache lock");
+        Arc::clone(cache.entry(key).or_insert_with(|| Arc::new(output)))
+    }
+
     /// Compiles every (framework, graph) pair of the job matrix across
-    /// `threads` workers (`0` = one per available core), returning
+    /// one worker per available core (at most one per job), returning
     /// results as `results[graph_idx][framework_idx]`.
     ///
     /// Work is distributed dynamically through an atomic cursor, so a
@@ -421,20 +322,13 @@ impl CompileSession {
         frameworks: &[Box<dyn Framework>],
         graphs: &[Graph],
         device: &DeviceConfig,
-        threads: usize,
     ) -> Vec<Vec<CompileResult>> {
         let jobs = frameworks.len() * graphs.len();
         if jobs == 0 {
-            // Nothing to do: previously this still spawned (and joined)
-            // one idle worker thread via the `jobs.max(1)` clamp below.
+            // Nothing to do: spawn no idle worker.
             return graphs.iter().map(|_| Vec::new()).collect();
         }
-        let workers = if threads == 0 {
-            std::thread::available_parallelism().map_or(4, usize::from)
-        } else {
-            threads
-        }
-        .clamp(1, jobs);
+        let workers = std::thread::available_parallelism().map_or(4, usize::from).min(jobs);
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<CompileResult>>> =
             (0..jobs).map(|_| Mutex::new(None)).collect();
@@ -477,14 +371,9 @@ impl CompileSession {
         }
     }
 
-    /// Number of cached compilations (in-flight entries excluded).
+    /// Number of compilations held in memory.
     pub fn len(&self) -> usize {
-        self.cache
-            .lock()
-            .expect("cache lock")
-            .values()
-            .filter(|s| matches!(s, Slot::Ready(_)))
-            .count()
+        self.cache.lock().expect("cache lock").len()
     }
 
     /// Whether the cache is empty.
@@ -540,18 +429,21 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_cold_compiles_dedup_to_one_miss() {
-        // 8 threads hammer the same cold fingerprint; single-flight
-        // dedup must run the pass sequence exactly once.
+    fn racing_cold_compiles_publish_one_artifact() {
+        // 8 threads released together on one cold key may each run the
+        // pass sequence, but only one artifact is published and every
+        // caller gets it.
         let session = CompileSession::new();
         let device = DeviceConfig::snapdragon_8gen2();
-        let g = toy("hammer");
+        let g = toy("race");
         let fp = graph_fingerprint(&g);
+        let barrier = std::sync::Barrier::new(8);
         let outputs: Vec<Arc<CompileOutput>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
                         let fw = SmartMemPipeline::new();
+                        barrier.wait();
                         session.compile_keyed(&fw, &g, fp, &device).0.unwrap()
                     })
                 })
@@ -559,11 +451,18 @@ mod tests {
             handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
         });
         let stats = session.stats();
-        assert_eq!((stats.hits, stats.misses, stats.disk_hits), (7, 1, 0));
+        assert_eq!(stats.hits + stats.misses, 8, "{stats:?}");
+        assert!(stats.misses >= 1, "{stats:?}");
         assert_eq!(session.len(), 1);
-        for o in &outputs[1..] {
-            assert!(Arc::ptr_eq(&outputs[0], o), "all callers share the canonical Arc");
+        let fw = SmartMemPipeline::new();
+        let (published, hit) = session.compile_keyed(&fw, &g, fp, &device);
+        let published = published.unwrap();
+        assert!(hit);
+        for o in &outputs {
+            assert!(Arc::ptr_eq(&published, o), "all callers share the published Arc");
         }
+        let fresh = fw.optimize(&g, &device).unwrap();
+        assert_eq!(encode_to_vec(&published.optimized), encode_to_vec(&fresh));
     }
 
     #[test]
@@ -654,7 +553,7 @@ mod tests {
             Box::new(SmartMemPipeline::at(SmartMemLevel::DnnFusion)),
         ];
         let graphs = vec![toy("a"), toy("b")];
-        let results = session.compile_batch(&frameworks, &graphs, &device, 0);
+        let results = session.compile_batch(&frameworks, &graphs, &device);
         assert_eq!(results.len(), 2);
         for (gi, row) in results.iter().enumerate() {
             assert_eq!(row.len(), 2);

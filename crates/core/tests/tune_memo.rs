@@ -115,7 +115,7 @@ fn zoo_batch_sweeps_each_distinct_key_once() {
     let frameworks: Vec<Box<dyn Framework>> = vec![Box::new(SmartMemPipeline::new())];
     let graphs: Vec<Graph> = smartmem_models::all_models().iter().map(|m| m.graph()).collect();
     let session = CompileSession::new();
-    let results = session.compile_batch(&frameworks, &graphs, &device, 2);
+    let results = session.compile_batch(&frameworks, &graphs, &device);
     let mut keys: HashSet<(Op, usize, usize)> = HashSet::new();
     let mut groups = 0;
     for out in results.iter().flatten().filter_map(|r| r.as_ref().ok()) {
@@ -188,11 +188,11 @@ fn empty_batches_return_without_spawning_workers() {
     let graphs = [blocks_model("batch", &KINDS[..2])];
 
     // No graphs: no rows and, regression-wise, no idle worker thread.
-    let none = session.compile_batch(&frameworks, &[], &device, 0);
+    let none = session.compile_batch(&frameworks, &[], &device);
     assert!(none.is_empty());
     // No frameworks: one empty row per graph.
     let empty_fw: Vec<Box<dyn Framework>> = Vec::new();
-    let rows = session.compile_batch(&empty_fw, &graphs, &device, 0);
+    let rows = session.compile_batch(&empty_fw, &graphs, &device);
     assert_eq!(rows.len(), 1);
     assert!(rows[0].is_empty());
     let stats = session.stats();

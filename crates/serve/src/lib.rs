@@ -9,8 +9,8 @@
 //! per-class latency budget ([`Priority`]), coalesced into
 //! per-(model, device) batches that device workers *pull* when the
 //! device frees up, ordered by slack with starvation aging, and
-//! executed against artifacts compiled once through a shared,
-//! single-flight [`CompileSession`]. Queued requests can be revoked at
+//! executed against artifacts compiled once, at start-up, through a
+//! shared [`CompileSession`]. Queued requests can be revoked at
 //! any time through a [`CancelHandle`].
 //!
 //! ```text
@@ -36,9 +36,9 @@
 //!            └────┘└────┘└────┘
 //!               │    │    │
 //!               ▼    ▼    ▼
-//!         ┌─────────────────────┐  every pair compiled at start, cache-warm
-//!         │   CompileSession    │  steady state, in-flight dedup on
-//!         └─────────────────────┘  cold bursts (misses == 1)
+//!         ┌─────────────────────┐  every pair compiled once at start;
+//!         │   CompileSession    │  every request then hits the cache
+//!         └─────────────────────┘  (misses == models × devices)
 //! ```
 //!
 //! The runtime is std-only (mutex + condvars + threads — the offline

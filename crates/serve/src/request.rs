@@ -190,8 +190,7 @@ pub struct InferenceResponse {
     pub exec_ms: f64,
     /// Wall-clock milliseconds from submission to response.
     pub wall_ms: f64,
-    /// Whether the compiled artifact came from the session cache (or an
-    /// in-flight compilation this request waited on).
+    /// Whether the compiled artifact came from the session cache.
     pub compile_cache_hit: bool,
     /// Failed execution attempts this request survived before this
     /// response (0 = first try). Bounded by the server's

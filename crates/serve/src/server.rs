@@ -155,8 +155,7 @@ impl Server {
             .iter()
             .map(|spec| (0..pool.len()).map(|d| latency(spec, pool.device(d))).collect())
             .collect();
-        let batcher =
-            Batcher::new(config.max_batch, config.max_delay).with_aging_factor(config.aging_factor);
+        let batcher = Batcher::new(config.max_batch, config.max_delay);
         let pool_len = pool.len();
         let inner = Arc::new(Inner {
             models,

@@ -128,12 +128,6 @@ pub struct ServeConfig {
     pub cache_dir: Option<PathBuf>,
     /// Per-class latency budgets (see [`ClassDeadlines`]).
     pub deadlines: ClassDeadlines,
-    /// Starvation-aging factor of the batch-cut ordering: every
-    /// nanosecond a request has queued subtracts this many nanoseconds
-    /// from its effective slack, so long-waiting low-priority work
-    /// eventually outranks fresh interactive traffic. Zero disables
-    /// aging.
-    pub aging_factor: f64,
     /// Tracing knobs (see [`TelemetryConfig`]).
     pub telemetry: TelemetryConfig,
     /// Deterministic fault injection (chaos testing). `None` — the
@@ -158,7 +152,6 @@ impl Default for ServeConfig {
             exec_time_scale: 0.0,
             cache_dir: None,
             deadlines: ClassDeadlines::default(),
-            aging_factor: 4.0,
             telemetry: TelemetryConfig::default(),
             fault_plan: None,
             retry: RetryPolicy::default(),

@@ -30,9 +30,9 @@ pub fn batch_exec_ms(single_ms: f64, n: usize) -> f64 {
 /// Compiles `spec` for `device` through the shared session, reporting
 /// whether the result was a cache hit. A panicking pass fails this
 /// model, not the calling thread — a device worker that died would
-/// strand every later batch routed to it: the session's FlightGuard
-/// already unwedges concurrent waiters, and catching the unwind turns
-/// the panic into an [`Unsupported`] error.
+/// strand every later batch routed to it. The session holds no lock
+/// while the passes run, so the unwind leaves nothing behind, and
+/// catching it turns the panic into an [`Unsupported`] error.
 pub(super) fn compile_guarded(
     session: &CompileSession,
     framework: &dyn Framework,

@@ -18,8 +18,8 @@
 //! * [`serve`] — the SLO-aware batched inference serving runtime
 //!   (bounded queue → pull-mode per-(model, device) batcher with
 //!   priority classes, slack-ordered cuts and request cancellation →
-//!   latency-estimate scheduler → one shared, single-flight
-//!   [`core::CompileSession`]).
+//!   latency-estimate scheduler → one shared
+//!   [`core::CompileSession`], warmed at start-up).
 //! * [`telemetry`] — the tracing substrate: per-request spans
 //!   (queue → compile → execute) into bounded per-thread rings, and
 //!   Chrome-trace / terminal exporters (`serve_bench --trace-out`,
@@ -55,9 +55,9 @@
 //!   ([`core::Framework::passes`]); `optimize`/`optimize_timed`/`run`
 //!   are provided by the trait through the manager.
 //! * The session layer ([`core::CompileSession`]) memoizes compilations
-//!   by *(graph fingerprint, device fingerprint, pass-sequence id)*,
-//!   deduplicates concurrent cold compiles (single-flight), and
-//!   compiles framework×model batches across threads
+//!   by *(graph fingerprint, device fingerprint, pass-sequence id)*
+//!   in front of an optional on-disk artifact cache, and compiles
+//!   framework×model batches across threads
 //!   ([`core::CompileSession::compile_batch`]).
 //! * The serving layer ([`serve::Server`]) turns that into a runtime:
 //!   requests are admitted under per-class latency budgets

@@ -151,7 +151,7 @@ fn parallel_batch_equals_sequential_compiles() {
     let session = CompileSession::new();
     let frameworks = all_frameworks();
     let graphs: Vec<Graph> = zoo().into_iter().map(|(_, g)| g).collect();
-    let batch = session.compile_batch(&frameworks, &graphs, &device, 0);
+    let batch = session.compile_batch(&frameworks, &graphs, &device);
     for (gi, row) in batch.iter().enumerate() {
         for (fi, res) in row.iter().enumerate() {
             let direct = frameworks[fi].optimize(&graphs[gi], &device);
