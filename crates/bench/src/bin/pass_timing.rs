@@ -17,7 +17,8 @@ use smartmem_baselines::all_mobile_frameworks;
 use smartmem_bench::json::{write_json, BenchRecord};
 use smartmem_bench::{parse_bench_args, render_pass_timings, render_table, serve_harness};
 use smartmem_core::{
-    eliminate, CompileOutput, CompileSession, Framework, ModelReport, SmartMemPipeline,
+    eliminate, CompileCtx, CompileOutput, CompileSession, Diagnostic, Framework, ModelReport, Pass,
+    SmartMemPipeline, StreamlinePass,
 };
 use smartmem_ir::{DType, Graph, GraphBuilder, UnaryKind};
 use smartmem_models::all_models;
@@ -42,14 +43,18 @@ fn edit_demo_model(edited: bool) -> Graph {
     b.finish()
 }
 
-/// The streamline note's "N round(s), M rebuild(s)" head: fixpoint
-/// rounds run, and the sweeps among them that rebuilt the graph.
-fn streamline_rounds(out: &CompileOutput) -> &str {
-    out.diagnostics
+/// The streamline note, which opens "N round(s), M rebuild(s):": fixpoint
+/// rounds run, and the sweeps among them that changed the graph.
+fn streamline_note(diagnostics: &[Diagnostic]) -> &str {
+    diagnostics
         .iter()
         .find(|d| d.pass == "streamline")
-        .and_then(|d| d.message.split(':').next())
-        .unwrap_or("streamline did not run")
+        .map_or("streamline did not run", |d| &d.message)
+}
+
+/// The streamline note's "N round(s), M rebuild(s)" head.
+fn streamline_rounds(out: &CompileOutput) -> &str {
+    streamline_note(&out.diagnostics).split(':').next().unwrap_or_default()
 }
 
 /// The tune note: groups tuned, distinct (op, m, n) keys among them,
@@ -146,6 +151,30 @@ fn main() {
             "streamline_transposes_removed",
             s.streamline_transposes_removed as f64,
         ));
+    }
+
+    // 1e. The streamline family over the whole zoo, model after model:
+    // host time, fixpoint rounds, sweeps that changed a graph, and nodes
+    // materialised (built by rewrites, plus copied by each changed
+    // graph's one compaction) — the exact work count behind the time.
+    {
+        let (mut ms, mut rounds, mut sweeps, mut nodes) = (0.0, 0, 0, 0);
+        let zoo = all_models();
+        for entry in &zoo {
+            let mut ctx = CompileCtx::new("SmartMem", &entry.graph(), &device);
+            let start = Instant::now();
+            StreamlinePass.run(&mut ctx).expect("streamline never fails");
+            ms += start.elapsed().as_secs_f64() * 1e3;
+            let note = streamline_note(&ctx.diagnostics);
+            let words: Vec<&str> = note.split_whitespace().collect();
+            rounds += words[0].parse::<usize>().expect("note starts with the round count");
+            sweeps += words[2].parse::<usize>().expect("note counts changing sweeps third");
+            nodes += ctx.streamline_nodes_materialized();
+        }
+        println!(
+            "streamline over the zoo ({} models): {ms:.1} ms, {rounds} rounds, {sweeps} changing sweeps, {nodes} nodes materialised",
+            zoo.len()
+        );
     }
 
     // 1d. `--import FILE`: run a graph from the JSON interchange format

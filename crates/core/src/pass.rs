@@ -70,6 +70,10 @@ pub struct CompileCtx {
     /// Explicit `Transpose` operators that streamline sweeps cancelled,
     /// dropped, or absorbed into reshapes.
     pub streamline_removed_transposes: usize,
+    /// Nodes the streamline pass materialised (built by rewrites plus
+    /// copied by its final compaction): a host-work count, kept out of
+    /// [`OptStats`] and never persisted.
+    pub(crate) streamline_materialized: usize,
     /// Runtime memory model of the framework.
     pub mem_model: MemModel,
     /// Structured diagnostics accumulated by the passes.
@@ -94,6 +98,7 @@ impl CompileCtx {
             implicit_inserted: 0,
             streamline_removed_ops: 0,
             streamline_removed_transposes: 0,
+            streamline_materialized: 0,
             mem_model: MemModel::default(),
             diagnostics: Vec::new(),
             tune_memo: Arc::default(),
@@ -114,6 +119,13 @@ impl CompileCtx {
             streamline_removed_ops: self.streamline_removed_ops,
             streamline_transposes_removed: self.streamline_removed_transposes,
         }
+    }
+
+    /// Nodes the streamline pass materialised in this context: nodes
+    /// its rewrites built plus nodes its final compaction copied (zero
+    /// when it changed nothing). Host work for profiling tools.
+    pub fn streamline_nodes_materialized(&self) -> usize {
+        self.streamline_materialized
     }
 
     /// Records a structured diagnostic attributed to `pass`.

@@ -20,16 +20,27 @@
 //! | `cse`                 | duplicate ops with identical operands share one result |
 //! | `const-fold`          | ops whose operands are all initialized weights become weights |
 //!
-//! Every sweep matches first and builds second. Its rule runs over the
-//! live nodes in a dry mode that needs no builder; only when a rule
-//! matches, or when liveness would drop a dead operator (one whose
-//! outputs reach no graph output) or an orphaned weight, is the graph
-//! rebuilt through [`GraphBuilder`]. That is exact: a sweep whose rule
-//! matches nothing and that has nothing to prune would copy every node
-//! verbatim and report no change, so skipping the copy returns the same
-//! `None`. A dry check may over-approximate, never under-approximate:
-//! a build whose rule then declines everywhere changes nothing, and
-//! the sweep still returns `None`.
+//! The pass edits one working graph in place, the way FINN's streamline
+//! mutates the model and tidies names afterwards. Every sweep decides
+//! first and edits second: its rule walks the live nodes in topological
+//! order and reads the graph as it stood when the sweep began, logging
+//! aliases (a dropped op's consumers read another tensor), replacement
+//! ops (shape-checked through `infer_output_shapes`; a replacement
+//! keeps the replaced op's output tensors), fresh weights and absorbed
+//! nodes. Only a sweep that changes something applies its log: it
+//! tombstones the dead operators (outputs reaching no graph output),
+//! orphaned weights, absorbed and replaced nodes, splices replacements
+//! in at the replaced node's position and remaps the operands of the
+//! surviving consumers. At the end of the pass the graph is compacted
+//! once and validated once; ids and names come out as if every changing
+//! sweep had copied the graph through [`smartmem_ir::GraphBuilder`]:
+//! `mnemonic_id` node names, `…_out` tensor names, the surviving leaves
+//! first in the order they entered (the last changing sweep's fresh
+//! weights stay where their rule made them), and `__sl{k}` fresh-weight
+//! names whose counter restarts at 0 in each changing sweep and skips
+//! names already taken. A symbolic binding rides along: surviving tensors
+//! keep their symbolic axes, and new tensors take one on every axis
+//! whose extent is a bound value, as [`Graph::with_sym_dim`] binds them.
 //!
 //! Termination: `move-transpose` strictly pushes transposes toward the
 //! outputs and never increases their count; every other rule strictly
@@ -41,9 +52,13 @@ use crate::pass::{CompileCtx, Pass};
 use crate::pipeline::Unsupported;
 use smartmem_ir::interp::{eval_op, TensorValue};
 use smartmem_ir::{
-    DType, Graph, GraphBuilder, Node, Op, OpId, OpOrigin, TensorId, TensorKind, UnaryKind,
+    infer_output_shapes, DType, Graph, GraphParts, IrError, Node, Op, OpId, OpOrigin, Shape,
+    SymAxis, TensorId, TensorInfo, TensorKind, UnaryKind,
 };
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 
 /// Constant folding refuses to materialize tensors larger than this
 /// (elements per output) so a fold can never blow up the graph encoding.
@@ -55,93 +70,424 @@ const MAX_FOLD_NUMEL: u64 = 4096;
 const MAX_ROUNDS: usize = 16;
 
 // ---------------------------------------------------------------------------
-// Rebuild machinery
+// The working graph
 // ---------------------------------------------------------------------------
 
-/// Liveness per node: a node is live iff any of its outputs transitively
-/// feeds a graph output.
-fn live_mask(g: &Graph) -> Vec<bool> {
-    let mut tensor_live = vec![false; g.tensors().len()];
-    for &t in g.outputs() {
-        tensor_live[t.0 as usize] = true;
+/// One entry of the working graph's topological order.
+#[derive(Clone, Copy)]
+enum Item {
+    Node(OpId),
+    /// A weight the latest changing sweep created, where its rule
+    /// created it; the next changing sweep moves it among the leaves.
+    Fresh(TensorId),
+}
+
+/// The graph one [`StreamlinePass`] edits: arenas indexed by ids that
+/// stay fixed for the whole pass (new nodes and tensors append, dropped
+/// ones are tombstoned), plus the live topological order.
+struct Work {
+    g: GraphParts,
+    order: Vec<Item>,
+    /// Tombstoned nodes, by arena id.
+    removed: Vec<bool>,
+    /// Tombstoned tensors, by arena id.
+    gone: Vec<bool>,
+    /// Whether any sweep changed the graph.
+    changed: bool,
+    /// Nodes materialised: built by rewrites, plus copied by the final
+    /// compaction.
+    materialized: usize,
+}
+
+impl Work {
+    fn new(g: Graph) -> Self {
+        let g = g.into_parts();
+        let order = (0..g.nodes.len()).map(|i| Item::Node(OpId(i as u32))).collect();
+        let removed = vec![false; g.nodes.len()];
+        let gone = vec![false; g.tensors.len()];
+        Work { g, order, removed, gone, changed: false, materialized: 0 }
     }
-    let mut node_live = vec![false; g.nodes().len()];
-    // Reverse topological walk: consumers appear after producers, so one
-    // backward sweep settles liveness.
-    for n in g.nodes().iter().rev() {
-        let live = n.outputs.iter().any(|t| tensor_live[t.0 as usize]);
-        node_live[n.id.0 as usize] = live;
-        if live {
+
+    fn node(&self, id: OpId) -> &Node {
+        &self.g.nodes[id.0 as usize]
+    }
+
+    fn tensor(&self, id: TensorId) -> &TensorInfo {
+        &self.g.tensors[id.0 as usize]
+    }
+
+    fn producer(&self, t: TensorId) -> Option<OpId> {
+        self.tensor(t).producer
+    }
+
+    fn consumers(&self, t: TensorId) -> &[OpId] {
+        &self.tensor(t).consumers
+    }
+
+    fn outputs(&self) -> &[TensorId] {
+        &self.g.outputs
+    }
+
+    /// The nodes in topological order.
+    fn nodes(&self) -> impl DoubleEndedIterator<Item = &Node> {
+        self.order.iter().filter_map(|item| match *item {
+            Item::Node(id) => Some(self.node(id)),
+            Item::Fresh(_) => None,
+        })
+    }
+
+    /// Liveness per node: a node is live iff any of its outputs
+    /// transitively feeds a graph output.
+    fn live_mask(&self) -> Vec<bool> {
+        let mut tensor_live = vec![false; self.g.tensors.len()];
+        for &t in self.outputs() {
+            tensor_live[t.0 as usize] = true;
+        }
+        let mut node_live = vec![false; self.g.nodes.len()];
+        // Reverse topological walk: consumers appear after producers, so
+        // one backward sweep settles liveness.
+        for n in self.nodes().rev() {
+            let live = n.outputs.iter().any(|t| tensor_live[t.0 as usize]);
+            node_live[n.id.0 as usize] = live;
+            if live {
+                for &t in &n.inputs {
+                    tensor_live[t.0 as usize] = true;
+                }
+            }
+        }
+        node_live
+    }
+
+    /// Liveness keeps a weight iff something live still reads it or it
+    /// is itself a graph output.
+    fn weight_kept(&self, live: &[bool], id: TensorId) -> bool {
+        self.outputs().contains(&id) || self.consumers(id).iter().any(|c| live[c.0 as usize])
+    }
+
+    /// The weights liveness drops: present, and read by nothing live.
+    fn orphans(&self, live: &[bool]) -> Vec<TensorId> {
+        (0..self.g.tensors.len() as u32)
+            .map(TensorId)
+            .filter(|&t| {
+                !self.gone[t.0 as usize]
+                    && self.tensor(t).kind == TensorKind::Weight
+                    && !self.weight_kept(live, t)
+            })
+            .collect()
+    }
+
+    /// Applies one changing sweep's log. Returns the net `(ops,
+    /// transposes)` the sweep removed.
+    fn apply(&mut self, log: EditLog) -> (usize, usize) {
+        self.changed = true;
+        let is_transpose = |n: &Node| matches!(n.op, Op::Transpose { .. });
+        let (mut ops, mut transposes) = (0usize, 0usize);
+        for &id in &log.dropped {
+            self.removed[id.0 as usize] = true;
+        }
+        let GraphParts { nodes, tensors, outputs, sym_dims, sym_axes, .. } = &mut self.g;
+        for &id in &log.dropped {
+            let n = &nodes[id.0 as usize];
             for &t in &n.inputs {
-                tensor_live[t.0 as usize] = true;
+                tensors[t.0 as usize].consumers.retain(|&c| c != id);
+            }
+            for &t in &n.outputs {
+                self.gone[t.0 as usize] = true;
+            }
+            ops += 1;
+            transposes += usize::from(is_transpose(n));
+        }
+        for &t in &log.orphans {
+            self.gone[t.0 as usize] = true;
+        }
+        for info in log.tensors {
+            let t = TensorId(tensors.len() as u32);
+            // A symbolic axis wherever the extent is a bound value, as
+            // `Graph::with_sym_dim` binds them.
+            for (axis, &e) in info.shape.dims().iter().enumerate() {
+                if let Some(dim) = sym_dims.iter().position(|d| d.value == e) {
+                    sym_axes.push(SymAxis { tensor: t, axis, dim });
+                }
+            }
+            tensors.push(info);
+            self.gone.push(false);
+        }
+        let (mut added_ops, mut added_t) = (0usize, 0usize);
+        for n in log.nodes {
+            for &t in &n.inputs {
+                tensors[t.0 as usize].consumers.push(n.id);
+            }
+            for &t in &n.outputs {
+                tensors[t.0 as usize].producer = Some(n.id);
+                self.gone[t.0 as usize] = false;
+            }
+            added_ops += 1;
+            added_t += usize::from(is_transpose(&n));
+            self.removed.push(false);
+            nodes.push(n);
+        }
+        self.materialized += added_ops;
+        for &(old, new) in &log.aliases {
+            for c in std::mem::take(&mut tensors[old.0 as usize].consumers) {
+                for slot in nodes[c.0 as usize].inputs.iter_mut().filter(|t| **t == old) {
+                    *slot = new;
+                    tensors[new.0 as usize].consumers.push(c);
+                }
+            }
+            for t in outputs.iter_mut().filter(|t| **t == old) {
+                *t = new;
             }
         }
-    }
-    node_live
-}
-
-/// Liveness keeps a weight iff something live still reads it or it is
-/// itself a graph output.
-fn weight_kept(g: &Graph, live: &[bool], id: TensorId) -> bool {
-    g.outputs().contains(&id) || g.consumers(id).iter().any(|c| live[c.0 as usize])
-}
-
-/// Incremental copy of an old graph into a fresh [`GraphBuilder`],
-/// tracking the old-tensor → new-tensor mapping.
-struct Rebuild<'g> {
-    old: &'g Graph,
-    b: GraphBuilder,
-    map: HashMap<TensorId, TensorId>,
-    /// Fresh-weight name counter (collision-free against copied names).
-    fresh: usize,
-    names: HashSet<String>,
-}
-
-impl<'g> Rebuild<'g> {
-    fn new(old: &'g Graph, live: &[bool]) -> Self {
-        let mut b = GraphBuilder::new(old.name());
-        let mut map = HashMap::new();
-        let mut names = HashSet::new();
-        for (i, t) in old.tensors().iter().enumerate() {
-            let id = TensorId(i as u32);
-            match t.kind {
-                TensorKind::Input => {
-                    names.insert(t.name.clone());
-                    map.insert(id, b.input(t.name.clone(), t.shape.dims(), t.dtype));
-                }
-                TensorKind::Weight => {
-                    if !weight_kept(old, live, id) {
-                        continue;
+        // Splice: each dropped node's replacements take its place; the
+        // previous sweep's fresh weights join the leaves.
+        let mut emitted = log.emitted.into_iter().peekable();
+        let mut order = Vec::with_capacity(self.order.len());
+        for &item in &self.order {
+            match item {
+                Item::Fresh(_) => {}
+                Item::Node(id) if self.removed[id.0 as usize] => {
+                    while let Some((_, it)) = emitted.next_if(|&(by, _)| by == id) {
+                        order.push(it);
                     }
-                    names.insert(t.name.clone());
-                    let nid = match &t.init {
-                        Some(v) => {
-                            b.weight_init(t.name.clone(), t.shape.dims(), t.dtype, v.clone())
-                        }
-                        None => b.weight(t.name.clone(), t.shape.dims(), t.dtype),
-                    };
-                    map.insert(id, nid);
                 }
-                TensorKind::Activation => {}
+                Item::Node(_) => order.push(item),
             }
         }
-        Rebuild { old, b, map, fresh: 0, names }
+        debug_assert!(emitted.next().is_none(), "an edit was logged against no dropped node");
+        self.order = order;
+        (ops.saturating_sub(added_ops), transposes.saturating_sub(added_t))
     }
 
-    /// New id of an old tensor. Panics if the producer was skipped
-    /// without aliasing — a sweep bug, not a graph property.
+    /// Compacts the working graph into a validated [`Graph`]: the
+    /// surviving leaves first in arena order, then, along the order, the
+    /// latest sweep's fresh weights and each node's outputs, with fresh
+    /// ids and builder-style names. An unchanged graph comes back as it
+    /// went in. Also returns the nodes the pass materialised.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the result does not validate — for a graph that came
+    /// in valid, only a symbolic binding its operators cannot carry.
+    fn finish(self) -> Result<(Graph, usize), IrError> {
+        if !self.changed {
+            return Ok((Graph::from_parts(self.g)?, 0));
+        }
+        let GraphParts { name, nodes, tensors, outputs, sym_dims, sym_axes, .. } = self.g;
+        let mut late = vec![false; tensors.len()];
+        for item in &self.order {
+            if let Item::Fresh(t) = *item {
+                late[t.0 as usize] = true;
+            }
+        }
+        let mut nodes: Vec<Option<Node>> = nodes.into_iter().map(Some).collect();
+        let mut arena: Vec<Option<TensorInfo>> = tensors.into_iter().map(Some).collect();
+        let mut new_id = vec![u32::MAX; arena.len()];
+        let mut tensors: Vec<TensorInfo> = Vec::new();
+        let mut inputs = Vec::new();
+        for i in 0..arena.len() {
+            let leaf = arena[i].as_ref().is_some_and(|t| t.kind != TensorKind::Activation);
+            if leaf && !self.gone[i] && !late[i] {
+                let t = place(TensorId(i as u32), &mut arena, &mut new_id, &mut tensors);
+                if tensors[t.0 as usize].kind == TensorKind::Input {
+                    inputs.push(t);
+                }
+            }
+        }
+        let mut out_nodes: Vec<Node> = Vec::new();
+        for item in &self.order {
+            let mut n = match *item {
+                Item::Fresh(t) => {
+                    place(t, &mut arena, &mut new_id, &mut tensors);
+                    continue;
+                }
+                Item::Node(id) => nodes[id.0 as usize].take().expect("node placed twice"),
+            };
+            n.id = OpId(out_nodes.len() as u32);
+            n.name.clear();
+            n.name.extend(n.op.mnemonic().chars().map(|c| c.to_ascii_lowercase()));
+            write!(n.name, "_{}", n.id.0).expect("writing to a String");
+            for t in &mut n.inputs {
+                *t = TensorId(new_id[t.0 as usize]);
+                tensors[t.0 as usize].consumers.push(n.id);
+            }
+            // The builder types every result like the first operand.
+            let dtype = tensors[n.inputs[0].0 as usize].dtype;
+            for (i, o) in n.outputs.iter_mut().enumerate() {
+                *o = place(*o, &mut arena, &mut new_id, &mut tensors);
+                let info = &mut tensors[o.0 as usize];
+                info.name.clear();
+                write!(info.name, "{}_out", n.name).expect("writing to a String");
+                if i > 0 {
+                    write!(info.name, "{i}").expect("writing to a String");
+                }
+                info.dtype = dtype;
+                info.producer = Some(n.id);
+            }
+            out_nodes.push(n);
+        }
+        let materialized = self.materialized + out_nodes.len();
+        let remap = |t: TensorId| TensorId(new_id[t.0 as usize]);
+        let mut sym_axes: Vec<SymAxis> = sym_axes
+            .into_iter()
+            .filter(|a| !self.gone[a.tensor.0 as usize])
+            .map(|a| SymAxis { tensor: remap(a.tensor), ..a })
+            .collect();
+        sym_axes.sort_by_key(|a| (a.tensor, a.axis));
+        let g = Graph::from_parts(GraphParts {
+            name,
+            nodes: out_nodes,
+            tensors,
+            inputs,
+            outputs: outputs.into_iter().map(remap).collect(),
+            sym_dims,
+            sym_axes,
+        })?;
+        Ok((g, materialized))
+    }
+}
+
+/// Moves arena tensor `t` to the end of the compacted tensor list and
+/// records its new id.
+fn place(
+    t: TensorId,
+    arena: &mut [Option<TensorInfo>],
+    new_id: &mut [u32],
+    tensors: &mut Vec<TensorInfo>,
+) -> TensorId {
+    let mut info = arena[t.0 as usize].take().expect("tensor placed twice");
+    info.consumers.clear();
+    new_id[t.0 as usize] = tensors.len() as u32;
+    tensors.push(info);
+    TensorId(new_id[t.0 as usize])
+}
+
+/// What one sweep decided, applied by [`Work::apply`] when it changes
+/// the graph.
+#[derive(Default)]
+struct EditLog {
+    /// Nodes the sweep removes: dead, absorbed into a replacement, or
+    /// replaced.
+    dropped: Vec<OpId>,
+    /// Weights liveness drops.
+    orphans: Vec<TensorId>,
+    /// `(old, new)`: consumers of `old` read `new` instead.
+    aliases: Vec<(TensorId, TensorId)>,
+    /// New tensors, arena ids from the working graph's tensor count on.
+    tensors: Vec<TensorInfo>,
+    /// New nodes, arena ids from the working graph's node count on.
+    nodes: Vec<Node>,
+    /// Fresh weights and new nodes in creation order, each tagged with
+    /// the dropped node whose position it takes.
+    emitted: Vec<(OpId, Item)>,
+}
+
+/// A sweep's view while it decides: the graph as the sweep began, plus
+/// the edits logged so far.
+struct Edits<'w> {
+    g: &'w Work,
+    live: &'w [bool],
+    log: EditLog,
+    /// Current id of each aliased tensor of the starting graph, by id
+    /// (empty until the sweep's first alias).
+    alias: Vec<TensorId>,
+    /// The node being decided.
+    current: OpId,
+    /// Fresh-weight name counter, restarting at 0 in each sweep.
+    fresh: usize,
+    /// `__sl…` names already taken, collected on the first fresh weight.
+    taken: Option<HashSet<String>>,
+}
+
+impl<'w> Edits<'w> {
+    /// Current id of a tensor of the sweep's starting graph.
     fn lookup(&self, t: TensorId) -> TensorId {
-        self.map[&t]
+        self.alias.get(t.0 as usize).copied().unwrap_or(t)
     }
 
-    /// Copies `node` verbatim (with remapped operands).
-    fn emit(&mut self, node: &Node) {
-        let op = node.op.clone();
-        let inputs: Vec<TensorId> = node.inputs.iter().map(|&t| self.lookup(t)).collect();
-        self.push_mapped(op, &inputs, &node.outputs, node.origin);
+    /// Consumers of an old output tensor read `new` instead (op
+    /// deletion).
+    fn alias(&mut self, old_out: TensorId, new: TensorId) {
+        debug_assert_eq!(self.info(old_out).shape, self.info(new).shape, "alias changes a shape");
+        if self.alias.is_empty() {
+            self.alias = (0..self.g.g.tensors.len() as u32).map(TensorId).collect();
+        }
+        self.alias[old_out.0 as usize] = new;
+        self.log.aliases.push((old_out, new));
     }
 
-    /// Pushes a replacement op and maps `old_outs` to its outputs.
+    fn info(&self, t: TensorId) -> &TensorInfo {
+        let base = self.g.g.tensors.len();
+        match (t.0 as usize).checked_sub(base) {
+            Some(i) => &self.log.tensors[i],
+            None => self.g.tensor(t),
+        }
+    }
+
+    fn new_tensor(&mut self, info: TensorInfo) -> TensorId {
+        let id = TensorId((self.g.g.tensors.len() + self.log.tensors.len()) as u32);
+        self.log.tensors.push(info);
+        id
+    }
+
+    /// Shape-checks `op` over `inputs` and logs it as a new node writing
+    /// `outputs` (or fresh activations, when `None`).
+    fn build(
+        &mut self,
+        op: Op,
+        inputs: &[TensorId],
+        outputs: Option<&[TensorId]>,
+        origin: OpOrigin,
+    ) -> Vec<TensorId> {
+        let shapes: Vec<&Shape> = inputs.iter().map(|&t| &self.info(t).shape).collect();
+        let out_shapes =
+            infer_output_shapes(&op, &shapes).expect("streamline rewrite produced an ill-typed op");
+        let id = OpId((self.g.g.nodes.len() + self.log.nodes.len()) as u32);
+        let outputs = match outputs {
+            Some(old) => {
+                assert!(
+                    old.len() == out_shapes.len()
+                        && old.iter().zip(&out_shapes).all(|(&t, s)| self.info(t).shape == *s),
+                    "streamline rewrite changed an output shape"
+                );
+                old.to_vec()
+            }
+            None => {
+                let dtype = self.info(inputs[0]).dtype;
+                out_shapes
+                    .into_iter()
+                    .map(|shape| {
+                        self.new_tensor(TensorInfo {
+                            name: String::new(),
+                            shape,
+                            dtype,
+                            kind: TensorKind::Activation,
+                            producer: Some(id),
+                            consumers: Vec::new(),
+                            init: None,
+                        })
+                    })
+                    .collect()
+            }
+        };
+        let node = Node {
+            id,
+            op,
+            inputs: inputs.to_vec(),
+            outputs: outputs.clone(),
+            name: String::new(),
+            origin,
+        };
+        self.log.nodes.push(node);
+        self.log.emitted.push((self.current, Item::Node(id)));
+        outputs
+    }
+
+    /// A new op whose results are fresh tensors.
+    fn push(&mut self, op: Op, inputs: &[TensorId], origin: OpOrigin) -> Vec<TensorId> {
+        self.build(op, inputs, None, origin)
+    }
+
+    /// A replacement op writing the replaced op's output tensors.
     fn push_mapped(
         &mut self,
         op: Op,
@@ -149,80 +495,85 @@ impl<'g> Rebuild<'g> {
         old_outs: &[TensorId],
         origin: OpOrigin,
     ) {
-        self.b.set_origin(origin);
-        let outs =
-            self.b.try_push(op, inputs).expect("streamline rewrite produced an ill-typed op");
-        assert_eq!(outs.len(), old_outs.len(), "streamline rewrite changed output arity");
-        for (&o, &n) in old_outs.iter().zip(&outs) {
-            self.map.insert(o, n);
-        }
-    }
-
-    /// Maps an old output tensor onto an already-built new tensor
-    /// (op deletion: consumers read the alias instead).
-    fn alias(&mut self, old_out: TensorId, new_id: TensorId) {
-        self.map.insert(old_out, new_id);
+        self.build(op, inputs, Some(old_outs), origin);
     }
 
     /// A fresh initialized weight with a collision-free name.
     fn fresh_weight(&mut self, dims: &[usize], dtype: DType, init: Vec<f32>) -> TensorId {
-        loop {
+        let (g, live) = (self.g, self.live);
+        let taken = self.taken.get_or_insert_with(|| {
+            (0..g.g.tensors.len() as u32)
+                .map(TensorId)
+                .filter(|&t| {
+                    let info = g.tensor(t);
+                    !g.gone[t.0 as usize]
+                        && info.name.starts_with("__sl")
+                        && (info.kind == TensorKind::Input
+                            || info.kind == TensorKind::Weight && g.weight_kept(live, t))
+                })
+                .map(|t| g.tensor(t).name.clone())
+                .collect()
+        });
+        let name = loop {
             let name = format!("__sl{}", self.fresh);
             self.fresh += 1;
-            if self.names.insert(name.clone()) {
-                return self.b.weight_init(name, dims, dtype, init);
+            if taken.insert(name.clone()) {
+                break name;
             }
-        }
-    }
-
-    /// Finalizes the rebuilt graph, remapping the old outputs.
-    fn finish(mut self) -> Graph {
-        for &t in self.old.outputs() {
-            let n = self.lookup(t);
-            self.b.output(n);
-        }
-        self.b.finish()
+        };
+        let shape = Shape::new(dims.to_vec());
+        assert_eq!(init.len() as u64, shape.numel(), "initializer length does not match {shape}");
+        let id = self.new_tensor(TensorInfo {
+            name,
+            shape,
+            dtype,
+            kind: TensorKind::Weight,
+            producer: None,
+            consumers: Vec::new(),
+            init: Some(init),
+        });
+        self.log.emitted.push((self.current, Item::Fresh(id)));
+        id
     }
 }
 
-/// Runs one rewrite sweep over the live nodes (`live` is `g`'s
-/// [`live_mask`]) in topological order. `decide(n, Some(rb))` either
-/// replaces a node in `rb` (returning `true`) or declines (`false`, node
-/// copied verbatim). `decide(n, None)` is the dry check: it answers
-/// whether the rule matches `n` and builds nothing; it may say `true`
-/// where the build would decline, never the reverse. The dry check runs
-/// on a clone of `decide`, so a rule's state starts the build clean.
-/// Nodes in `skip` are dropped outright (their outputs must have been
-/// aliased by an earlier `decide`). Returns `None` when the sweep
-/// changed nothing, so callers can detect fixpoints exactly.
-fn rewrite_graph<'g, D>(
-    g: &'g Graph,
-    live: &[bool],
+/// Runs one rewrite sweep over the live nodes of `g` (`live` is its
+/// [`Work::live_mask`]) in topological order. `decide(n, e)` either logs
+/// a replacement for `n` in `e` and returns `true`, or declines
+/// (`false`, the node stays). Nodes in `skip` are dropped outright
+/// (their consumers' replacements read past them). Returns `None` when
+/// the sweep changes nothing — no rule fired and liveness drops nothing
+/// — so callers detect fixpoints exactly.
+fn rewrite<'w, D>(
+    g: &'w Work,
+    live: &'w [bool],
     skip: &HashSet<OpId>,
     mut decide: D,
-) -> Option<Graph>
+) -> Option<EditLog>
 where
-    D: FnMut(&'g Node, Option<&mut Rebuild<'g>>) -> bool + Clone,
+    D: FnMut(&'w Node, &mut Edits<'w>) -> bool,
 {
-    let nodes = || g.nodes().iter().filter(|n| live[n.id.0 as usize] && !skip.contains(&n.id));
-    let prunes = live.contains(&false)
-        || g.tensors().iter().enumerate().any(|(i, t)| {
-            t.kind == TensorKind::Weight && !weight_kept(g, live, TensorId(i as u32))
-        });
-    let mut changed = prunes || !skip.is_empty();
-    let mut dry = decide.clone();
-    if !changed && !nodes().any(|n| dry(n, None)) {
-        return None;
-    }
-    let mut rb = Rebuild::new(g, live);
-    for n in nodes() {
-        if decide(n, Some(&mut rb)) {
-            changed = true;
-        } else {
-            rb.emit(n);
+    let mut e = Edits {
+        g,
+        live,
+        log: EditLog::default(),
+        alias: Vec::new(),
+        current: OpId(0),
+        fresh: 0,
+        taken: None,
+    };
+    for n in g.nodes() {
+        if live[n.id.0 as usize] && !skip.contains(&n.id) {
+            e.current = n.id;
+            if !decide(n, &mut e) {
+                continue;
+            }
         }
+        e.log.dropped.push(n.id);
     }
-    changed.then(|| rb.finish())
+    e.log.orphans = g.orphans(live);
+    let changed = !e.log.dropped.is_empty() || !e.log.orphans.is_empty();
+    changed.then_some(e.log)
 }
 
 // ---------------------------------------------------------------------------
@@ -238,7 +589,7 @@ fn is_identity_perm(perm: &[usize]) -> bool {
 /// restricted to dimensions of extent > 1, is strictly increasing: unit
 /// dims contribute nothing to the linear index, so moving only them is
 /// a pure shape reinterpretation.
-fn order_preserving(g: &Graph, input: TensorId, perm: &[usize]) -> bool {
+fn order_preserving(g: &Work, input: TensorId, perm: &[usize]) -> bool {
     let shape = &g.tensor(input).shape;
     let mut last: Option<usize> = None;
     for &p in perm {
@@ -256,8 +607,8 @@ fn order_preserving(g: &Graph, input: TensorId, perm: &[usize]) -> bool {
 }
 
 /// `remove-identity`: drops ops that provably return their input.
-fn sweep_remove_identity(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| {
+fn sweep_remove_identity(g: &Work, live: &[bool]) -> Option<EditLog> {
+    rewrite(g, live, &HashSet::new(), |n, e| {
         let identity = match &n.op {
             Op::Unary { kind: UnaryKind::Identity } => true,
             Op::Reshape { shape } => g.tensor(n.inputs[0]).shape.dims() == shape.as_slice(),
@@ -268,9 +619,9 @@ fn sweep_remove_identity(g: &Graph) -> Option<Graph> {
             Op::Concat { .. } => n.inputs.len() == 1,
             _ => false,
         };
-        if let (true, Some(rb)) = (identity, rb) {
-            let x = rb.lookup(n.inputs[0]);
-            rb.alias(n.outputs[0], x);
+        if identity {
+            let x = e.lookup(n.inputs[0]);
+            e.alias(n.outputs[0], x);
         }
         identity
     })
@@ -278,20 +629,19 @@ fn sweep_remove_identity(g: &Graph) -> Option<Graph> {
 
 /// `cancel-transpose`: merges back-to-back transposes into one (or into
 /// nothing when they invert each other).
-fn sweep_cancel_transpose(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| {
+fn sweep_cancel_transpose(g: &Work, live: &[bool]) -> Option<EditLog> {
+    rewrite(g, live, &HashSet::new(), |n, e| {
         let Op::Transpose { perm: q } = &n.op else { return false };
         let Some(pid) = g.producer(n.inputs[0]) else { return false };
         let inner = g.node(pid);
         let Op::Transpose { perm: p } = &inner.op else { return false };
-        let Some(rb) = rb else { return true };
         // out[i] = mid[q[i]] and mid[j] = x[p[j]]  ⇒  out[i] = x[p[q[i]]].
         let combined: Vec<usize> = q.iter().map(|&i| p[i]).collect();
-        let x = rb.lookup(inner.inputs[0]);
+        let x = e.lookup(inner.inputs[0]);
         if is_identity_perm(&combined) {
-            rb.alias(n.outputs[0], x);
+            e.alias(n.outputs[0], x);
         } else {
-            rb.push_mapped(Op::Transpose { perm: combined }, &[x], &n.outputs, n.origin);
+            e.push_mapped(Op::Transpose { perm: combined }, &[x], &n.outputs, n.origin);
         }
         // The inner transpose stays for its other consumers; when this
         // was the only one, the next sweep prunes it as dead.
@@ -301,25 +651,23 @@ fn sweep_cancel_transpose(g: &Graph) -> Option<Graph> {
 
 /// `absorb-transpose`: turns memory-order-preserving transposes into
 /// reshapes and merges reshape chains.
-fn sweep_absorb_transpose(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| match &n.op {
+fn sweep_absorb_transpose(g: &Work, live: &[bool]) -> Option<EditLog> {
+    rewrite(g, live, &HashSet::new(), |n, e| match &n.op {
         Op::Transpose { perm } if order_preserving(g, n.inputs[0], perm) => {
-            let Some(rb) = rb else { return true };
             let out_dims = g.tensor(n.outputs[0]).shape.dims().to_vec();
-            let x = rb.lookup(n.inputs[0]);
-            rb.push_mapped(Op::Reshape { shape: out_dims }, &[x], &n.outputs, n.origin);
+            let x = e.lookup(n.inputs[0]);
+            e.push_mapped(Op::Reshape { shape: out_dims }, &[x], &n.outputs, n.origin);
             true
         }
         Op::Reshape { shape } => {
             let Some(pid) = g.producer(n.inputs[0]) else { return false };
             let inner = g.node(pid);
             let Op::Reshape { .. } = &inner.op else { return false };
-            let Some(rb) = rb else { return true };
-            let x = rb.lookup(inner.inputs[0]);
+            let x = e.lookup(inner.inputs[0]);
             if g.tensor(inner.inputs[0]).shape.dims() == shape.as_slice() {
-                rb.alias(n.outputs[0], x);
+                e.alias(n.outputs[0], x);
             } else {
-                rb.push_mapped(Op::Reshape { shape: shape.clone() }, &[x], &n.outputs, n.origin);
+                e.push_mapped(Op::Reshape { shape: shape.clone() }, &[x], &n.outputs, n.origin);
             }
             true
         }
@@ -328,7 +676,7 @@ fn sweep_absorb_transpose(g: &Graph) -> Option<Graph> {
 }
 
 /// All live consumers of `t`, deduplicated.
-fn live_consumers(g: &Graph, live: &[bool], t: TensorId) -> Vec<OpId> {
+fn live_consumers(g: &Work, live: &[bool], t: TensorId) -> Vec<OpId> {
     let mut cs: Vec<OpId> = g.consumers(t).iter().copied().filter(|c| live[c.0 as usize]).collect();
     cs.dedup();
     cs
@@ -337,7 +685,7 @@ fn live_consumers(g: &Graph, live: &[bool], t: TensorId) -> Vec<OpId> {
 /// A transpose node is movable past its consumer when the consumer is
 /// its only (live) user and the transposed tensor is not itself a graph
 /// output.
-fn sole_consumer(g: &Graph, live: &[bool], t: TensorId) -> Option<OpId> {
+fn sole_consumer(g: &Work, live: &[bool], t: TensorId) -> Option<OpId> {
     if g.outputs().contains(&t) {
         return None;
     }
@@ -355,10 +703,9 @@ fn sole_consumer(g: &Graph, live: &[bool], t: TensorId) -> Option<OpId> {
 ///
 /// The count of transpose ops never increases — each pattern consumes
 /// at least as many transposes as it emits.
-fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
-    let live = live_mask(g);
+fn sweep_move_transpose(g: &Work, live: &[bool]) -> Option<EditLog> {
     // Plan first: consumer op id → the transpose nodes it absorbs, which
-    // the rebuild then skips.
+    // the sweep then drops.
     let mut skip: HashSet<OpId> = HashSet::new();
 
     enum Plan {
@@ -381,7 +728,7 @@ fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
             continue;
         }
         let Op::Transpose { perm } = &n.op else { continue };
-        let Some(c) = sole_consumer(g, &live, n.outputs[0]) else { continue };
+        let Some(c) = sole_consumer(g, live, n.outputs[0]) else { continue };
         if plans.contains_key(&c) || skip.contains(&c) {
             continue;
         }
@@ -410,7 +757,7 @@ fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
                         Op::Transpose { perm: p2 }
                             if p2 == perm
                                 && !skip.contains(&oid)
-                                && sole_consumer(g, &live, on.outputs[0]) == Some(c)
+                                && sole_consumer(g, live, on.outputs[0]) == Some(c)
                                 && g.tensor(on.inputs[0]).shape == g.tensor(n.inputs[0]).shape =>
                         {
                             Some(oid)
@@ -441,37 +788,35 @@ fn sweep_move_transpose(g: &Graph) -> Option<Graph> {
         return None;
     }
 
-    rewrite_graph(g, &live, &skip, |n, rb| {
+    rewrite(g, live, &skip, |n, e| {
         let Some(plan) = plans.get(&n.id) else { return false };
-        let Some(rb) = rb else { return true };
         // The consumer re-emitted on the transposes' inputs, then the
         // (first) transpose applied to its result.
         let (tn, operands) = match *plan {
-            Plan::Unary { t } => (g.node(t), vec![rb.lookup(g.node(t).inputs[0])]),
+            Plan::Unary { t } => (g.node(t), vec![e.lookup(g.node(t).inputs[0])]),
             Plan::Scalar { t, scalar_first } => {
-                let x = rb.lookup(g.node(t).inputs[0]);
-                let s = rb.lookup(n.inputs[usize::from(!scalar_first)]);
+                let x = e.lookup(g.node(t).inputs[0]);
+                let s = e.lookup(n.inputs[usize::from(!scalar_first)]);
                 (g.node(t), if scalar_first { vec![s, x] } else { vec![x, s] })
             }
             Plan::Pair { t1, t2 } => {
                 let (tn1, tn2) = (g.node(t1), g.node(t2));
-                let x1 = rb.lookup(tn1.inputs[0]);
-                let x2 = rb.lookup(tn2.inputs[0]);
+                let x1 = e.lookup(tn1.inputs[0]);
+                let x2 = e.lookup(tn2.inputs[0]);
                 // Preserve operand order of the original binary.
                 (tn1, if n.inputs[0] == tn1.outputs[0] { vec![x1, x2] } else { vec![x2, x1] })
             }
         };
         let Op::Transpose { perm } = &tn.op else { unreachable!() };
-        rb.b.set_origin(n.origin);
-        let y = rb.b.try_push(n.op.clone(), &operands).expect("moved op ill-typed");
-        rb.push_mapped(Op::Transpose { perm: perm.clone() }, &[y[0]], &n.outputs, tn.origin);
+        let y = e.push(n.op.clone(), &operands, n.origin);
+        e.push_mapped(Op::Transpose { perm: perm.clone() }, &[y[0]], &n.outputs, tn.origin);
         true
     })
 }
 
 /// The scalar initializer of `t`, if it is a 0/1-rank single-element
 /// initialized weight.
-fn scalar_init(g: &Graph, t: TensorId) -> Option<f32> {
+fn scalar_init(g: &Work, t: TensorId) -> Option<f32> {
     let info = g.tensor(t);
     if info.kind == TensorKind::Weight && info.shape.numel() == 1 && info.shape.rank() <= 1 {
         info.init.as_ref().map(|v| v[0])
@@ -483,9 +828,8 @@ fn scalar_init(g: &Graph, t: TensorId) -> Option<f32> {
 /// `collapse-repeated`: merges chains of the same scalar binary op into
 /// a single application with a folded constant, and collapses
 /// idempotent/involutive unary pairs (`Relu∘Relu`, `Neg∘Neg`).
-fn sweep_collapse_repeated(g: &Graph) -> Option<Graph> {
+fn sweep_collapse_repeated(g: &Work, live: &[bool]) -> Option<EditLog> {
     use smartmem_ir::BinaryKind;
-    let live = live_mask(g);
     // Plan scalar-chain merges: outer binary id → (inner op id, combined constant).
     let mut skip: HashSet<OpId> = HashSet::new();
     let mut chain: HashMap<OpId, (OpId, f32)> = HashMap::new();
@@ -509,7 +853,7 @@ fn sweep_collapse_repeated(g: &Graph) -> Option<Graph> {
         }
         let inner = g.node(pid);
         let Op::Binary { kind: ik } = &inner.op else { continue };
-        if ik != kind || sole_consumer(g, &live, inner.outputs[0]) != Some(n.id) {
+        if ik != kind || sole_consumer(g, live, inner.outputs[0]) != Some(n.id) {
             continue;
         }
         let c1 = match (scalar_init(g, inner.inputs[0]), scalar_init(g, inner.inputs[1])) {
@@ -525,9 +869,8 @@ fn sweep_collapse_repeated(g: &Graph) -> Option<Graph> {
         chain.insert(n.id, (pid, combined));
     }
 
-    rewrite_graph(g, &live, &skip, |n, rb| {
+    rewrite(g, live, &skip, |n, e| {
         if let Some(&(inner_id, c)) = chain.get(&n.id) {
-            let Some(rb) = rb else { return true };
             let inner = g.node(inner_id);
             // The inner op's non-constant operand.
             let x_old = *inner
@@ -535,9 +878,9 @@ fn sweep_collapse_repeated(g: &Graph) -> Option<Graph> {
                 .iter()
                 .find(|&&t| scalar_init(g, t).is_none())
                 .expect("chain inner op lost its value operand");
-            let x = rb.lookup(x_old);
-            let w = rb.fresh_weight(&[1], DType::F32, vec![c]);
-            rb.push_mapped(n.op.clone(), &[x, w], &n.outputs, n.origin);
+            let x = e.lookup(x_old);
+            let w = e.fresh_weight(&[1], DType::F32, vec![c]);
+            e.push_mapped(n.op.clone(), &[x, w], &n.outputs, n.origin);
             return true;
         }
         // Relu∘Relu → inner Relu; Neg∘Neg → the grandparent input.
@@ -552,47 +895,45 @@ fn sweep_collapse_repeated(g: &Graph) -> Option<Graph> {
         if inner.op != n.op {
             return false;
         }
-        if let Some(rb) = rb {
-            let x = rb.lookup(x);
-            rb.alias(n.outputs[0], x);
-        }
+        let x = e.lookup(x);
+        e.alias(n.outputs[0], x);
         true
     })
 }
 
 /// `cse`: ops with identical operators and identical (remapped) operand
 /// lists share one result.
-fn sweep_cse(g: &Graph) -> Option<Graph> {
+fn sweep_cse(g: &Work, live: &[bool]) -> Option<EditLog> {
     // Keyed by remapped operands so chains of duplicates collapse in one
-    // sweep; values are the *old* output ids of the first occurrence
-    // (resolved through the rebuild map at alias time, after the driver
-    // has emitted that first occurrence). The dry check keys on the old
-    // ids: until the first alias the rebuild map is one-to-one, so they
-    // find the same first duplicate the remapped ids would.
-    let mut seen: HashMap<(&Op, Vec<TensorId>), &[TensorId]> = HashMap::new();
-    rewrite_graph(g, &live_mask(g), &HashSet::new(), move |n, mut rb| {
-        let key =
-            (&n.op, n.inputs.iter().map(|&t| rb.as_ref().map_or(t, |rb| rb.lookup(t))).collect());
-        let Some(&prev_old) = seen.get(&key) else {
-            seen.insert(key, &n.outputs);
-            return false;
+    // sweep; values are the outputs of the first occurrence, which stays.
+    type Key<'w> = (&'w Op, Cow<'w, [TensorId]>);
+    let mut seen: HashMap<Key, &[TensorId]> = HashMap::with_capacity(g.order.len());
+    rewrite(g, live, &HashSet::new(), |n, e| {
+        // Borrowed unless an operand was aliased earlier in the sweep.
+        let inputs = if n.inputs.iter().all(|&t| e.lookup(t) == t) {
+            Cow::Borrowed(n.inputs.as_slice())
+        } else {
+            Cow::Owned(n.inputs.iter().map(|&t| e.lookup(t)).collect())
         };
-        if let Some(rb) = rb.as_mut() {
-            for (&o, &p) in n.outputs.iter().zip(prev_old) {
-                let target = rb.lookup(p);
-                rb.alias(o, target);
+        let prev = match seen.entry((&n.op, inputs)) {
+            Entry::Occupied(first) => *first.get(),
+            Entry::Vacant(slot) => {
+                slot.insert(&n.outputs);
+                return false;
             }
+        };
+        for (&o, &p) in n.outputs.iter().zip(prev) {
+            e.alias(o, p);
         }
         true
     })
 }
 
 /// `const-fold`: an op whose operands are all initialized weights is
-/// evaluated by the reference interpreter and replaced with weights.
-/// The dry check evaluates too, so an op the interpreter refuses never
-/// triggers a rebuild (which could not copy it either).
-fn sweep_const_fold(g: &Graph) -> Option<Graph> {
-    rewrite_graph(g, &live_mask(g), &HashSet::new(), |n, rb| {
+/// evaluated by the reference interpreter and replaced with weights. An
+/// op the interpreter refuses stays as it is.
+fn sweep_const_fold(g: &Work, live: &[bool]) -> Option<EditLog> {
+    rewrite(g, live, &HashSet::new(), |n, e| {
         let all_const = n.inputs.iter().all(|&t| {
             let info = g.tensor(t);
             info.kind == TensorKind::Weight && info.init.is_some() && info.dtype == DType::F32
@@ -613,11 +954,10 @@ fn sweep_const_fold(g: &Graph) -> Option<Graph> {
             .collect();
         let refs: Vec<&TensorValue> = vals.iter().collect();
         let Ok(outs) = eval_op(&n.op, &refs) else { return false };
-        let Some(rb) = rb else { return true };
         for (&old, v) in n.outputs.iter().zip(outs) {
             let dims = v.shape.dims().to_vec();
-            let w = rb.fresh_weight(&dims, DType::F32, v.data);
-            rb.alias(old, w);
+            let w = e.fresh_weight(&dims, DType::F32, v.data);
+            e.alias(old, w);
         }
         true
     })
@@ -632,23 +972,19 @@ pub(crate) fn transpose_count(g: &Graph) -> usize {
     g.nodes().iter().filter(|n| matches!(n.op, Op::Transpose { .. })).count()
 }
 
-/// One rewrite sweep: the rewritten graph, or `None` at exact fixpoint.
-type Sweep = fn(&Graph) -> Option<Graph>;
+/// One rewrite sweep over the working graph and its live mask: the
+/// edits to apply, or `None` at exact fixpoint.
+type Sweep = fn(&Work, &[bool]) -> Option<EditLog>;
 
-/// Applies one sweep to `ctx.graph`, updating the streamline counters.
-/// Returns whether the graph changed.
-fn apply_sweep(ctx: &mut CompileCtx, sweep: Sweep) -> bool {
-    let before_ops = ctx.graph.op_count();
-    let before_t = transpose_count(&ctx.graph);
-    match sweep(&ctx.graph) {
-        Some(g) => {
-            ctx.streamline_removed_ops += before_ops.saturating_sub(g.op_count());
-            ctx.streamline_removed_transposes += before_t.saturating_sub(transpose_count(&g));
-            ctx.graph = g;
-            true
-        }
-        None => false,
-    }
+/// Runs one sweep on `w` and applies its edits, updating the streamline
+/// counters. Returns whether the graph changed.
+fn apply_sweep(ctx: &mut CompileCtx, w: &mut Work, sweep: Sweep) -> bool {
+    let live = w.live_mask();
+    let Some(log) = sweep(w, &live) else { return false };
+    let (ops, transposes) = w.apply(log);
+    ctx.streamline_removed_ops += ops;
+    ctx.streamline_removed_transposes += transposes;
+    true
 }
 
 /// The family in canonical order. Identity removal first exposes
@@ -686,19 +1022,25 @@ impl Pass for StreamlinePass {
     fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported> {
         let ops_before = ctx.graph.op_count();
         let t_before = transpose_count(&ctx.graph);
+        let mut w = Work::new(std::mem::take(&mut ctx.graph));
         let mut rounds = 0usize;
-        // Sweeps that rebuilt and replaced the graph.
+        // Sweeps that changed the graph (the note keeps calling them
+        // rebuilds).
         let mut rebuilds = 0usize;
         for _ in 0..MAX_ROUNDS {
             let before = rebuilds;
             for (_name, sweep) in FAMILY {
-                rebuilds += usize::from(apply_sweep(ctx, sweep));
+                rebuilds += usize::from(apply_sweep(ctx, &mut w, sweep));
             }
             rounds += 1;
             if rebuilds == before {
                 break;
             }
         }
+        let (graph, materialized) =
+            w.finish().map_err(|e| Unsupported::new(&ctx.framework, format!("streamline: {e}")))?;
+        ctx.graph = graph;
+        ctx.streamline_materialized += materialized;
         ctx.note(
             "streamline",
             format!(
@@ -717,7 +1059,7 @@ impl Pass for StreamlinePass {
 mod tests {
     use super::*;
     use smartmem_ir::interp::{approx_eq, run_graph};
-    use smartmem_ir::{BinaryKind, DType};
+    use smartmem_ir::{BinaryKind, DType, GraphBuilder};
 
     fn streamline(g: &Graph) -> Graph {
         let dev = smartmem_sim::DeviceConfig::snapdragon_8gen2();
@@ -854,8 +1196,17 @@ mod tests {
         outputs_agree(&g, &s);
     }
 
-    /// A sweep whose rule matches nothing must still rebuild when
-    /// liveness prunes: the dry check may not answer "nothing to do".
+    /// One sweep over `g`, compacted: `None` when it changes nothing.
+    fn sweep_once(g: &Graph, sweep: Sweep) -> Option<Graph> {
+        let mut w = Work::new(g.clone());
+        let live = w.live_mask();
+        let log = sweep(&w, &live)?;
+        w.apply(log);
+        Some(w.finish().unwrap().0)
+    }
+
+    /// A sweep whose rule matches nothing still changes the graph when
+    /// liveness prunes.
     #[test]
     fn dead_branch_alone_rebuilds() {
         let mut b = GraphBuilder::new("t");
@@ -864,7 +1215,7 @@ mod tests {
         let _dead = b.unary(x, UnaryKind::Gelu);
         b.output(live);
         let g = b.finish();
-        let s = sweep_cse(&g).expect("the dead branch is pruned");
+        let s = sweep_once(&g, sweep_cse).expect("the dead branch is pruned");
         assert_eq!(s.op_count(), 1);
     }
 
@@ -876,7 +1227,7 @@ mod tests {
         let r = b.unary(x, UnaryKind::Relu);
         b.output(r);
         let g = b.finish();
-        let s = sweep_cse(&g).expect("the orphaned weight is dropped");
+        let s = sweep_once(&g, sweep_cse).expect("the orphaned weight is dropped");
         assert_eq!(s.op_count(), 1);
         assert_eq!(s.tensors().len(), g.tensors().len() - 1);
     }
@@ -896,8 +1247,7 @@ mod tests {
         decode_from(&encode_to_vec(&parts)).expect("reassembled graph decodes")
     }
 
-    /// The dry check matches a fold without evaluating it; when the
-    /// interpreter then refuses, the sweep reports no change.
+    /// A fold the interpreter refuses leaves the sweep with no change.
     #[test]
     fn refused_fold_leaves_the_graph_unchanged() {
         let mut b = GraphBuilder::new("t");
@@ -908,7 +1258,7 @@ mod tests {
         let y = b.binary(x, ws, BinaryKind::Add);
         b.output(y);
         let g = with_weight_reshaped(&b.finish(), w2, &[3]);
-        assert!(sweep_const_fold(&g).is_none());
+        assert!(sweep_once(&g, sweep_const_fold).is_none());
     }
 
     /// Streamlines `g`, returning the result and the note's
@@ -936,6 +1286,44 @@ mod tests {
             }
             let again = streamline_counted(&s);
             assert_eq!((again.1, again.2), (1, 0), "{}: streamlined graph rebuilt", entry.name);
+        }
+    }
+
+    /// Nodes materialised per model, against the sum of the op count
+    /// over the changing sweeps when each of them copied the graph.
+    #[test]
+    fn materialized_nodes_are_pinned_and_far_below_a_copy_per_sweep() {
+        for (name, pinned, copy_per_sweep) in [("Swin", 516, 3_002), ("CSwin", 3_108, 18_195)] {
+            let entry = smartmem_models::all_models().into_iter().find(|m| m.name == name).unwrap();
+            let dev = smartmem_sim::DeviceConfig::snapdragon_8gen2();
+            let mut ctx = CompileCtx::new("test", &entry.graph(), &dev);
+            StreamlinePass.run(&mut ctx).unwrap();
+            let materialized = ctx.streamline_nodes_materialized();
+            assert_eq!(materialized, pinned, "{name}");
+            assert!(materialized * 5 <= copy_per_sweep, "{name}: {materialized} nodes");
+        }
+    }
+
+    /// A decode graph keeps its symbolic binding through streamline, so
+    /// every later pass plans the same padded dims at every bucket.
+    #[test]
+    fn symbolic_binding_survives_streamline() {
+        let dev = smartmem_sim::DeviceConfig::snapdragon_8gen2();
+        let [a, b] = [16, 128].map(|seq| {
+            let g = smartmem_models::pythia_decode(1, seq);
+            let s = streamline(&g);
+            assert_eq!(s.sym_dims().len(), g.sym_dims().len(), "seq {seq}");
+            assert!(s.op_count() < g.op_count(), "seq {seq}: streamline changed nothing");
+            let optimized = crate::Framework::optimize(&crate::SmartMemPipeline::new(), &g, &dev);
+            let optimized = optimized.unwrap();
+            assert_eq!(optimized.graph.sym_axes(), s.sym_axes(), "seq {seq}");
+            s
+        });
+        assert!(!a.sym_axes().is_empty());
+        assert_eq!(a.tensors().len(), b.tensors().len());
+        for i in 0..a.tensors().len() as u32 {
+            let t = TensorId(i);
+            assert_eq!(a.padded_dims(t), b.padded_dims(t), "tensor {i}");
         }
     }
 
@@ -977,11 +1365,12 @@ mod tests {
         let g = b.finish();
         let dev = smartmem_sim::DeviceConfig::snapdragon_8gen2();
         let mut ctx = CompileCtx::new("test", &g, &dev);
-        apply_sweep(&mut ctx, sweep_cancel_transpose);
+        let mut w = Work::new(g);
+        apply_sweep(&mut ctx, &mut w, sweep_cancel_transpose);
         // Cancellation aliases through; dead inner transpose goes next
         // sweep — run identity removal to flush it.
-        apply_sweep(&mut ctx, sweep_remove_identity);
-        assert_eq!(transpose_count(&ctx.graph), 0);
+        apply_sweep(&mut ctx, &mut w, sweep_remove_identity);
+        assert_eq!(transpose_count(&w.finish().unwrap().0), 0);
         assert!(ctx.streamline_removed_transposes >= 2);
         assert!(ctx.streamline_removed_ops >= 2);
     }

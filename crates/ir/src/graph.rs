@@ -97,6 +97,27 @@ pub struct SymAxis {
     pub dim: usize,
 }
 
+/// The owned pieces of a [`Graph`]: what [`Graph::into_parts`] hands a
+/// rewriter that edits a graph in place, and what [`Graph::from_parts`]
+/// validates and reassembles.
+#[derive(Clone, Debug, Default)]
+pub struct GraphParts {
+    /// Graph name.
+    pub name: String,
+    /// Nodes; `nodes[i].id` must be `OpId(i)`, in topological order.
+    pub nodes: Vec<Node>,
+    /// Tensors, indexed by [`TensorId`].
+    pub tensors: Vec<TensorInfo>,
+    /// Graph-level inputs.
+    pub inputs: Vec<TensorId>,
+    /// Graph-level outputs.
+    pub outputs: Vec<TensorId>,
+    /// Bound symbolic dimensions.
+    pub sym_dims: Vec<SymDim>,
+    /// Symbolic axes, sorted by `(tensor, axis)`.
+    pub sym_axes: Vec<SymAxis>,
+}
+
 /// An immutable computational graph in topological order.
 ///
 /// Construct through [`GraphBuilder`]; node order is a valid topological
@@ -113,9 +134,9 @@ pub struct Graph {
 }
 
 impl Graph {
-    /// Reassembles a graph from decoded parts (the wire codec's entry
-    /// point). Callers must run [`Graph::validate`] afterwards — the
-    /// parts come straight off disk.
+    /// Reassembles a graph from parts without checking them (the wire
+    /// codec's and [`Graph::from_parts`]'s first step). Callers must run
+    /// [`Graph::validate`] afterwards.
     pub(crate) fn from_wire_parts(
         name: String,
         nodes: Vec<Node>,
@@ -159,6 +180,31 @@ impl Graph {
         self.sym_dims = sym_dims;
         self.sym_axes = sym_axes;
         Ok(())
+    }
+
+    /// Takes the graph apart without copying it.
+    pub fn into_parts(self) -> GraphParts {
+        let Graph { name, nodes, tensors, inputs, outputs, sym_dims, sym_axes } = self;
+        GraphParts { name, nodes, tensors, inputs, outputs, sym_dims, sym_axes }
+    }
+
+    /// Reassembles a graph from parts, checking every invariant a
+    /// [`GraphBuilder`] graph holds: [`Graph::validate`], and for a
+    /// symbolic binding the same checks the wire codec makes plus the
+    /// ceiling-padded shape inference of [`Graph::with_sym_dim`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant.
+    pub fn from_parts(parts: GraphParts) -> Result<Graph, IrError> {
+        let GraphParts { name, nodes, tensors, inputs, outputs, sym_dims, sym_axes } = parts;
+        let mut g = Graph::from_wire_parts(name, nodes, tensors, inputs, outputs);
+        g.validate()?;
+        g.attach_sym_parts(sym_dims, sym_axes)?;
+        if !g.sym_dims.is_empty() {
+            g.validate_sym()?;
+        }
+        Ok(g)
     }
 
     /// Graph name (the model name for zoo graphs).
@@ -391,15 +437,30 @@ impl Graph {
         Ok(())
     }
 
-    /// Validates internal invariants (reference integrity, topological
-    /// node order, producer/consumer symmetry).
+    /// Validates internal invariants (reference integrity, consecutive
+    /// node ids, topological node order, producer/consumer symmetry).
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant. Graphs built through
     /// [`GraphBuilder`] always validate.
     pub fn validate(&self) -> Result<(), IrError> {
-        for n in &self.nodes {
+        let unknown_node = |p: OpId| p.0 as usize >= self.nodes.len();
+        for t in &self.tensors {
+            if t.producer.is_some_and(unknown_node) || t.consumers.iter().copied().any(unknown_node)
+            {
+                return Err(IrError::Shape("tensor references unknown node".into()));
+            }
+        }
+        for &t in self.inputs.iter().chain(&self.outputs) {
+            if t.0 as usize >= self.tensors.len() {
+                return Err(IrError::UnknownTensor(t.0));
+            }
+        }
+        for (i, n) in self.nodes.iter().enumerate() {
+            if n.id.0 as usize != i {
+                return Err(IrError::Shape(format!("node {i} carries id {}", n.id.0)));
+            }
             for &t in n.inputs.iter().chain(n.outputs.iter()) {
                 if t.0 as usize >= self.tensors.len() {
                     return Err(IrError::UnknownTensor(t.0));

@@ -50,8 +50,8 @@ pub mod wire;
 pub use dtype::DType;
 pub use error::{ImportError, IrError};
 pub use graph::{
-    infer_output_shapes, Graph, GraphBuilder, Node, OpId, OpOrigin, SymAxis, TensorId, TensorInfo,
-    TensorKind,
+    infer_output_shapes, Graph, GraphBuilder, GraphParts, Node, OpId, OpOrigin, SymAxis, TensorId,
+    TensorInfo, TensorKind,
 };
 pub use layout::{AddressPlan, Layout, MemoryClass, PhysicalAddress, TexturePlacement};
 pub use ops::{BinaryKind, InputDep, Op, OpClass, OutputKind, PoolKind, ReduceKind, UnaryKind};

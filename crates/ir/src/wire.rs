@@ -582,24 +582,6 @@ impl Decode for Graph {
         let tensors = Vec::<TensorInfo>::decode(r)?;
         let inputs = Vec::<TensorId>::decode(r)?;
         let outputs = Vec::<TensorId>::decode(r)?;
-        // Reference bounds must hold before Graph::validate can run (it
-        // indexes nodes/tensors by id and would panic on wild ids).
-        let bad = |what: &str| Err(WireError::Invalid(format!("decoded graph: {what}")));
-        for (i, n) in nodes.iter().enumerate() {
-            if n.id.0 as usize != i {
-                return bad("node ids not consecutive");
-            }
-        }
-        for t in &tensors {
-            if t.producer.is_some_and(|p| p.0 as usize >= nodes.len())
-                || t.consumers.iter().any(|c| c.0 as usize >= nodes.len())
-            {
-                return bad("tensor references unknown node");
-            }
-        }
-        if inputs.iter().chain(outputs.iter()).any(|t| t.0 as usize >= tensors.len()) {
-            return bad("graph io references unknown tensor");
-        }
         let mut graph = Graph::from_wire_parts(name, nodes, tensors, inputs, outputs);
         graph
             .validate()
