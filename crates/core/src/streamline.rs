@@ -31,16 +31,15 @@
 //! tombstones the dead operators (outputs reaching no graph output),
 //! orphaned weights, absorbed and replaced nodes, splices replacements
 //! in at the replaced node's position and remaps the operands of the
-//! surviving consumers. At the end of the pass the graph is compacted
-//! once and validated once; ids and names come out as if every changing
-//! sweep had copied the graph through [`smartmem_ir::GraphBuilder`]:
-//! `mnemonic_id` node names, `…_out` tensor names, the surviving leaves
-//! first in the order they entered (the last changing sweep's fresh
-//! weights stay where their rule made them), and `__sl{k}` fresh-weight
-//! names whose counter restarts at 0 in each changing sweep and skips
-//! names already taken. A symbolic binding rides along: surviving tensors
-//! keep their symbolic axes, and new tensors take one on every axis
-//! whose extent is a bound value, as [`Graph::with_sym_dim`] binds them.
+//! surviving consumers. At the end of the pass the graph is compacted by
+//! one copy through [`GraphBuilder`], which validates it once and gives
+//! the ids and names a copy per changing sweep gave: `mnemonic_id` node
+//! names, `…_out` tensor names, the surviving leaves first in the order
+//! they entered (the last changing sweep's fresh weights stay where
+//! their rule made them), and `__sl{k}` fresh-weight names whose counter
+//! restarts at 0 in each changing sweep and skips names already taken.
+//! A symbolic binding is then bound again on the compacted graph, as
+//! [`Graph::with_sym_dim`] binds it, padded shape check included.
 //!
 //! Termination: `move-transpose` strictly pushes transposes toward the
 //! outputs and never increases their count; every other rule strictly
@@ -52,13 +51,12 @@ use crate::pass::{CompileCtx, Pass};
 use crate::pipeline::Unsupported;
 use smartmem_ir::interp::{eval_op, TensorValue};
 use smartmem_ir::{
-    infer_output_shapes, DType, Graph, GraphParts, IrError, Node, Op, OpId, OpOrigin, Shape,
-    SymAxis, TensorId, TensorInfo, TensorKind, UnaryKind,
+    infer_output_shapes, DType, Graph, GraphBuilder, GraphParts, IrError, Node, Op, OpId, OpOrigin,
+    Shape, TensorId, TensorInfo, TensorKind, UnaryKind,
 };
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write;
 
 /// Constant folding refuses to materialize tensors larger than this
 /// (elements per output) so a fold can never blow up the graph encoding.
@@ -185,7 +183,7 @@ impl Work {
         for &id in &log.dropped {
             self.removed[id.0 as usize] = true;
         }
-        let GraphParts { nodes, tensors, outputs, sym_dims, sym_axes, .. } = &mut self.g;
+        let GraphParts { nodes, tensors, outputs, .. } = &mut self.g;
         for &id in &log.dropped {
             let n = &nodes[id.0 as usize];
             for &t in &n.inputs {
@@ -201,14 +199,6 @@ impl Work {
             self.gone[t.0 as usize] = true;
         }
         for info in log.tensors {
-            let t = TensorId(tensors.len() as u32);
-            // A symbolic axis wherever the extent is a bound value, as
-            // `Graph::with_sym_dim` binds them.
-            for (axis, &e) in info.shape.dims().iter().enumerate() {
-                if let Some(dim) = sym_dims.iter().position(|d| d.value == e) {
-                    sym_axes.push(SymAxis { tensor: t, axis, dim });
-                }
-            }
             tensors.push(info);
             self.gone.push(false);
         }
@@ -258,11 +248,14 @@ impl Work {
         (ops.saturating_sub(added_ops), transposes.saturating_sub(added_t))
     }
 
-    /// Compacts the working graph into a validated [`Graph`]: the
-    /// surviving leaves first in arena order, then, along the order, the
-    /// latest sweep's fresh weights and each node's outputs, with fresh
-    /// ids and builder-style names. An unchanged graph comes back as it
-    /// went in. Also returns the nodes the pass materialised.
+    /// Compacts the working graph: one copy through a [`GraphBuilder`],
+    /// which gives ids, names, types and consumer lists exactly as a
+    /// copy per changing sweep did — the surviving leaves first, in the
+    /// order they entered, then along the order the latest sweep's fresh
+    /// weights and each node. The symbolic binding is then re-derived as
+    /// [`Graph::with_sym_dim`] binds it, padded shape check included.
+    /// An unchanged graph comes back as it went in. Also returns the
+    /// nodes the pass materialised.
     ///
     /// # Errors
     ///
@@ -272,93 +265,55 @@ impl Work {
         if !self.changed {
             return Ok((Graph::from_parts(self.g)?, 0));
         }
-        let GraphParts { name, nodes, tensors, outputs, sym_dims, sym_axes, .. } = self.g;
+        let GraphParts { name, nodes, mut tensors, outputs, sym_dims, .. } = self.g;
         let mut late = vec![false; tensors.len()];
         for item in &self.order {
             if let Item::Fresh(t) = *item {
                 late[t.0 as usize] = true;
             }
         }
-        let mut nodes: Vec<Option<Node>> = nodes.into_iter().map(Some).collect();
-        let mut arena: Vec<Option<TensorInfo>> = tensors.into_iter().map(Some).collect();
-        let mut new_id = vec![u32::MAX; arena.len()];
-        let mut tensors: Vec<TensorInfo> = Vec::new();
-        let mut inputs = Vec::new();
-        for i in 0..arena.len() {
-            let leaf = arena[i].as_ref().is_some_and(|t| t.kind != TensorKind::Activation);
-            if leaf && !self.gone[i] && !late[i] {
-                let t = place(TensorId(i as u32), &mut arena, &mut new_id, &mut tensors);
-                if tensors[t.0 as usize].kind == TensorKind::Input {
-                    inputs.push(t);
-                }
+        let leaves: Vec<TensorId> = (0..tensors.len())
+            .filter(|&i| !self.gone[i] && !late[i] && tensors[i].kind != TensorKind::Activation)
+            .map(|i| TensorId(i as u32))
+            .collect();
+        let mut b = GraphBuilder::new(name);
+        let mut new_id = vec![TensorId(u32::MAX); tensors.len()];
+        let mut leaf = |b: &mut GraphBuilder, t: TensorId| {
+            let info = &mut tensors[t.0 as usize];
+            let (name, dims) = (std::mem::take(&mut info.name), info.shape.dims());
+            match (info.kind, info.init.take()) {
+                (TensorKind::Input, _) => b.input(name, dims, info.dtype),
+                (_, Some(init)) => b.weight_init(name, dims, info.dtype, init),
+                (_, None) => b.weight(name, dims, info.dtype),
             }
+        };
+        for t in leaves {
+            new_id[t.0 as usize] = leaf(&mut b, t);
         }
-        let mut out_nodes: Vec<Node> = Vec::new();
         for item in &self.order {
-            let mut n = match *item {
+            let n = match *item {
                 Item::Fresh(t) => {
-                    place(t, &mut arena, &mut new_id, &mut tensors);
+                    new_id[t.0 as usize] = leaf(&mut b, t);
                     continue;
                 }
-                Item::Node(id) => nodes[id.0 as usize].take().expect("node placed twice"),
+                Item::Node(id) => &nodes[id.0 as usize],
             };
-            n.id = OpId(out_nodes.len() as u32);
-            n.name.clear();
-            n.name.extend(n.op.mnemonic().chars().map(|c| c.to_ascii_lowercase()));
-            write!(n.name, "_{}", n.id.0).expect("writing to a String");
-            for t in &mut n.inputs {
-                *t = TensorId(new_id[t.0 as usize]);
-                tensors[t.0 as usize].consumers.push(n.id);
+            let inputs: Vec<TensorId> = n.inputs.iter().map(|t| new_id[t.0 as usize]).collect();
+            b.set_origin(n.origin);
+            for (&old, new) in n.outputs.iter().zip(b.try_push(n.op.clone(), &inputs)?) {
+                new_id[old.0 as usize] = new;
             }
-            // The builder types every result like the first operand.
-            let dtype = tensors[n.inputs[0].0 as usize].dtype;
-            for (i, o) in n.outputs.iter_mut().enumerate() {
-                *o = place(*o, &mut arena, &mut new_id, &mut tensors);
-                let info = &mut tensors[o.0 as usize];
-                info.name.clear();
-                write!(info.name, "{}_out", n.name).expect("writing to a String");
-                if i > 0 {
-                    write!(info.name, "{i}").expect("writing to a String");
-                }
-                info.dtype = dtype;
-                info.producer = Some(n.id);
-            }
-            out_nodes.push(n);
         }
-        let materialized = self.materialized + out_nodes.len();
-        let remap = |t: TensorId| TensorId(new_id[t.0 as usize]);
-        let mut sym_axes: Vec<SymAxis> = sym_axes
-            .into_iter()
-            .filter(|a| !self.gone[a.tensor.0 as usize])
-            .map(|a| SymAxis { tensor: remap(a.tensor), ..a })
-            .collect();
-        sym_axes.sort_by_key(|a| (a.tensor, a.axis));
-        let g = Graph::from_parts(GraphParts {
-            name,
-            nodes: out_nodes,
-            tensors,
-            inputs,
-            outputs: outputs.into_iter().map(remap).collect(),
-            sym_dims,
-            sym_axes,
-        })?;
+        for t in outputs {
+            b.output(new_id[t.0 as usize]);
+        }
+        let mut g = b.finish();
+        for d in sym_dims {
+            g = g.with_sym_dim(d.name, &d.table, d.value)?;
+        }
+        let materialized = self.materialized + g.op_count();
         Ok((g, materialized))
     }
-}
-
-/// Moves arena tensor `t` to the end of the compacted tensor list and
-/// records its new id.
-fn place(
-    t: TensorId,
-    arena: &mut [Option<TensorInfo>],
-    new_id: &mut [u32],
-    tensors: &mut Vec<TensorInfo>,
-) -> TensorId {
-    let mut info = arena[t.0 as usize].take().expect("tensor placed twice");
-    info.consumers.clear();
-    new_id[t.0 as usize] = tensors.len() as u32;
-    tensors.push(info);
-    TensorId(new_id[t.0 as usize])
 }
 
 /// What one sweep decided, applied by [`Work::apply`] when it changes

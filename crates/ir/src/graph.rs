@@ -100,7 +100,7 @@ pub struct SymAxis {
 /// The owned pieces of a [`Graph`]: what [`Graph::into_parts`] hands a
 /// rewriter that edits a graph in place, and what [`Graph::from_parts`]
 /// validates and reassembles.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug)]
 pub struct GraphParts {
     /// Graph name.
     pub name: String,
