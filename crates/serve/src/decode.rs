@@ -14,9 +14,9 @@
 //! Sequence lengths are quantized by the bucket table the models were
 //! compiled under: a session carries one registered model per bucket
 //! and routes each step to the smallest bucket that fits the grown
-//! sequence. Crossing a bucket boundary compiles the next bucket's
-//! artifact once per (model, device); the compile session's tune memo
-//! re-sweeps only the `(op, m, n)` keys the new extents introduce.
+//! sequence. `Server::start` compiles every bucket's artifact for every
+//! device (the tune memo re-sweeps only the `(op, m, n)` keys the new
+//! extents introduce), so crossing a bucket boundary compiles nothing.
 
 use crate::request::{InferenceRequest, InferenceResponse, Priority, SubmitError};
 use crate::server::Server;

@@ -9,9 +9,9 @@
 //! per-class latency budget ([`Priority`]), coalesced into
 //! per-(model, device) batches that device workers *pull* when the
 //! device frees up, ordered by slack with starvation aging, and
-//! executed against artifacts compiled once, at start-up, through a
-//! shared [`CompileSession`]. Queued requests can be revoked at
-//! any time through a [`CancelHandle`].
+//! executed against a plan compiled once, at start-up, through a
+//! [`CompileSession`] that start-up then drops. Queued requests can be
+//! revoked at any time through a [`CancelHandle`].
 //!
 //! ```text
 //!  clients ──► submit / try_submit      (bounded queue, admission control,
@@ -36,9 +36,9 @@
 //!            └────┘└────┘└────┘
 //!               │    │    │
 //!               ▼    ▼    ▼
-//!         ┌─────────────────────┐  every pair compiled once at start;
-//!         │   CompileSession    │  every request then hits the cache
-//!         └─────────────────────┘  (misses == models × devices)
+//!         ┌─────────────────────┐  every pair compiled once at start
+//!         │ start-up plan       │  (misses == models × devices): its
+//!         └─────────────────────┘  estimate, or its compile error
 //! ```
 //!
 //! The runtime is std-only (mutex + condvars + threads — the offline

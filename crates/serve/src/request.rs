@@ -1,7 +1,6 @@
 //! The request/response surface of the serving runtime.
 
 use crate::server::CancelHandle;
-use smartmem_core::graph_fingerprint;
 use smartmem_ir::Graph;
 use std::fmt;
 use std::sync::mpsc;
@@ -61,25 +60,21 @@ impl fmt::Display for Priority {
     }
 }
 
-/// A model registered with the server: the graph plus its content
-/// fingerprint, precomputed once so every per-request compile through
-/// the session is a hash-map lookup. The scheduler's per-device latency
-/// estimates are not here: `Server::start` compiles every (model,
-/// device) pair and keeps each compiled graph's estimate.
+/// A model registered with the server: a name and its graph.
+/// `Server::start` compiles the graph for every pool device once and
+/// keeps each pair's estimate, or its compile error, in its plan.
+#[derive(Clone)]
 pub struct ModelSpec {
     /// Display name (unique per server).
     pub name: String,
     /// The computational graph served for this model.
     pub graph: Graph,
-    /// Content fingerprint of `graph` (compilation-cache key component).
-    pub fingerprint: u64,
 }
 
 impl ModelSpec {
-    /// Registers `graph` under `name`, precomputing the fingerprint.
+    /// Registers `graph` under `name`.
     pub fn new(name: impl Into<String>, graph: Graph) -> Self {
-        let fingerprint = graph_fingerprint(&graph);
-        ModelSpec { name: name.into(), graph, fingerprint }
+        ModelSpec { name: name.into(), graph }
     }
 }
 
@@ -190,7 +185,9 @@ pub struct InferenceResponse {
     pub exec_ms: f64,
     /// Wall-clock milliseconds from submission to response.
     pub wall_ms: f64,
-    /// Whether the compiled artifact came from the session cache.
+    /// Whether the request executed a pair that compiled at start-up
+    /// (served from its cached artifact); `false` for a pair that
+    /// failed to compile, and for requests that never executed.
     pub compile_cache_hit: bool,
     /// Failed execution attempts this request survived before this
     /// response (0 = first try). Bounded by the server's

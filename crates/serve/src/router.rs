@@ -18,7 +18,6 @@
 use crate::request::{InferenceRequest, InferenceResponse, SubmitError, REPLICA_KILLED};
 use crate::server::{ServeConfig, ServeStats, Server};
 use crate::ModelSpec;
-use smartmem_ir::Graph;
 use smartmem_sim::DeviceConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,8 +37,8 @@ struct Replica {
 /// take `&self`).
 pub struct Router {
     replicas: Vec<Replica>,
-    /// Blueprint for (re)building a replica: model name + graph pairs.
-    models: Vec<(String, Graph)>,
+    /// Blueprint for (re)building a replica.
+    models: Vec<ModelSpec>,
     devices: Vec<DeviceConfig>,
     config: ServeConfig,
     /// Killed replica generations, retired at kill time. The handles
@@ -114,13 +113,11 @@ impl Router {
         config: ServeConfig,
     ) -> Self {
         assert!(replicas > 0, "start at least one replica");
-        let blueprint: Vec<(String, Graph)> =
-            models.into_iter().map(|m| (m.name, m.graph)).collect();
         let router = Router {
             replicas: (0..replicas)
                 .map(|_| Replica { server: Mutex::new(None), outstanding: AtomicU64::new(0) })
                 .collect(),
-            models: blueprint,
+            models,
             devices,
             config,
             retired: Mutex::new(Vec::new()),
@@ -135,12 +132,7 @@ impl Router {
     }
 
     fn build_server(&self) -> Arc<Server> {
-        let models = self
-            .models
-            .iter()
-            .map(|(name, graph)| ModelSpec::new(name.clone(), graph.clone()))
-            .collect();
-        Arc::new(Server::start(models, self.devices.clone(), self.config.clone()))
+        Arc::new(Server::start(self.models.clone(), self.devices.clone(), self.config.clone()))
     }
 
     /// Number of replica slots (alive or down).

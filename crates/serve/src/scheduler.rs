@@ -33,9 +33,9 @@ struct DeviceEntry {
 /// account per device, broken down by priority class. Thread-safe.
 ///
 /// Admission calls [`DevicePool::place_scaled`] with the model's
-/// per-device latency row (ms), the ns it charges per ms (`1e6 ×`
-/// decode steps) and the request's class; the pool picks the device
-/// minimizing *outstanding work + this request's estimate* and charges
+/// per-device start-up latency (ms, `None` where it failed to compile),
+/// the ns it charges per ms (`1e6 ×` decode steps) and the request's
+/// class; the pool picks the device minimizing *outstanding work + this request's estimate* and charges
 /// it. Completion or cancellation pays the charge back via
 /// [`DevicePool::discharge`], so the accounts track work that is
 /// genuinely still queued — and [`DevicePool::class_load_ns`] shows
@@ -112,55 +112,60 @@ impl DevicePool {
     }
 
     /// The device with the earliest estimated completion (outstanding
-    /// work + estimate), as `(id, estimate, completion)`, where a
-    /// device's estimate is its `row` entry times `scale` ns. Dead
-    /// devices are skipped; with every device dead (the server never
-    /// lets injected faults get there, but an operator might) the alive
-    /// flags are ignored rather than stranding the request.
-    fn earliest(&self, row: &[f64], scale: f64) -> (usize, f64, f64) {
-        assert_eq!(row.len(), self.entries.len(), "one estimate per device");
-        let candidate = |alive_only: bool| {
-            self.entries
-                .iter()
-                .zip(row)
-                .enumerate()
-                .filter(|(_, (e, _))| !alive_only || e.alive.load(Ordering::Relaxed))
-                .map(|(i, (e, &r))| {
-                    let est = r * scale;
-                    (i, est, e.load_ns.load(Ordering::Relaxed) as f64 + est)
-                })
-                .min_by(|a, b| a.2.total_cmp(&b.2))
-        };
-        candidate(true).or_else(|| candidate(false)).expect("device pool must not be empty")
+    /// work + estimate) among the best-ranked devices, as `(id,
+    /// estimate, completion)` — see [`DevicePool::place_scaled`].
+    fn earliest(&self, estimate: impl Fn(usize) -> Option<f64>, scale: f64) -> (usize, f64, f64) {
+        self.entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                let est = estimate(i);
+                let rank = 2 * u8::from(!e.alive.load(Ordering::Relaxed)) + u8::from(est.is_none());
+                let est = est.map_or(0.0, |r| r * scale);
+                (rank, (i, est, e.load_ns.load(Ordering::Relaxed) as f64 + est))
+            })
+            .min_by(|(ra, a), (rb, b)| ra.cmp(rb).then(a.2.total_cmp(&b.2)))
+            .expect("device pool must not be empty")
+            .1
     }
 
-    /// Best (smallest) estimated completion time across *alive*
-    /// devices, in ns: `min(outstanding + row × scale)` — the
-    /// admission-control slack probe. Falls back to all devices when
-    /// none is alive.
-    pub fn best_completion_ns(&self, row: &[f64], scale: f64) -> f64 {
-        self.earliest(row, scale).2
+    /// Estimated completion time, in ns, of the device
+    /// [`DevicePool::place_scaled`] would pick: `outstanding + estimate
+    /// × scale` — the admission-control slack probe.
+    pub fn best_completion_ns(&self, estimate: impl Fn(usize) -> Option<f64>, scale: f64) -> f64 {
+        self.earliest(estimate, scale).2
     }
 
     /// Places one inference whose per-device estimates are `row`, in
     /// ns: [`DevicePool::place_scaled`] with scale 1.
     pub fn place(&self, row: &[f64], class: Priority) -> (usize, u64) {
-        self.place_scaled(row, 1.0, class)
+        self.place_scaled(|d| Some(row[d]), 1.0, class)
     }
 
     /// Places one inference: picks the device minimizing estimated
-    /// completion time (outstanding work + `row × scale` ns, the
-    /// model's estimate) — maximizing the slack left under the
+    /// completion time (outstanding work + `estimate(id) × scale` ns,
+    /// the model's estimate) — maximizing the slack left under the
     /// request's class deadline — and charges the estimate to its
     /// account under `class`. Returns `(device id, charged estimate in
     /// ns)`; settle with [`DevicePool::discharge`] when the request
     /// completes or is cancelled.
     ///
+    /// `estimate(id) == None` means the model failed to compile for that
+    /// device. Alive devices with an estimate are ranked first, then
+    /// other alive devices (charged 0), then, so that a request is never
+    /// stranded, dead ones (the server never lets injected faults kill
+    /// every device, but an operator might). Ties go to the lowest id.
+    ///
     /// # Panics
     ///
     /// Panics on an empty pool.
-    pub fn place_scaled(&self, row: &[f64], scale: f64, class: Priority) -> (usize, u64) {
-        let (best, est, _) = self.earliest(row, scale);
+    pub fn place_scaled(
+        &self,
+        estimate: impl Fn(usize) -> Option<f64>,
+        scale: f64,
+        class: Priority,
+    ) -> (usize, u64) {
+        let (best, est, _) = self.earliest(estimate, scale);
         let charged = est.max(0.0) as u64;
         self.charge(best, charged, class);
         (best, charged)
@@ -199,10 +204,14 @@ mod tests {
     /// One model's estimates on `pool()`, in ms: the 8 Gen 2 is fastest.
     const ROW_MS: [f64; 3] = [4.0, 11.0, 6.0];
 
+    fn row(device: usize) -> Option<f64> {
+        Some(ROW_MS[device])
+    }
+
     #[test]
     fn placement_prefers_idle_fast_device_then_balances() {
         let p = pool();
-        let (first, charged) = p.place_scaled(&ROW_MS, 1e6, Priority::Interactive);
+        let (first, charged) = p.place_scaled(row, 1e6, Priority::Interactive);
         assert_eq!((first, charged), (0, 4_000_000));
         assert_eq!(p.load_ns(first), charged);
         assert_eq!(p.class_load_ns(first, Priority::Interactive), charged);
@@ -210,7 +219,7 @@ mod tests {
         // Pile enough work on the first choice and the scheduler must
         // move on to the next-earliest completion.
         p.charge(first, 10_000_000_000, Priority::Batch);
-        let (second, charged) = p.place_scaled(&ROW_MS, 2e6, Priority::Interactive);
+        let (second, charged) = p.place_scaled(row, 2e6, Priority::Interactive);
         assert_eq!((second, charged), (2, 12_000_000), "the scale multiplies the row");
         // `place` reads the row in ns.
         assert_eq!(p.place(&[5.0, 1.0, 9.0], Priority::Batch), (1, 1));
@@ -219,7 +228,7 @@ mod tests {
     #[test]
     fn placement_skips_dead_devices_until_revived() {
         let p = pool();
-        let (preferred, charged) = p.place_scaled(&ROW_MS, 1e6, Priority::Batch);
+        let (preferred, charged) = p.place_scaled(row, 1e6, Priority::Batch);
         p.discharge(preferred, charged, Priority::Batch);
         assert!(p.mark_dead(preferred), "first kill transitions");
         assert!(!p.mark_dead(preferred), "second kill is a no-op");
@@ -227,13 +236,34 @@ mod tests {
         assert_eq!(p.alive_count(), p.len() - 1);
         assert_eq!(p.dead_devices(), vec![preferred]);
         for _ in 0..8 {
-            let (d, _) = p.place_scaled(&ROW_MS, 1e6, Priority::Batch);
+            let (d, _) = p.place_scaled(row, 1e6, Priority::Batch);
             assert_ne!(d, preferred, "dead device must not be placed on");
         }
         // The slack probe ignores the dead device too: its best
         // completion only considers survivors.
-        let alive_best = p.best_completion_ns(&ROW_MS, 1e6);
+        let alive_best = p.best_completion_ns(row, 1e6);
         assert!(alive_best >= ROW_MS[preferred] * 1e6, "dead fastest device is excluded");
+    }
+
+    #[test]
+    fn placement_skips_devices_the_model_failed_on() {
+        let p = pool();
+        // The model failed to compile on the idle, otherwise fastest
+        // device: placement must not treat it as a free 0-ms device.
+        let failed_on_first = |d: usize| (d != 0).then(|| ROW_MS[d]);
+        for _ in 0..8 {
+            let (d, charged) = p.place_scaled(failed_on_first, 1e6, Priority::Batch);
+            assert_ne!(d, 0, "a pair that failed to compile must not be placed on");
+            assert_eq!(charged, (ROW_MS[d] * 1e6) as u64);
+        }
+        // With its only compiled device dead, the model falls back to
+        // the alive devices, charged nothing.
+        let only_second = |d: usize| (d == 1).then_some(ROW_MS[1]);
+        p.mark_dead(1);
+        assert_eq!(p.place_scaled(only_second, 1e6, Priority::Batch), (0, 0));
+        assert_eq!(p.best_completion_ns(only_second, 1e6), p.load_ns(0) as f64);
+        // Failed everywhere: the least-loaded alive device, charged 0.
+        assert_eq!(p.place_scaled(|_| None, 1e6, Priority::Batch), (0, 0));
     }
 
     #[test]

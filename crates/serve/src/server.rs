@@ -1,5 +1,6 @@
-//! The serving runtime: bounded admission queue → shared pull-mode
-//! batcher → per-device workers over one shared [`CompileSession`].
+//! The serving runtime: a start-up plan that compiles and estimates
+//! every (model, device) pair once, then bounded admission queue →
+//! shared pull-mode batcher → per-device workers executing that plan.
 //!
 //! Unlike the original push pipeline (a batching thread flushing on a
 //! timer into per-worker channels), the batcher here is a single
@@ -28,7 +29,9 @@ use crate::batcher::Batcher;
 use crate::request::ModelSpec;
 use crate::scheduler::DevicePool;
 use lifecycle::Pending;
-use smartmem_core::{CompileSession, Framework, SmartMemPipeline};
+use smartmem_core::{
+    graph_fingerprint, CacheStats, CompileSession, Framework, SmartMemPipeline, Unsupported,
+};
 use smartmem_sim::DeviceConfig;
 use smartmem_telemetry::{TraceId, Tracer};
 use stats::Metrics;
@@ -51,13 +54,14 @@ struct BatchState {
 struct Inner {
     models: Vec<ModelSpec>,
     pool: DevicePool,
-    session: CompileSession,
-    framework: Box<dyn Framework>,
-    /// `latency_ms[model][device]`: the estimated latency of each
-    /// pair's compiled graph (0 for a pair that failed to compile).
-    /// Placement, admission shedding and the worker's device time all
-    /// read it.
-    latency_ms: Vec<Vec<f64>>,
+    /// `plan[model][device]`: each pair's start-up outcome — the
+    /// estimated latency of its compiled graph, or why it did not
+    /// compile. Placement, admission shedding, the worker's device time
+    /// and every answer read it; nothing compiles after start-up.
+    plan: Vec<Vec<Result<f64, Unsupported>>>,
+    /// The start-up session's counters and artifact count.
+    startup_cache: CacheStats,
+    compiled: usize,
     config: ServeConfig,
     metrics: Metrics,
     tracer: Tracer,
@@ -89,6 +93,33 @@ pub struct Server {
     next_id: AtomicU64,
 }
 
+impl Inner {
+    /// Start-up latency of a pair; `None` when it failed to compile.
+    fn latency_ms(&self, model: usize, device: usize) -> Option<f64> {
+        self.plan[model][device].as_ref().ok().copied()
+    }
+}
+
+/// Compiles `spec` for `device` through the start-up session and
+/// estimates the result: the pair's plan entry, and whether the session
+/// served the compile from its cache. A panicking pass fails this pair,
+/// not the server: the session holds no lock while the passes run, so
+/// the unwind leaves nothing behind, and catching it turns the panic
+/// into an [`Unsupported`] error.
+fn compile_guarded(
+    session: &CompileSession,
+    framework: &dyn Framework,
+    spec: &ModelSpec,
+    fingerprint: u64,
+    device: &DeviceConfig,
+) -> (Result<f64, Unsupported>, bool) {
+    let (result, cache_hit) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.compile_keyed(framework, &spec.graph, fingerprint, device)
+    }))
+    .unwrap_or_else(|_| (Err(Unsupported::new(framework.name(), "compilation panicked")), false));
+    (result.map(|out| out.optimized.estimate(device).latency_ms), cache_hit)
+}
+
 impl Server {
     /// Starts a server over the default SmartMem pipeline.
     pub fn start(models: Vec<ModelSpec>, devices: Vec<DeviceConfig>, config: ServeConfig) -> Self {
@@ -97,8 +128,8 @@ impl Server {
 
     /// Starts a server compiling through an explicit framework
     /// pipeline. Every (model, device) pair is compiled and estimated
-    /// before this returns, so a pair that compiled serves even its
-    /// first request from the cache.
+    /// before this returns, and requests execute the resulting plan, so
+    /// a pair that compiled serves even its first request from it.
     ///
     /// # Panics
     ///
@@ -145,24 +176,40 @@ impl Server {
         // Every (model, device) pair compiles once, here, and its
         // estimate is the one latency placement charges and the worker
         // holds the device for. A pair that fails to compile (or
-        // panics) costs 0: its requests are answered with the error and
-        // never hold the device.
-        let latency = |spec: &ModelSpec, device: &DeviceConfig| {
-            let (result, _) = worker::compile_guarded(&session, framework.as_ref(), spec, device);
-            result.map_or(0.0, |output| output.optimized.estimate(device).latency_ms)
-        };
-        let latency_ms = models
+        // panics) keeps its error, which answers its requests.
+        let plan = models
             .iter()
-            .map(|spec| (0..pool.len()).map(|d| latency(spec, pool.device(d))).collect())
+            .map(|spec| {
+                let fingerprint = graph_fingerprint(&spec.graph);
+                (0..pool.len())
+                    .map(|d| {
+                        // The pair's start-up span, on the device's lane.
+                        let mut span =
+                            tracer.span("compile", "serve", TraceId::NONE).with_tid(d as u64);
+                        let (latency, cache_hit) = compile_guarded(
+                            &session,
+                            framework.as_ref(),
+                            spec,
+                            fingerprint,
+                            pool.device(d),
+                        );
+                        span.arg("cache_hit", f64::from(cache_hit));
+                        if let Ok(ms) = latency {
+                            span.arg("latency_ms", ms);
+                        }
+                        latency
+                    })
+                    .collect()
+            })
             .collect();
         let batcher = Batcher::new(config.max_batch, config.max_delay);
         let pool_len = pool.len();
         let inner = Arc::new(Inner {
             models,
+            plan,
+            startup_cache: session.stats(),
+            compiled: session.len(),
             pool,
-            session,
-            framework,
-            latency_ms,
             config,
             metrics,
             tracer,

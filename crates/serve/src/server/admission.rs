@@ -20,9 +20,9 @@ fn ns_per_ms(steps: u32) -> f64 {
 }
 
 /// Places a request of `model` on the device of earliest estimated
-/// completion and charges it there.
+/// completion among those it compiled on, and charges it there.
 fn place(inner: &Inner, model: usize, steps: u32, class: Priority) -> (usize, u64) {
-    inner.pool.place_scaled(&inner.latency_ms[model], ns_per_ms(steps), class)
+    inner.pool.place_scaled(|d| inner.latency_ms(model, d), ns_per_ms(steps), class)
 }
 
 /// Moves a request to a fresh placement among the alive devices (the
@@ -112,7 +112,8 @@ impl Server {
         // Admission shedding happens before any charge: a shed request
         // must leave zero trace in the scheduler's accounts.
         if inner.config.admission.enabled {
-            let best = inner.pool.best_completion_ns(&inner.latency_ms[req.model], ns_per_ms(1));
+            let estimate = |d| inner.latency_ms(req.model, d);
+            let best = inner.pool.best_completion_ns(estimate, ns_per_ms(1));
             let budget_ns = inner.config.deadlines.interactive.as_nanos() as f64;
             let slack = (budget_ns - best).clamp(i64::MIN as f64, i64::MAX as f64) as i64;
             if inner.config.admission.should_shed(req.priority, slack) {
@@ -124,9 +125,10 @@ impl Server {
         }
         let (device, est_ns) = match req.device {
             // A device pinned dead falls back to scheduler placement —
-            // pinning is an affinity hint, not a suicide pact.
+            // pinning is an affinity hint, not a suicide pact. A failed
+            // pair is charged 0 and answered with its start-up error.
             Some(d) if inner.pool.is_alive(d) => {
-                let ms = inner.latency_ms[req.model][d];
+                let ms = inner.latency_ms(req.model, d).unwrap_or(0.0);
                 let est = (ms * ns_per_ms(req.decode_steps)).max(0.0) as u64;
                 inner.pool.charge(d, est, req.priority);
                 (d, est)
@@ -138,7 +140,7 @@ impl Server {
         let (tx, rx) = mpsc::channel();
         let submitted = Instant::now();
         // The request's trace identity is minted here, at admission —
-        // everything downstream (queue, batch cut, compile, execute)
+        // everything downstream (queue, batch cut, execute)
         // tags its spans with it. Unsampled (and telemetry-off)
         // requests carry NONE and never touch the recorder again.
         let tracer = &inner.tracer;
@@ -186,7 +188,7 @@ mod tests {
     use smartmem_ir::{DType, GraphBuilder};
     use smartmem_sim::DeviceConfig;
 
-    /// A pinned request is charged its pair's latency-table entry in
+    /// A pinned request is charged its pair's start-up latency in
     /// ns — the number the worker will hold the device for — and a
     /// decode request that entry once per step.
     #[test]
@@ -202,8 +204,8 @@ mod tests {
             ServeConfig::default(),
         );
         for device in 0..server.pool().len() {
-            let latency_ms = server.inner.latency_ms[0][device];
-            assert!(latency_ms > 0.0, "the toy model compiles on device {device}");
+            let latency_ms = server.inner.latency_ms(0, device).expect("the toy model compiles");
+            assert!(latency_ms > 0.0, "device {device} estimates a positive latency");
             let (pending, _ticket) =
                 server.admit(InferenceRequest::new(0).on_device(device)).expect("admitted");
             assert_eq!(pending.device, device);

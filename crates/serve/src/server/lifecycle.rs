@@ -208,9 +208,10 @@ pub(super) struct BatchRun {
 
 /// How a request ends.
 pub(super) enum Terminal<'a> {
-    /// Rode `batch`; `error` is a terminal compilation error (retrying
-    /// cannot fix a graph the framework rejects).
-    Executed { batch: &'a BatchRun, cache_hit: bool, error: Option<String> },
+    /// Rode `batch`; `error` is the pair's start-up compilation error
+    /// (retrying cannot fix a graph the framework rejects). Without one,
+    /// the request was served from the pair's cached artifact.
+    Executed { batch: &'a BatchRun, error: Option<String> },
     /// Never ran to an answer; the caller holds the claim. `sub_cause`
     /// is the `killed` / `retry_exhausted` counter it belongs to, if any.
     Failed { error: &'a str, sub_cause: Option<&'a AtomicU64> },
@@ -225,11 +226,12 @@ pub(super) enum Terminal<'a> {
 pub(super) fn resolve(inner: &Inner, p: Pending, terminal: Terminal<'_>) {
     inner.pool.discharge(p.device, p.est_ns, p.class);
     let cancelled = matches!(terminal, Terminal::Cancelled);
-    let (batch, cache_hit, error, sub_cause) = match terminal {
-        Terminal::Executed { batch, cache_hit, error } => (Some(batch), cache_hit, error, None),
-        Terminal::Failed { error, sub_cause } => (None, false, Some(error.to_string()), sub_cause),
-        Terminal::Cancelled => (None, false, None, None),
+    let (batch, error, sub_cause) = match terminal {
+        Terminal::Executed { batch, error } => (Some(batch), error, None),
+        Terminal::Failed { error, sub_cause } => (None, Some(error.to_string()), sub_cause),
+        Terminal::Cancelled => (None, None, None),
     };
+    let cache_hit = batch.is_some() && error.is_none();
     let queue = batch.map(|b| b.exec_start.saturating_duration_since(p.submitted));
 
     let m = &inner.metrics;
@@ -271,8 +273,8 @@ pub(super) fn resolve(inner: &Inner, p: Pending, terminal: Terminal<'_>) {
         };
         match batch {
             // The sampled request's full story: queue (submit → cut),
-            // execute (cut → answer, compile nested inside), and the
-            // end-to-end request envelope.
+            // execute (cut → answer), and the end-to-end request
+            // envelope.
             Some(batch) => {
                 let class = ("class", p.class.index() as f64);
                 complete("queue", p.submit_ns, batch.cut_ns, &[class]);

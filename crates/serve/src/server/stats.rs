@@ -125,11 +125,11 @@ pub struct ServeStats {
     pub per_device_batches: Vec<u64>,
     /// Per-priority-class counters, indexed by [`Priority::index`].
     pub per_class: [ClassStats; 3],
-    /// Compilation-session counters: one compile per (model, device)
-    /// pair at `Server::start`, then one per request, so every request
-    /// of a pair that compiled is a hit.
+    /// Compilation-session counters: the start-up session's, which
+    /// compiled each (model, device) pair once at `Server::start`, plus
+    /// one hit per completed request (it executed a pair that compiled).
     pub cache: CacheStats,
-    /// Distinct compiled artifacts in the session cache.
+    /// Distinct compiled artifacts in the start-up session cache.
     pub compiled: usize,
     /// Times the configured persistent cache directory was unusable and
     /// the server fell back to a purely in-memory session (0 or 1 per
@@ -201,7 +201,7 @@ pub(super) struct Metrics {
     pub(super) retry_exhausted: AtomicU64,
     pub(super) killed: AtomicU64,
     /// Injected faults that fired, by [`FaultKind::index`]. The
-    /// cache-I/O slot is filled from the session at snapshot time.
+    /// cache-I/O slot is filled from the start-up cache counters.
     faults: [AtomicU64; FaultKind::ALL.len()],
     pub(super) batches: AtomicU64,
     /// Device-level decode iterations executed (per batch, the largest
@@ -248,14 +248,16 @@ impl Server {
                 *slot += count;
             }
         }
-        let cache = inner.session.stats();
+        let completed = load(&m.completed);
+        let mut cache = inner.startup_cache;
+        cache.hits += completed as usize;
         let mut faults: [u64; FaultKind::ALL.len()] = std::array::from_fn(|k| load(&m.faults[k]));
-        // Cache-I/O faults fire inside the persist layer; surface them in
-        // the same per-kind array.
+        // Cache-I/O faults fire inside the persist layer (start-up
+        // compiles); surface them in the same per-kind array.
         faults[FaultKind::CacheDirIo.index()] = cache.disk_faults as u64;
         ServeStats {
             submitted: load(&m.submitted),
-            completed: load(&m.completed),
+            completed,
             rejected: load(&m.rejected),
             failed: load(&m.failed),
             cancelled: load(&m.cancelled),
@@ -274,7 +276,7 @@ impl Server {
             per_device_batches: m.per_device_batches.iter().map(load).collect(),
             per_class: std::array::from_fn(|c| m.per_class[c].snapshot()),
             cache,
-            compiled: inner.session.len(),
+            compiled: inner.compiled,
             cache_dir_fallbacks: inner.cache_dir_fallbacks,
         }
     }

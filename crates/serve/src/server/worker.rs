@@ -1,15 +1,13 @@
-//! The per-device worker: pull the next batch, compile its members
-//! through the shared session, hold the device for the simulated
-//! execution time, and hand every member to the lifecycle.
+//! The per-device worker: pull the next batch, look its pair up in the
+//! start-up plan, hold the device for the simulated execution time, and
+//! hand every member to the lifecycle.
 
 use super::lifecycle::{resolve, BatchRun, Pending, Terminal};
 use super::recovery::{mark_device_dead, retry_or_fail, strand};
 use super::stats::record_fault;
 use super::{BatchState, Inner};
 use crate::batcher::Batch;
-use crate::request::ModelSpec;
-use smartmem_core::{CompileResult, CompileSession, Framework, Unsupported};
-use smartmem_sim::{DeviceConfig, FaultKind};
+use smartmem_sim::FaultKind;
 use smartmem_telemetry::{now_ns, TraceId};
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
@@ -25,24 +23,6 @@ const BATCH_MARGINAL: f64 = 0.85;
 /// the single-inference latency.
 pub fn batch_exec_ms(single_ms: f64, n: usize) -> f64 {
     single_ms * (1.0 + BATCH_MARGINAL * n.saturating_sub(1) as f64)
-}
-
-/// Compiles `spec` for `device` through the shared session, reporting
-/// whether the result was a cache hit. A panicking pass fails this
-/// model, not the calling thread — a device worker that died would
-/// strand every later batch routed to it. The session holds no lock
-/// while the passes run, so the unwind leaves nothing behind, and
-/// catching it turns the panic into an [`Unsupported`] error.
-pub(super) fn compile_guarded(
-    session: &CompileSession,
-    framework: &dyn Framework,
-    spec: &ModelSpec,
-    device: &DeviceConfig,
-) -> (CompileResult, bool) {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        session.compile_keyed(framework, &spec.graph, spec.fingerprint, device)
-    }))
-    .unwrap_or_else(|_| (Err(Unsupported::new(framework.name(), "compilation panicked")), false))
 }
 
 pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
@@ -89,22 +69,19 @@ pub(super) fn worker_loop(inner: &Inner, device_id: usize) {
 
 fn execute_batch(inner: &Inner, device_id: usize, batch: Batch<Pending>) {
     let exec_start = Instant::now();
-    let device = inner.pool.device(device_id);
     let size = batch.items.len();
-    let model_id = batch.key.model;
-    let spec = &inner.models[model_id];
-    let tracer = &inner.tracer;
+    let pair = &inner.plan[batch.key.model][device_id];
     // One timestamp for the whole batch: every member's queue span ends
     // — and its execute span starts — at the cut.
-    let cut_ns = if tracer.is_enabled() { now_ns() } else { 0 };
+    let cut_ns = if inner.tracer.is_enabled() { now_ns() } else { 0 };
     let lane = device_id as u64;
 
-    let plan = inner.config.fault_plan.as_ref().filter(|p| !p.is_inert());
+    let fault_plan = inner.config.fault_plan.as_ref().filter(|p| !p.is_inert());
     // Device-level probes, one roll per batch. Death routes the whole
     // batch (and everything queued behind it) through retry and skips
     // execution entirely; a stall just holds the device.
-    if let Some(plan) = plan {
-        if plan.roll(FaultKind::DeviceDeath, device_id) {
+    if let Some(fault_plan) = fault_plan {
+        if fault_plan.roll(FaultKind::DeviceDeath, device_id) {
             if let Some(drained) = mark_device_dead(inner, device_id) {
                 record_fault(inner, FaultKind::DeviceDeath, TraceId::NONE, lane);
                 strand(inner, batch.items.into_iter().chain(drained), "device died");
@@ -113,71 +90,48 @@ fn execute_batch(inner: &Inner, device_id: usize, batch: Batch<Pending>) {
             // Last device standing: the death is suppressed (the pool
             // must keep serving) and the batch executes normally.
         }
-        if plan.roll(FaultKind::DeviceStall, device_id) {
+        if fault_plan.roll(FaultKind::DeviceStall, device_id) {
             record_fault(inner, FaultKind::DeviceStall, TraceId::NONE, lane);
-            std::thread::sleep(plan.stall_duration());
+            std::thread::sleep(fault_plan.stall_duration());
         }
     }
 
-    // Per-item outcome: an injected transient fault (`Err`) or the
-    // compile result. Faults are decided against the request's stable
-    // tag — and only on its first attempt, so a cursed request fails
-    // exactly once and recovers on retry (`recovered` then counts
-    // exactly the cursed tags, independent of scheduling) — and preempt
-    // compilation.
-    //
-    // Everything else compiles through the shared session, which
-    // `Server::start` already filled with every (model, device) pair
-    // (a pair that failed there fails again here). The fingerprint
-    // was precomputed at registration, so a warm call is a hash-map
-    // lookup. Accounting is deliberately per *request* — the hit rate
-    // answers "what fraction of traffic was served from a warm
-    // artifact", so the follow-up requests of a batch count as hits
-    // too. A panicking pass answers this model's requests with an
-    // error (see `compile_guarded`).
-    let outcomes: Vec<_> = batch
+    // Per-item injected transient fault, if any. Faults are decided
+    // against the request's stable tag — and only on its first attempt,
+    // so a cursed request fails exactly once and recovers on retry
+    // (`recovered` then counts exactly the cursed tags, independent of
+    // scheduling).
+    let curses: Vec<_> = batch
         .items
         .iter()
         .map(|item| {
-            let curse = plan.filter(|_| item.attempts == 0).and_then(|plan| {
+            let curse = fault_plan.filter(|_| item.attempts == 0).and_then(|fault_plan| {
                 [FaultKind::CompileFault, FaultKind::ExecError]
                     .into_iter()
-                    .find(|&kind| plan.fault_for(kind, item.tag))
+                    .find(|&kind| fault_plan.fault_for(kind, item.tag))
             });
             if let Some(kind) = curse {
                 record_fault(inner, kind, item.trace, lane);
-                return Err(kind);
             }
-            let compile_start = if item.trace != TraceId::NONE { now_ns() } else { 0 };
-            let (result, cache_hit) =
-                compile_guarded(&inner.session, inner.framework.as_ref(), spec, device);
-            if item.trace != TraceId::NONE {
-                tracer.record_complete(
-                    "compile",
-                    "serve",
-                    item.trace,
-                    compile_start,
-                    now_ns().saturating_sub(compile_start),
-                    lane,
-                    vec![("cache_hit".into(), f64::from(cache_hit))],
-                );
-            }
-            Ok((result, cache_hit))
+            curse
         })
         .collect();
 
-    // Device time is the pair's start-up estimate — the number its
-    // placement charged — and nothing when no member compiled.
+    // Every other member executes the pair's start-up plan. Device time
+    // is the pair's start-up estimate — the number its placement
+    // charged — and nothing when no member executes or the pair failed
+    // to compile (its members are answered with the start-up error).
     //
     // The batch runs one device iteration per decode step of its
     // *longest* decode member — every batch-mate is held hostage for
     // all of them. This is exactly the cost continuous batching avoids
     // by re-submitting one step at a time.
     let iters = batch.items.iter().map(|i| i.steps.max(1)).max().unwrap_or(1);
-    let exec_ms = if outcomes.iter().flatten().any(|(res, _)| res.is_ok()) {
-        batch_exec_ms(inner.latency_ms[model_id][device_id], size) * f64::from(iters)
-    } else {
-        0.0
+    let exec_ms = match pair {
+        Ok(latency_ms) if curses.contains(&None) => {
+            batch_exec_ms(*latency_ms, size) * f64::from(iters)
+        }
+        _ => 0.0,
     };
     if inner.config.exec_time_scale > 0.0 && exec_ms > 0.0 {
         std::thread::sleep(Duration::from_secs_f64(exec_ms * inner.config.exec_time_scale / 1e3));
@@ -193,18 +147,16 @@ fn execute_batch(inner: &Inner, device_id: usize, batch: Batch<Pending>) {
         m.decode_steps.fetch_add(u64::from(iters), Ordering::Relaxed);
     }
     let run = BatchRun { size, exec_ms, exec_start, cut_ns };
-    for (item, outcome) in batch.items.into_iter().zip(outcomes) {
-        match outcome {
+    let error = pair.as_ref().err().map(ToString::to_string);
+    for (item, curse) in batch.items.into_iter().zip(curses) {
+        match curse {
             // Cursed items are transient failures: consume a retry
             // attempt and re-place them (or go terminal on an exhausted
             // budget). Their charge travels with them — requeue/resolve
             // refunds it.
-            Err(FaultKind::CompileFault) => retry_or_fail(inner, item, "injected compile fault"),
-            Err(_) => retry_or_fail(inner, item, "injected execute error"),
-            Ok((result, cache_hit)) => {
-                let error = result.err().map(|e| e.to_string());
-                resolve(inner, item, Terminal::Executed { batch: &run, cache_hit, error });
-            }
+            Some(FaultKind::CompileFault) => retry_or_fail(inner, item, "injected compile fault"),
+            Some(_) => retry_or_fail(inner, item, "injected execute error"),
+            None => resolve(inner, item, Terminal::Executed { batch: &run, error: error.clone() }),
         }
     }
 }

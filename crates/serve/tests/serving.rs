@@ -180,6 +180,65 @@ fn panicking_model_fails_its_requests_without_killing_the_server() {
     );
 }
 
+/// A pair that failed to compile at start-up is not a free device:
+/// placement sends the model's unpinned requests to the devices that
+/// compiled it, no request recompiles, and only a request pinned to the
+/// failed pair gets its error.
+#[test]
+fn placement_avoids_a_pair_that_failed_at_start() {
+    use smartmem_core::{CompileCtx, Framework, Pass, PassManager, SmartMemPipeline, Unsupported};
+
+    const REFUSED: &str = "Snapdragon 835";
+    /// Refuses every graph on the 835, after SmartMem's own passes.
+    struct Refuse835;
+    impl Pass for Refuse835 {
+        fn name(&self) -> &'static str {
+            "refuse-835"
+        }
+        fn run(&self, ctx: &mut CompileCtx) -> Result<(), Unsupported> {
+            if ctx.device.name.contains("835") {
+                return Err(Unsupported::new(&ctx.framework, "no kernels for this device"));
+            }
+            Ok(())
+        }
+    }
+    struct SmartMemBut835;
+    impl Framework for SmartMemBut835 {
+        fn name(&self) -> &str {
+            "SmartMemBut835"
+        }
+        fn passes(&self) -> PassManager {
+            SmartMemPipeline::new().passes().named("SmartMemBut835").then(Refuse835)
+        }
+    }
+
+    let server = Server::start_with_framework(
+        vec![ModelSpec::new("ConvNext", smartmem_models::convnext(1))],
+        devices(),
+        ServeConfig::default(),
+        Box::new(SmartMemBut835),
+    );
+    let refused = (0..server.pool().len())
+        .find(|&d| server.pool().device(d).name.contains("835"))
+        .expect("the 835 is in the pool");
+    let tickets: Vec<_> =
+        (0..40).map(|_| server.submit(InferenceRequest::new(0)).expect("submit")).collect();
+    for t in tickets {
+        let r = t.wait();
+        assert!(r.error.is_none(), "request on {} failed: {:?}", r.device, r.error);
+        assert!(!r.device.contains("835"), "placed on the pair that failed: {}", r.device);
+        assert!(r.compile_cache_hit);
+    }
+    let pinned = server.submit(InferenceRequest::new(0).on_device(refused)).expect("submit").wait();
+    assert!(pinned.error.is_some(), "a request pinned to {REFUSED} must get its start-up error");
+    assert!(!pinned.compile_cache_hit);
+    let stats = server.shutdown();
+    assert_eq!((stats.completed, stats.failed), (40, 1));
+    // One cold compile per pair at start-up (the refusal included), and
+    // none per request.
+    assert_eq!((stats.cache.misses, stats.cache.hits), (3, 40), "{:?}", stats.cache);
+}
+
 fn server_pool_len() -> usize {
     devices().len()
 }
@@ -475,12 +534,27 @@ fn sampled_requests_record_end_to_end_spans() {
 
     let trace = tracer.drain();
     assert_eq!(trace.dropped, 0);
+    // Start-up compiled each (model, device) pair once, outside any
+    // request: one `compile` span per pair on the device's lane.
+    let compiles: Vec<_> = trace.spans.iter().filter(|s| s.name == "compile").collect();
+    assert_eq!(compiles.len(), models().len() * devices().len(), "{compiles:?}");
+    for lane in 0..devices().len() as u64 {
+        let on_lane = compiles.iter().filter(|s| s.tid == lane).count();
+        assert_eq!(on_lane, models().len(), "one start-up compile per model on lane {lane}");
+    }
+    for s in &compiles {
+        assert_eq!((s.kind, s.trace), (SpanKind::Complete, TraceId::NONE));
+        let arg = |key: &str| s.args.iter().find(|(k, _)| k == key).map(|&(_, v)| v);
+        assert_eq!(arg("cache_hit"), Some(0.0), "a fresh session compiles cold");
+        assert!(arg("latency_ms").is_some_and(|ms| ms > 0.0), "{s:?}");
+    }
     // Every request was sampled (1-in-1): each must tell its whole
-    // story — queue, compile, execute, and the request envelope — under
-    // one trace id, with consistent nesting.
+    // story — queue, execute, and the request envelope — under one
+    // trace id, with consistent nesting, and no request compiles.
     for id in 1..=n as u64 {
         let spans: Vec<_> = trace.spans.iter().filter(|s| s.trace == TraceId(id)).collect();
-        for phase in ["queue", "compile", "execute", "request"] {
+        assert!(spans.iter().all(|s| s.name != "compile"), "trace {id} compiled: {spans:?}");
+        for phase in ["queue", "execute", "request"] {
             assert!(
                 spans.iter().any(|s| s.name == phase && s.kind == SpanKind::Complete),
                 "trace {id} is missing its {phase} span: {spans:?}"

@@ -4,9 +4,10 @@
 //! The stack's observability question ("where did this request's
 //! latency go?") is answered by spans and their exporters: a [`Tracer`]
 //! mints one [`TraceId`] per sampled request at admission and records
-//! named, timestamped spans (`queue`, `compile`, `execute`, `request`)
-//! into bounded per-thread ring buffers as the request moves through the
-//! server. A drained [`Trace`] exports to Chrome `trace_event` JSON
+//! named, timestamped spans (`queue`, `execute`, `request`) into bounded
+//! per-thread ring buffers as the request moves through the server;
+//! work outside any request, such as the server's start-up `compile` of
+//! each (model, device) pair, records under [`TraceId::NONE`]. A drained [`Trace`] exports to Chrome `trace_event` JSON
 //! ([`render_chrome`], loadable in `chrome://tracing` or Perfetto) or
 //! reduces to a terminal digest ([`summarize`]). Counts (completions,
 //! faults, cache fallbacks) live in the server's own statistics.
