@@ -73,7 +73,7 @@ mod tests {
         let g = transformer_snippet();
         let device = DeviceConfig::snapdragon_8gen2();
         let dnnf = DnnFusionFramework::new().run(&g, &device).unwrap();
-        let mnn = crate::MnnFramework::new().run(&g, &device).unwrap();
+        let mnn = crate::Baseline::MNN.run(&g, &device).unwrap();
         let ours = smartmem_core::SmartMemPipeline::new().run(&g, &device).unwrap();
         assert!(ours.latency_ms < dnnf.latency_ms);
         assert!(dnnf.latency_ms < mnn.latency_ms);

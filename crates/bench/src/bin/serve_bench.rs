@@ -42,7 +42,10 @@
 //! arrival rate and cannot see the recorder: a traced and an untraced
 //! server with no simulated device time take alternating rounds of
 //! back-to-back requests, and the gap between their median round times
-//! is the overhead.
+//! is the overhead. The same gap per request rides along ungated as
+//! `telemetry_overhead_ns_per_req`: it prices the recorder alone, while
+//! the percentage also moves when other host-path work changes the
+//! untraced round.
 //!
 //! Decode mode: `--decode` replays a mixed prefill + multi-step decode
 //! workload over the bucketed `pythia_decode` models twice — once with
@@ -167,9 +170,10 @@ fn replay_once(opts: &BenchOpts, telemetry_on: bool) -> RunOutcome {
 /// turns (ABBA order, so drift charges both sides alike) at one round of
 /// `ROUND_REQUESTS` requests submitted back to back, no arrival pacing,
 /// and all awaited. Returns how much longer the traced median round
-/// takes than the untraced one, in percent; clamped at zero, since a
-/// negative gap is noise, not a faster recorder.
-fn telemetry_overhead_pct(opts: &BenchOpts) -> f64 {
+/// takes than the untraced one, in percent of the untraced round and in
+/// ns per request; both clamped at zero, since a negative gap is noise,
+/// not a faster recorder.
+fn telemetry_overhead(opts: &BenchOpts) -> (f64, f64) {
     const ROUNDS: usize = 9;
     const ROUND_REQUESTS: usize = 1000;
     let model_count = zoo(opts.smoke).len();
@@ -209,13 +213,15 @@ fn telemetry_overhead_pct(opts: &BenchOpts) -> f64 {
     }
     let [off, on] = times.map(|t| percentile(&sorted(t), 50.0));
     let overhead = (on - off) / off * 100.0;
+    let ns_per_req = (on - off) * 1e9 / ROUND_REQUESTS as f64;
     println!(
         "\ntelemetry overhead: median round of {ROUND_REQUESTS} requests {:.2} ms traced vs \
-         {:.2} ms untraced over {ROUNDS} alternating rounds ({overhead:+.2}%)",
+         {:.2} ms untraced over {ROUNDS} alternating rounds ({overhead:+.2}%, \
+         {ns_per_req:+.0} ns per request)",
         on * 1e3,
         off * 1e3
     );
-    overhead.max(0.0)
+    (overhead.max(0.0), ns_per_req.max(0.0))
 }
 
 /// Chaos/fleet replay: the open-loop schedule routed through
@@ -816,7 +822,9 @@ fn run_replay(opts: &BenchOpts) {
     // Machine-readable records (written before the gates below, so CI
     // keeps the artifact even when a gate trips).
     if let Some(path) = &opts.json {
-        records.push(rec("telemetry_overhead_pct", telemetry_overhead_pct(opts)));
+        let (overhead_pct, overhead_ns) = telemetry_overhead(opts);
+        records.push(rec("telemetry_overhead_pct", overhead_pct));
+        records.push(rec("telemetry_overhead_ns_per_req", overhead_ns));
         for c in &classes {
             let prefix = c.class.name().to_ascii_lowercase();
             for (key, p) in

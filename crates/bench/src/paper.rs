@@ -3,7 +3,7 @@
 //! last digit (`7.9` is `7.85..7.95`); an empty band marks an ungraded context row.
 
 use crate::{geo_mean, json::BenchRecord, serve_harness::devices};
-use smartmem_baselines::{all_mobile_frameworks, TorchInductorFramework};
+use smartmem_baselines::{all_mobile_frameworks, Baseline};
 use smartmem_core::{
     device_fingerprint, Framework, ModelReport, SmartMemLevel as L, SmartMemPipeline,
 };
@@ -134,7 +134,7 @@ const INDUCTOR: usize = at(L::Full) + 1;
 /// ladder ([`at`]); TorchInductor.
 fn framework(i: usize) -> Box<dyn Framework> {
     let levels = L::ALL.map(|l| Box::new(SmartMemPipeline::at(l)) as Box<dyn Framework>);
-    let inductor = Box::new(TorchInductorFramework::new()) as Box<dyn Framework>;
+    let inductor = Box::new(Baseline::TORCH_INDUCTOR) as Box<dyn Framework>;
     all_mobile_frameworks().into_iter().chain(levels).chain([inductor]).nth(i).expect("framework")
 }
 

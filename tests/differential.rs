@@ -19,7 +19,7 @@
 //! `target/differential-artifacts/` so a counterexample can be replayed
 //! through `pass_timing --import` or turned into a fixture.
 
-use smartmem::baselines::{all_mobile_frameworks, TorchInductorFramework};
+use smartmem::baselines::{all_mobile_frameworks, Baseline};
 use smartmem::core::Framework;
 use smartmem::ir::generate::random_graph;
 use smartmem::ir::import::export_json;
@@ -45,7 +45,7 @@ const ABS_TOL: f32 = 1e-5;
 
 fn all_frameworks() -> Vec<Box<dyn Framework>> {
     let mut fws = all_mobile_frameworks();
-    fws.push(Box::new(TorchInductorFramework::new()));
+    fws.push(Box::new(Baseline::TORCH_INDUCTOR));
     fws
 }
 

@@ -1,10 +1,7 @@
 //! Cross-crate integration tests: the paper's headline claims as
 //! executable assertions, spanning models → pipelines → simulator.
 
-use smartmem::baselines::{
-    all_mobile_frameworks, DnnFusionFramework, MnnFramework, NcnnFramework, TfLiteFramework,
-    TorchInductorFramework, TvmFramework,
-};
+use smartmem::baselines::{all_mobile_frameworks, Baseline, DnnFusionFramework};
 use smartmem::core::{Framework, SmartMemLevel, SmartMemPipeline};
 use smartmem::models;
 use smartmem::sim::DeviceConfig;
@@ -37,8 +34,8 @@ fn table8_ordering_on_transformers() {
     for graph in [models::swin_tiny(1), models::sd_text_encoder(1)] {
         let ours = SmartMemPipeline::new().run(&graph, &device).unwrap().latency_ms;
         let dnnf = DnnFusionFramework::new().run(&graph, &device).unwrap().latency_ms;
-        let tvm = TvmFramework::new().run(&graph, &device).unwrap().latency_ms;
-        let mnn = MnnFramework::new().run(&graph, &device).unwrap().latency_ms;
+        let tvm = Baseline::TVM.run(&graph, &device).unwrap().latency_ms;
+        let mnn = Baseline::MNN.run(&graph, &device).unwrap().latency_ms;
         assert!(
             ours < dnnf && dnnf < tvm && tvm < mnn,
             "{}: {ours:.1} {dnnf:.1} {tvm:.1} {mnn:.1}",
@@ -55,8 +52,8 @@ fn table7_operator_counts_ordering() {
     let count = |fw: &dyn Framework| fw.optimize(&graph, &device).unwrap().stats.kernel_count;
     let ours = count(&SmartMemPipeline::new());
     let dnnf = count(&DnnFusionFramework::new());
-    let tvm = count(&TvmFramework::new());
-    let mnn = count(&MnnFramework::new());
+    let tvm = count(&Baseline::TVM);
+    let mnn = count(&Baseline::MNN);
     assert!(ours < dnnf, "elimination must reduce kernels: {ours} vs {dnnf}");
     assert!(dnnf <= tvm, "{dnnf} vs {tvm}");
     assert!(dnnf < mnn, "{dnnf} vs {mnn}");
@@ -68,8 +65,8 @@ fn table7_operator_counts_ordering() {
 #[test]
 fn support_matrix_matches_table7() {
     let device = device();
-    let ncnn = NcnnFramework::new();
-    let tflite = TfLiteFramework::new();
+    let ncnn = Baseline::NCNN;
+    let tflite = Baseline::TFLITE;
     // Transformers unsupported on NCNN/TFLite.
     assert!(ncnn.optimize(&models::swin_tiny(1), &device).is_err());
     assert!(tflite.optimize(&models::vit(1), &device).is_err());
@@ -106,7 +103,7 @@ fn transform_latency_fraction_shape_of_table1() {
     // Under the MNN-style pipeline, transformers burn a large share of
     // time in transformations; classic ConvNets do not.
     let device = device();
-    let mnn = MnnFramework::new();
+    let mnn = Baseline::MNN;
     let swin = mnn.run(&models::swin_tiny(1), &device).unwrap();
     let resnet = mnn.run(&models::resnet50(1), &device).unwrap();
     assert!(swin.transform_fraction() > 0.25, "swin {:.2}", swin.transform_fraction());
@@ -129,7 +126,7 @@ fn memory_counters_favour_smartmem() {
     // The MNN-style pipeline (relayouts + unfused transforms) is clearly
     // worse on both counters for the transformer.
     let ours_c = SmartMemPipeline::new().run(&models::cswin(1), &device).unwrap();
-    let mnn_c = MnnFramework::new().run(&models::cswin(1), &device).unwrap();
+    let mnn_c = Baseline::MNN.run(&models::cswin(1), &device).unwrap();
     assert!(mnn_c.mem.accesses() > ours_c.mem.accesses());
 }
 
@@ -152,7 +149,7 @@ fn portability_to_older_socs() {
     let graph = models::swin_tiny(1);
     for device in [DeviceConfig::snapdragon_835(), DeviceConfig::dimensity_700()] {
         let ours = SmartMemPipeline::new().run(&graph, &device).unwrap().latency_ms;
-        let mnn = MnnFramework::new().run(&graph, &device).unwrap().latency_ms;
+        let mnn = Baseline::MNN.run(&graph, &device).unwrap().latency_ms;
         assert!(mnn / ours > 1.5, "{}: {:.1}x", device.name, mnn / ours);
     }
 }
@@ -211,7 +208,7 @@ fn desktop_gpu_gains_are_modest_but_real() {
     // Table 9: without texture memory the gain shrinks to ~1.1-1.3x.
     let device = DeviceConfig::tesla_v100();
     let graph = models::swin_tiny(1);
-    let inductor = TorchInductorFramework::new().run(&graph, &device).unwrap().latency_ms;
+    let inductor = Baseline::TORCH_INDUCTOR.run(&graph, &device).unwrap().latency_ms;
     let ours = SmartMemPipeline::new().run(&graph, &device).unwrap().latency_ms;
     let speedup = inductor / ours;
     assert!((1.0..1.8).contains(&speedup), "desktop speedup {speedup:.2}");
@@ -223,7 +220,7 @@ fn oom_behaviour_on_constrained_devices() {
     // before SmartMem does.
     let device = DeviceConfig::dimensity_700();
     let graph = models::swin_tiny(16);
-    let mnn = MnnFramework::new().run(&graph, &device);
+    let mnn = Baseline::MNN.run(&graph, &device);
     let ours = SmartMemPipeline::new().run(&graph, &device);
     assert!(ours.is_ok(), "SmartMem should fit batch-16 Swin on 4 GB");
     if let Err(e) = mnn {

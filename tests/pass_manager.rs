@@ -2,8 +2,8 @@
 //! zoo models, per-pass timing observability, and compilation-cache
 //! equivalence with cold compiles.
 
-use smartmem::baselines::{all_mobile_frameworks, TorchInductorFramework};
-use smartmem::core::{CompileSession, Framework, OptStats, SmartMemPipeline};
+use smartmem::baselines::{all_mobile_frameworks, Baseline};
+use smartmem::core::{CompileSession, Framework, OptStats, SmartMemLevel, SmartMemPipeline};
 use smartmem::ir::Graph;
 use smartmem::models;
 use smartmem::sim::DeviceConfig;
@@ -16,7 +16,7 @@ fn device() -> DeviceConfig {
 /// TorchInductor (Table 9).
 fn all_frameworks() -> Vec<Box<dyn Framework>> {
     let mut fws = all_mobile_frameworks();
-    fws.push(Box::new(TorchInductorFramework::new()));
+    fws.push(Box::new(Baseline::TORCH_INDUCTOR));
     fws
 }
 
@@ -86,16 +86,71 @@ fn optstats_snapshots_per_framework() {
     }
 }
 
+/// Every pipeline's declared passes and sequence id: the seven
+/// frameworks of [`all_frameworks`], then the five rungs of the ablation
+/// ladder (the last equals SmartMem). The id is a compilation-cache key
+/// component, so a pass that is reordered, renamed or given other
+/// params moves every cached artifact of its pipeline; pin it here.
+/// Passes are listed in order, space-separated.
+const SEQUENCES: &[(&str, &str, u64)] = &[
+    ("MNN", "insert-relayouts lte policy-fusion assemble-groups uniform-layout finalize-utilization", 0x1a99f15979c7d37e),
+    ("NCNN", "support-check lte policy-fusion assemble-groups uniform-layout finalize-utilization", 0x5c85aa079f866765),
+    ("TFLite", "support-check insert-relayouts lte policy-fusion assemble-groups uniform-layout finalize-utilization", 0x9c45abcfa0f0cfc0),
+    ("TVM", "streamline insert-relayouts lte policy-fusion assemble-groups uniform-layout finalize-utilization", 0x6c6a481a58fc1f46),
+    ("DNNFusion", "lte fusion assemble-groups layout-select tune", 0x131b05c34a3462e1),
+    ("SmartMem", "streamline lte fusion assemble-groups layout-select tune", 0xc4899bc40dfdf9f2),
+    ("TorchInductor", "streamline lte policy-fusion assemble-groups uniform-layout finalize-utilization", 0x1f3e8385fbb79f8c),
+    ("SmartMem", "lte fusion assemble-groups layout-select tune", 0x618cce9a816c83cd),
+    ("SmartMem", "streamline lte fusion assemble-groups layout-select tune", 0x1cc2aa50f625d8ae),
+    ("SmartMem", "streamline lte fusion assemble-groups layout-select tune", 0xcec61db54fed90e4),
+    ("SmartMem", "streamline lte fusion assemble-groups layout-select tune", 0x6e794cf60bb281d5),
+    ("SmartMem", "streamline lte fusion assemble-groups layout-select tune", 0xc4899bc40dfdf9f2),
+];
+
 #[test]
 fn every_framework_is_a_pass_sequence() {
-    // The declarative sequences are non-trivial, named, and distinct.
+    // The frameworks' sequences are named and distinct.
     let mut ids = std::collections::HashSet::new();
     for fw in all_frameworks() {
         let manager = fw.passes();
         assert_eq!(manager.framework(), fw.name());
-        assert!(manager.pass_names().len() >= 5, "{} has a degenerate sequence", fw.name());
         assert!(ids.insert(manager.sequence_id()), "{} shares a sequence id", fw.name());
     }
+    // And each one, ladder rungs included, is pinned.
+    let mut pipelines = all_frameworks();
+    pipelines.extend(
+        SmartMemLevel::ALL.map(|l| Box::new(SmartMemPipeline::at(l)) as Box<dyn Framework>),
+    );
+    assert_eq!(pipelines.len(), SEQUENCES.len());
+    for (fw, &(name, passes, id)) in pipelines.iter().zip(SEQUENCES) {
+        let manager = fw.passes();
+        assert_eq!(manager.framework(), name);
+        assert_eq!(manager.pass_names().join(" "), passes, "{name}: pass sequence drifted");
+        assert_eq!(manager.sequence_id(), id, "{name}: sequence id (a cache-key part) moved");
+    }
+}
+
+/// A pass that rebuilds the graph carries its symbolic binding over:
+/// `pythia_decode` binds the sequence length, and every framework that
+/// compiles it returns a graph still bound to it, each symbolic axis
+/// carrying the bound extent.
+#[test]
+fn every_framework_keeps_the_symbolic_binding() {
+    let graph = models::pythia_decode(1, 40);
+    assert_eq!(graph.sym_dims().len(), 1);
+    let mut compiled = 0;
+    for fw in all_frameworks() {
+        let Ok(opt) = fw.optimize(&graph, &device()) else { continue };
+        compiled += 1;
+        let out = &opt.graph;
+        assert_eq!(out.sym_dims(), graph.sym_dims(), "{} dropped the binding", fw.name());
+        assert!(!out.sym_axes().is_empty(), "{} kept no symbolic axis", fw.name());
+        for a in out.sym_axes() {
+            assert_eq!(out.tensor(a.tensor).shape.dims()[a.axis], 40, "{}", fw.name());
+        }
+    }
+    // MNN, TVM, DNNFusion, SmartMem and TorchInductor.
+    assert_eq!(compiled, 5);
 }
 
 #[test]
